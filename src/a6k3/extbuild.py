@@ -19,17 +19,23 @@ from .permgrp import (
     PermGroup,
     FusionType,
     centralizer_of_subgroup,
+    class_fusion,
     closure,
-    conjugacy_classes,
-    conjugation_image,
     derived_subgroup,
     fingerprint,
-    fusion_type,
     is_a6_certified,
 )
 from .pgl9 import build_pgl29, build_psl29, classify_overgroups
 
 KINDS = ("A6_4", "S6_2", "PGL29_2", "M10_2")
+
+# The kind of a candidate whose conjugation image on A6 has order 720, by the
+# class pairs that image swaps.
+_KIND_BY_FUSION = {
+    FusionType(swaps_3=False, swaps_5=True): "S6_2",
+    FusionType(swaps_3=True, swaps_5=False): "PGL29_2",
+    FusionType(swaps_3=True, swaps_5=True): "M10_2",
+}
 
 __all__ = [
     "KINDS",
@@ -139,15 +145,15 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
 
     alpha = {x: _tail_exponent(x, base) for x in group.elements}
     assert alpha[gtilde] == 1
-    image, _ = conjugation_image(group, a6)
     return ExtensionCandidate(
         kind=kind,
         group=group,
         a6=a6,
         gtilde=gtilde,
         alpha=alpha,
-        conj_image_order=len(image),
-        fusion=fusion_type(image),
+        # the conjugation kernel is the centralizer
+        conj_image_order=len(group) // len(centralizer_of_subgroup(group, a6)),
+        fusion=class_fusion(group, a6),
     )
 
 
@@ -247,25 +253,10 @@ def identify(obj) -> str:
         return "A6_4"
     if image_order != 720:
         raise ValueError(f"unexpected conjugation image order {image_order}")
-
-    classes = conjugacy_classes(a6)
-    class_of = {x: k for k, c in enumerate(classes) for x in c.members}
-    idx3 = [k for k, c in enumerate(classes) if c.element_order == 3]
-    idx5 = [k for k, c in enumerate(classes) if c.element_order == 5]
-    inner_acting = {a * z for a in a6.elements for z in cent.elements}
-    outer = min(x for x in G.elements if x not in inner_acting)
-    oi = outer.inverse()
-    rep3 = classes[idx3[0]].representative
-    rep5 = classes[idx5[0]].representative
-    swaps_3 = class_of[outer * rep3 * oi] == idx3[1]
-    swaps_5 = class_of[outer * rep5 * oi] == idx5[1]
-    if swaps_3 and swaps_5:
-        return "M10_2"
-    if swaps_5:
-        return "S6_2"
-    if swaps_3:
-        return "PGL29_2"
-    raise RuntimeError("conjugation image of order 720 fixes all classes")
+    kind = _KIND_BY_FUSION.get(class_fusion(G, a6))
+    if kind is None:
+        raise RuntimeError("conjugation image of order 720 fixes all classes")
+    return kind
 
 
 def pairwise_nonisomorphic(candidates) -> bool:

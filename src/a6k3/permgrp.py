@@ -5,6 +5,13 @@ completely; no stabilizer chains.  Canonical element order is lexicographic
 on image tuples, and every deterministic-output contract in the package
 refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
+
+Three primitives carry the group work: `_orbit`, the one breadth-first
+search (conjugacy classes, normal closures, conjugation actions); `_extend`,
+one step of Dimino's algorithm (G. Butler, *Fundamental Algorithms for
+Permutation Groups*, LNCS 559, 1991), through which every element set is
+built; and `_fusion`, the one class-fusion routine, behind `class_fusion`
+and `fusion_type`.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "derived_subgroup",
     "centralizer_of_subgroup",
     "conjugation_image",
+    "class_fusion",
     "fusion_type",
     "index2_overgroups",
     "fingerprint",
@@ -191,22 +199,51 @@ class Perm:
         return f"Perm[{self.cycle_string()}]"
 
 
-def _bfs_closure(generators, degree, max_order):
-    ident = Perm.identity(degree)
-    els = {ident}
-    frontier = [ident]
+def _orbit(seeds, gens, act) -> set:
+    """Every point reachable from seeds by act(point, g) with g in gens."""
+    orbit = set(seeds)
+    frontier = list(orbit)
     while frontier:
         new = []
-        for a in frontier:
-            for g in generators:
-                b = a * g
-                if b not in els:
-                    els.add(b)
-                    if len(els) > max_order:
-                        raise ValueError(f"closure exceeds the order guard {max_order}")
-                    new.append(b)
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in orbit:
+                    orbit.add(y)
+                    new.append(y)
         frontier = new
-    return els
+    return orbit
+
+
+def _extend(els: set, gens, x: Perm, max_order: int) -> None:
+    """Dimino step: grow the closed set els = <gens> in place to <gens, x>.
+
+    The new group is a union of right cosets <gens> * r.  A representative
+    times a generator lies in a known coset or starts a new one, so each new
+    element costs one product.
+    """
+    base = tuple(els)
+    gens = tuple(gens) + (x,)
+    reps = [Perm.identity(x.degree)]
+    for r in reps:
+        for s in gens:
+            y = r * s
+            if y not in els:
+                els.update(h * y for h in base)
+                if len(els) > max_order:
+                    raise ValueError(f"closure exceeds the order guard {max_order}")
+                reps.append(y)
+
+
+def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
+    """The elements of <gens>, and the generators that were not redundant."""
+    els = {Perm.identity(degree)}
+    used = []
+    for x in gens:
+        if x not in els:
+            _extend(els, used, x, max_order)
+            used.append(x)
+    return els, used
 
 
 class PermGroup:
@@ -247,7 +284,7 @@ class PermGroup:
     def elements(self) -> tuple[Perm, ...]:
         if self._elements is not None:
             return self._elements
-        els = _bfs_closure(self._gens, self._degree, MAX_GROUP_ORDER)
+        els, _ = _dimino(self._gens, self._degree, MAX_GROUP_ORDER)
         return tuple(sorted(els))
 
     @cached_property
@@ -294,7 +331,7 @@ def closure(generators, *, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    els = _bfs_closure(gens, degree, max_order)
+    els, _ = _dimino(gens, degree, max_order)
     return PermGroup(gens, degree=degree, _elements=tuple(sorted(els)))
 
 
@@ -312,27 +349,17 @@ class ConjClassData:
 @cache
 def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     """Conjugacy classes in canonical order (element order, size, least rep)."""
-    gens = G.generators or (G.identity,)
     seen = set()
     raw = []
     for x in G.elements:
         if x in seen:
             continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g in gens:
-                    z = g * y * g.inverse()
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
+        orbit = _orbit((x,), G.generators, Perm.conjugated_by)
         seen |= orbit
         raw.append(tuple(sorted(orbit)))
     raw.sort(key=lambda members: (members[0].order(), len(members), members[0].images))
-    assert sum(len(m) for m in raw) == len(G), "class equation violated"
+    if sum(len(m) for m in raw) != len(G):
+        raise RuntimeError("class equation violated")
     exponent = lcm(*(m[0].order() for m in raw))
     class_of = {x: k for k, members in enumerate(raw) for x in members}
     out = []
@@ -361,39 +388,26 @@ def _subgroup(G: PermGroup, elements, generators=None) -> PermGroup:
     return H
 
 
-@cache
 def center(G: PermGroup) -> PermGroup:
-    """Elements commuting with every generator (hence with all of G)."""
-    gens = G.generators
-    members = [x for x in G.elements if all(x * g == g * x for g in gens)]
-    return _subgroup(G, members)
+    """The elements commuting with all of G."""
+    return centralizer_of_subgroup(G, G)
 
 
 @cache
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Normal closure of all generator-pair commutators, verified normal."""
-    gens = G.generators or (G.identity,)
+    gens = G.generators
     seeds = {a * b * a.inverse() * b.inverse() for a in gens for b in gens}
-    seeds.discard(G.identity)
-    if not seeds:
-        return _subgroup(G, (G.identity,))
-    H = closure(sorted(seeds))
-    while True:
-        extra = set()
-        for g in gens:
-            gi = g.inverse()
-            for s in seeds:
-                t = g * s * gi
-                if t not in H:
-                    extra.add(t)
-        if not extra:
-            break
-        seeds |= extra
-        H = closure(sorted(seeds))
+    # the normal closure is generated by the conjugates of the seeds
+    conjugates = _orbit(seeds, gens, Perm.conjugated_by)
+    els, used = _dimino(sorted(conjugates), G.degree, MAX_GROUP_ORDER)
+    H = PermGroup(used, degree=G.degree, _elements=tuple(sorted(els)))
     for g in gens:
         gi = g.inverse()
-        assert all(g * h * gi in H for h in H.elements), "derived subgroup not normal"
-    assert len(G) % len(H) == 0, "Lagrange check failed"
+        if any(g * h * gi not in H for h in H.elements):
+            raise RuntimeError("derived subgroup not normal")
+    if len(G) % len(H):
+        raise RuntimeError("Lagrange check failed")
     return H
 
 
@@ -436,24 +450,18 @@ def conjugation_image(G: PermGroup, A: PermGroup):
         return Perm._raw(tuple(index[g * a * gi] for a in labels))
 
     gen_imgs = [conj_perm(g) for g in gens]
-    interned = {p: p for p in gen_imgs}
     ident_img = Perm.identity(len(labels))
-    interned.setdefault(ident_img, ident_img)
-    mapping = {G.identity: ident_img}
-    frontier = [G.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            fx = mapping[x]
-            for g, fg in zip(gens, gen_imgs):
-                y = x * g
-                if y not in mapping:
-                    fy = fx * fg
-                    fy = interned.setdefault(fy, fy)
-                    mapping[y] = fy
-                    new.append(y)
-        frontier = new
-    assert len(mapping) == len(G)
+    # the graph of g |-> conj_perm(g) is the orbit of (1, 1) under the
+    # generator pairs; it has |G| points exactly when gens generate G
+    pairs = _orbit(
+        ((G.identity, ident_img),),
+        tuple(zip(gens, gen_imgs)),
+        lambda p, s: (p[0] * s[0], p[1] * s[1]),
+    )
+    if len(pairs) != len(G):
+        raise ValueError("the generators of G do not generate its elements")
+    interned = {}
+    mapping = {g: interned.setdefault(f, f) for g, f in pairs}
     image = PermGroup.from_elements(
         set(mapping.values()), generators=tuple(sorted(set(gen_imgs))), point_labels=A
     )
@@ -466,6 +474,37 @@ class FusionType:
 
     swaps_3: bool
     swaps_5: bool
+
+
+def _fusion(A: PermGroup, automorphisms) -> FusionType:
+    """Which order-3 / order-5 class pairs of A the automorphisms swap.
+
+    Each automorphism is a function on A's elements and must map every
+    conjugacy class of A onto exactly one class.
+    """
+    classes = conjugacy_classes(A)
+    class_index = {frozenset(c.members): k for k, c in enumerate(classes)}
+    idx3 = [k for k, c in enumerate(classes) if c.element_order == 3]
+    idx5 = [k for k, c in enumerate(classes) if c.element_order == 5]
+    if len(idx3) != 2 or len(idx5) != 2:
+        raise ValueError("acted-on group does not have two order-3 and two order-5 classes")
+    swaps_3 = False
+    swaps_5 = False
+    for phi in automorphisms:
+        moved = [class_index.get(frozenset(map(phi, c.members))) for c in classes]
+        if None in moved:
+            raise ValueError("action does not normalize the class partition")
+        if moved[idx3[0]] == idx3[1]:
+            swaps_3 = True
+        if moved[idx5[0]] == idx5[1]:
+            swaps_5 = True
+    return FusionType(swaps_3=swaps_3, swaps_5=swaps_5)
+
+
+def class_fusion(G: PermGroup, A: PermGroup) -> FusionType:
+    """Class-fusion pattern of G acting on its normal subgroup A by conjugation."""
+    _check_normal(G, A)
+    return _fusion(A, [lambda a, g=g, gi=g.inverse(): g * a * gi for g in G.generators])
 
 
 def fusion_type(image: PermGroup) -> FusionType:
@@ -485,39 +524,17 @@ def fusion_type(image: PermGroup) -> FusionType:
         inner = Perm._raw(tuple(pos[a * x * ai] for x in labels))
         if inner not in image:
             raise ValueError("image does not contain the inner automorphisms")
-    classes = conjugacy_classes(A)
-    pos_sets = [frozenset(pos[x] for x in c.members) for c in classes]
-    pos_set_index = {s: k for k, s in enumerate(pos_sets)}
-    idx3 = [k for k, c in enumerate(classes) if c.element_order == 3]
-    idx5 = [k for k, c in enumerate(classes) if c.element_order == 5]
-    if len(idx3) != 2 or len(idx5) != 2:
-        raise ValueError("acted-on group does not have two order-3 and two order-5 classes")
-    swaps_3 = False
-    swaps_5 = False
-    for sigma in image.generators:
-        moved = {}
-        for k, s in enumerate(pos_sets):
-            img = frozenset(sigma(p) for p in s)
-            target = pos_set_index.get(img)
-            assert target is not None, "action does not normalize the class partition"
-            moved[k] = target
-        if moved[idx3[0]] == idx3[1]:
-            swaps_3 = True
-        if moved[idx5[0]] == idx5[1]:
-            swaps_5 = True
-    return FusionType(swaps_3=swaps_3, swaps_5=swaps_5)
+    return _fusion(A, [lambda x, s=sigma: labels[s(pos[x])] for sigma in image.generators])
 
 
 def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
     """The three H with A < H < G when G/A is the Klein four-group."""
-    if not A.is_subgroup_of(G):
-        raise ValueError("A is not a subgroup of G")
+    _check_normal(G, A)
     if len(G) != 4 * len(A):
         raise ValueError("index of A in G is not 4")
     aset = A.element_set
     if any(g * g not in aset for g in G.elements):
         raise ValueError("quotient is not C2 x C2")
-    _check_normal(G, A)
     cosets = []
     covered = set(aset)
     for g in G.elements:

@@ -16,10 +16,10 @@ from functools import cache
 from .permgrp import (
     Perm,
     PermGroup,
+    _orbit,
+    class_fusion,
     closure,
-    conjugation_image,
     derived_subgroup,
-    fusion_type,
     index2_overgroups,
     is_a6_certified,
 )
@@ -197,8 +197,7 @@ def _split_overgroups(gam: PermGroup, psl: PermGroup) -> OvergroupSplit:
     subs = index2_overgroups(gam, psl)
     labeled = {}
     for H in subs:
-        image, _ = conjugation_image(H, psl)
-        ft = fusion_type(image)
+        ft = class_fusion(H, psl)
         key = (ft.swaps_3, ft.swaps_5)
         assert key not in labeled, "fusion patterns are not pairwise distinct"
         labeled[key] = H
@@ -235,18 +234,7 @@ def m10_order4_class_check(m10: PermGroup, psl: PermGroup) -> M10CosetFacts:
     quads = [x for x in coset if x.order() == 4]
     one_class = False
     if quads:
-        orbit = {quads[0]}
-        frontier = [quads[0]]
-        gens = m10.generators
-        while frontier:
-            new = []
-            for y in frontier:
-                for g in gens:
-                    z = g * y * g.inverse()
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
+        orbit = _orbit(quads[:1], m10.generators, Perm.conjugated_by)
         one_class = orbit == set(quads)
     return M10CosetFacts(
         involutions_outside=involutions,

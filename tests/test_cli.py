@@ -1,10 +1,13 @@
 """The command-line front end: report shapes, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from a6k3.cli import COMMANDS, REPORT_VERSION, build_report, main
+
+REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
 
 
 def run_cli(capsys, *argv):
@@ -16,6 +19,8 @@ def run_cli(capsys, *argv):
 def test_all_json(capsys):
     code, out = run_cli(capsys, "all", "--format", "json")
     assert code == 0
+    # the report is unchanged byte for byte across refactors of the engine
+    assert hashlib.md5(out.encode()).hexdigest() == REPORT_DIGEST
     report = json.loads(out)
     assert report["version"] == REPORT_VERSION
     assert report["verdict"] == "M10_2"

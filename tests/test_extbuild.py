@@ -13,6 +13,7 @@ from a6k3.permgrp import (
     conjugation_image,
     derived_subgroup,
     fingerprint,
+    fusion_type,
     is_a6_certified,
 )
 from a6k3.extbuild import (
@@ -81,6 +82,7 @@ def test_conjugation_image_orders_and_kernels():
         cand = build_candidate(kind)
         image, mapping = conjugation_image(cand.group, cand.a6)
         assert len(image) == expect == cand.conj_image_order
+        assert cand.fusion == fusion_type(image)
         ident = image.identity
         kernel = {g for g, img in mapping.items() if img == ident}
         assert kernel == set(centralizer_of_subgroup(cand.group, cand.a6).elements)

@@ -10,6 +10,7 @@ from a6k3.permgrp import (
     PermGroup,
     center,
     centralizer_of_subgroup,
+    class_fusion,
     closure,
     conjugacy_classes,
     conjugate_group,
@@ -25,14 +26,21 @@ from a6k3.extbuild import alternating6
 
 
 def naive_closure(gens):
-    # independent oracle: multiply-all-pairs until stable
-    els = set(gens)
-    els.add(Perm.identity(gens[0].degree))
+    # independent oracle: multiply everything by every generator until stable
+    els = {Perm.identity(gens[0].degree)}
     while True:
-        new = {a * b for a in els for b in els} - els
+        new = {a * g for a in els for g in gens} - els
         if not new:
             return els
         els |= new
+
+
+def naive_derived(G):
+    # independent oracle: close up the commutators [a, b] = a * (b a^-1 b^-1)
+    # of all element pairs; b a^-1 b^-1 runs through the class of a^-1
+    class_of = {x: cls for cls in naive_classes(G) for x in cls}
+    comms = {a * c for a in G.elements for c in class_of[a.inverse()]}
+    return naive_closure(sorted(comms))
 
 
 def naive_classes(G):
@@ -177,6 +185,7 @@ def test_fusion_type_invariant_under_renaming():
         image, _ = conjugation_image(H, psl)
         ft = fusion_type(image)
         assert (ft.swaps_3, ft.swaps_5) == expect
+        assert class_fusion(H, psl) == ft
         imgs = list(range(10))
         rng.shuffle(imgs)
         t = Perm(imgs)
@@ -185,6 +194,7 @@ def test_fusion_type_invariant_under_renaming():
         image2, _ = conjugation_image(H2, psl2)
         ft2 = fusion_type(image2)
         assert (ft2.swaps_3, ft2.swaps_5) == expect
+        assert class_fusion(H2, psl2) == ft2
 
 
 def test_index2_overgroups():
@@ -242,9 +252,11 @@ def test_class_equation_randomized():
             rng.shuffle(imgs)
             gens.append(Perm(imgs))
         G = closure(gens)
+        assert set(G.elements) == naive_closure(gens)
         cls = conjugacy_classes(G)
         assert sum(c.size for c in cls) == len(G)
         assert all(len(G) % c.size == 0 for c in cls)
+        assert {frozenset(c.members) for c in cls} == set(naive_classes(G))
 
 
 def test_subgroup_facts_randomized():
@@ -260,9 +272,14 @@ def test_subgroup_facts_randomized():
         D = derived_subgroup(G)
         Z = center(G)
         assert len(G) % len(D) == 0 and len(G) % len(Z) == 0
-        # derived subgroup is normal: spot-check with random conjugation
+        assert set(D.elements) == naive_derived(G)
         g = rng.choice(G.elements)
-        assert all(g * d * g.inverse() in D for d in D.generators)
+        assert all(g * z == z * g for z in Z.elements)
+        # derived subgroup is normal: conjugation by every element of G
+        # keeps each generator of D inside D
+        for g in G.elements:
+            gi = g.inverse()
+            assert all(g * d * gi in D for d in D.generators)
 
 
 def test_is_a6_certified():
