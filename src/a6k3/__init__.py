@@ -9,7 +9,7 @@ arithmetic, and exposes the chain as a verification CLI.
 
 __version__ = "0.1.0"
 
-from .exact import CycloNum, Rational, cyclo_add, cyclo_is_rational, cyclo_mul, galois_apply
+from .exact import CycloNum, Rational, galois_apply
 from .permgrp import Perm, PermGroup, closure, conjugacy_classes, fingerprint
 from .pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from .chartab import character_table, match_reference_table
@@ -25,9 +25,6 @@ __all__ = [
     "__version__",
     "CycloNum",
     "Rational",
-    "cyclo_add",
-    "cyclo_mul",
-    "cyclo_is_rational",
     "galois_apply",
     "Perm",
     "PermGroup",

@@ -16,7 +16,7 @@ from functools import cache
 from math import isqrt, lcm
 
 from .exact import CycloNum
-from .permgrp import ConjClassData, PermGroup, conjugacy_classes
+from .permgrp import ConjClassData, PermGroup, conjugacy_classes, group_cache
 
 MAX_TABLE_ORDER = 10_000
 MAX_CLASS_COUNT = 16
@@ -62,7 +62,7 @@ class ClassAlgebra:
                 assert total == sizes[i] * sizes[j], (i, j)
 
 
-@cache
+@group_cache
 def structure_constants(G: PermGroup) -> ClassAlgebra:
     """Exhaustively counted class-algebra structure constants."""
     if len(G) > MAX_TABLE_ORDER:
@@ -274,7 +274,7 @@ def _inverse_class_map(classes) -> list[int]:
     return out
 
 
-@cache
+@group_cache
 def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
     """The exact character table of G, computed with the prime_index-th
     admissible prime (0 = smallest)."""

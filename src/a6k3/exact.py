@@ -22,9 +22,6 @@ __all__ = [
     "CycloNum",
     "euler_phi",
     "cyclotomic_polynomial",
-    "cyclo_add",
-    "cyclo_mul",
-    "cyclo_is_rational",
     "galois_apply",
 ]
 
@@ -329,23 +326,6 @@ def _solve_columns(columns, rhs):
     for r, col in enumerate(pivots):
         sol[col] = mat[r][ncols]
     return tuple(sol)
-
-
-# Operation-style aliases used throughout the package.
-
-def cyclo_add(a: CycloNum, b: CycloNum) -> CycloNum:
-    """Exact sum, reconciling orders through the lcm embedding."""
-    return a + b
-
-
-def cyclo_mul(a: CycloNum, b: CycloNum) -> CycloNum:
-    """Exact product, reconciling orders through the lcm embedding."""
-    return a * b
-
-
-def cyclo_is_rational(a: CycloNum):
-    """The rational value of a, or None when any higher basis power survives."""
-    return a.is_rational()
 
 
 def galois_apply(a: CycloNum, k: int) -> CycloNum:

@@ -79,9 +79,6 @@ class ExtensionCandidate:
     conj_image_order: int
     fusion: FusionType
 
-    def alpha_of(self, x: Perm) -> int:
-        return self.alpha[x]
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,

@@ -24,7 +24,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from .chartab import CharacterTable, class_labels, display_value, match_reference_table
-from .exact import CycloNum, cyclo_is_rational
+from .exact import CycloNum
 from .extbuild import ExtensionCandidate, identify
 from .permgrp import Perm, PermGroup, conjugacy_classes
 
@@ -327,10 +327,10 @@ def argument_3class_trace(case: SignCase, table: CharacterTable) -> ArgumentOutc
     best = None
     for pos in _order3_positions(table):
         val = trace_on_picard(mv, signs, table, pos)
-        rat = cyclo_is_rational(val)
+        rat = val.is_rational()
         assert rat is not None and rat.denominator == 1
         parts = [1] + [
-            int(cyclo_is_rational(signs[i] * mv[i - 2] * rows[i - 1][pos]))
+            int((signs[i] * mv[i - 2] * rows[i - 1][pos]).is_rational())
             for i in (2, 3, 6)
         ]
         if best is None or int(rat) < best[0]:
@@ -363,7 +363,7 @@ def argument_nonintegral(case: SignCase, swap23: bool) -> ArgumentOutcome:
     nonintegral = []
     for n in range(dim + 1):
         value = 3 + (dim - 2 * n) * z4
-        nonintegral.append(cyclo_is_rational(value) is None)
+        nonintegral.append(value.is_rational() is None)
     status = CONTRADICTION if all(nonintegral) else NO_CONTRADICTION
     return ArgumentOutcome(
         name,
@@ -465,7 +465,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
         for k in range(size // 4 + 1):
             j = size - 4 * k
             value = j * one + k * orbit_sum
-            rat = cyclo_is_rational(value)
+            rat = value.is_rational()
             assert rat is not None and rat.denominator == 1
             traces.add(int(rat))
         return tuple(sorted(traces))
@@ -477,7 +477,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     # required trace: the degree-9 character on the order-5 classes
     rows = _degree_rows(table)
     required = {
-        int(cyclo_is_rational(rows[5][i]))
+        int(rows[5][i].is_rational())
         for i, c in enumerate(table.classes)
         if c.element_order == 5
     }

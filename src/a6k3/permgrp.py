@@ -12,14 +12,19 @@ one step of Dimino's algorithm (G. Butler, *Fundamental Algorithms for
 Permutation Groups*, LNCS 559, 1991), through which every element set is
 built; and `_fusion`, the one class-fusion routine, behind `class_fusion`
 and `fusion_type`.
+
+One cache policy: data derived from a group is memoized on that group by
+`group_cache`, so it is freed with the group and never answers for another
+group with the same elements.  `functools.cache` is only for builders of
+fixed objects.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
-from math import gcd, lcm
+from functools import cached_property, wraps
+from math import gcd, lcm, prod
 
 MAX_GROUP_ORDER = 10**6
 
@@ -30,6 +35,7 @@ __all__ = [
     "ConjClassData",
     "FusionType",
     "Fingerprint",
+    "group_cache",
     "closure",
     "conjugacy_classes",
     "center",
@@ -246,6 +252,19 @@ def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
     return els, used
 
 
+def group_cache(fn):
+    """Memoize fn(G, *args, **kwargs) in G's own memo, freed with G."""
+
+    @wraps(fn)
+    def cached(G, *args, **kwargs):
+        key = (fn, args, tuple(kwargs.items()))
+        if key not in G._memo:
+            G._memo[key] = fn(G, *args, **kwargs)
+        return G._memo[key]
+
+    return cached
+
+
 class PermGroup:
     """A finitely generated permutation group with its full element set."""
 
@@ -261,6 +280,7 @@ class PermGroup:
         self._gens = gens
         self._elements = _elements
         self.point_labels = point_labels
+        self._memo = {}
 
     @classmethod
     def from_elements(cls, elements, generators=None, point_labels=None) -> "PermGroup":
@@ -346,7 +366,7 @@ class ConjClassData:
     members: tuple[Perm, ...]
 
 
-@cache
+@group_cache
 def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     """Conjugacy classes in canonical order (element order, size, least rep)."""
     seen = set()
@@ -393,7 +413,7 @@ def center(G: PermGroup) -> PermGroup:
     return centralizer_of_subgroup(G, G)
 
 
-@cache
+@group_cache
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Normal closure of all generator-pair commutators, verified normal."""
     gens = G.generators
@@ -411,7 +431,7 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return H
 
 
-@cache
+@group_cache
 def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
     """{g in G : ga = ag for all a in A}."""
     if not A.is_subgroup_of(G):
@@ -432,7 +452,7 @@ def _check_normal(G: PermGroup, A: PermGroup):
         # generator conjugates generate the conjugate subgroup; size forces equality
 
 
-@cache
+@group_cache
 def conjugation_image(G: PermGroup, A: PermGroup):
     """The conjugation action of G on A's element list.
 
@@ -501,6 +521,7 @@ def _fusion(A: PermGroup, automorphisms) -> FusionType:
     return FusionType(swaps_3=swaps_3, swaps_5=swaps_5)
 
 
+@group_cache
 def class_fusion(G: PermGroup, A: PermGroup) -> FusionType:
     """Class-fusion pattern of G acting on its normal subgroup A by conjugation."""
     _check_normal(G, A)
@@ -624,19 +645,12 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
     for chain in _divisor_chains(n, exponent):
         if chain and chain[0] != exponent:
             continue
-        if all(counts[k] == _prod(gcd(d, k) for d in chain) for k in divisors):
+        if all(counts[k] == prod(gcd(d, k) for d in chain) for k in divisors):
             return chain
     raise AssertionError("no abelian type matches the quotient")
 
 
-def _prod(items):
-    out = 1
-    for v in items:
-        out *= v
-    return out
-
-
-@cache
+@group_cache
 def fingerprint(G: PermGroup) -> Fingerprint:
     """Order, center order, abelianization and element-order histogram."""
     hist = Counter(x.order() for x in G.elements)

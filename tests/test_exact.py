@@ -9,9 +9,6 @@ import pytest
 
 from a6k3.exact import (
     CycloNum,
-    cyclo_add,
-    cyclo_is_rational,
-    cyclo_mul,
     cyclotomic_polynomial,
     euler_phi,
     galois_apply,
@@ -41,36 +38,36 @@ def test_cyclotomic_polynomials():
 
 def test_add_examples():
     z4 = CycloNum.zeta(4)
-    assert cyclo_add(z4, -z4) == 0
+    assert z4 + -z4 == 0
 
     total = CycloNum.one(5)
     for k in range(1, 5):
-        total = cyclo_add(total, CycloNum.zeta(5, k))
+        total = total + CycloNum.zeta(5, k)
     assert total == 0  # the order-5 cyclotomic relation
 
     x = CycloNum.zeta(5, 1) + CycloNum.zeta(5, 4)
     y = CycloNum.zeta(5, 2) + CycloNum.zeta(5, 3)
     # oracle first: numerically x + y = -1 to 1e-12
     assert abs(evaluate(x) + evaluate(y) + 1) < 1e-12
-    assert cyclo_add(x, y) == -1
+    assert x + y == -1
 
 
 def test_mul_examples():
     z4 = CycloNum.zeta(4)
-    assert cyclo_mul(z4, z4) == -1
-    assert cyclo_mul(CycloNum.zeta(5, 1), CycloNum.zeta(5, 4)) == 1
+    assert z4 * z4 == -1
+    assert CycloNum.zeta(5, 1) * CycloNum.zeta(5, 4) == 1
 
     x = CycloNum.zeta(5, 1) + CycloNum.zeta(5, 4)
     # oracle: x is the golden-ratio conjugate, root of t^2 + t - 1
     assert abs(evaluate(x) ** 2 + evaluate(x) - 1) < 1e-12
-    assert (cyclo_mul(x, x) + x - 1) == 0
+    assert (x * x + x - 1) == 0
 
 
 def test_is_rational():
-    assert cyclo_is_rational(CycloNum.from_rational(3, 4)) == 3
-    assert cyclo_is_rational(CycloNum.from_rational(3, 4) + 9 * CycloNum.zeta(4)) is None
+    assert CycloNum.from_rational(3, 4).is_rational() == 3
+    assert (CycloNum.from_rational(3, 4) + 9 * CycloNum.zeta(4)).is_rational() is None
     total = sum((CycloNum.zeta(5, k) for k in range(1, 5)), CycloNum.zero(5))
-    assert cyclo_is_rational(total) == -1
+    assert total.is_rational() == -1
 
 
 def test_galois_examples():

@@ -1,6 +1,8 @@
 """The four A6.mu4 candidates: construction, structure, identification."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from a6k3.permgrp import (
     center,
     centralizer_of_subgroup,
     closure,
+    conjugate_group,
     conjugation_image,
     derived_subgroup,
     fingerprint,
@@ -27,7 +30,8 @@ from a6k3.extbuild import (
     pairwise_nonisomorphic,
     verify_extension_structure,
 )
-from a6k3.pgl9 import build_psl29
+from a6k3.chartab import character_table
+from a6k3.pgl9 import build_psl29, classify_overgroups
 
 
 def relabeled_copy(cand: ExtensionCandidate, rng: random.Random) -> PermGroup:
@@ -210,6 +214,7 @@ def test_identify_under_regenerated_generating_set():
             if len(G) == 1440:
                 break
         assert G == cand.group
+        assert derived_subgroup(G) is not derived_subgroup(cand.group)
         assert identify(G) == kind
 
 
@@ -223,9 +228,29 @@ def test_m10_variant_with_other_coset_element():
     variant = build_candidate("M10_2", coset_choice=7)
     assert variant.gtilde != base.gtilde
     assert fingerprint(variant.group) == fingerprint(base.group)
+    assert fingerprint(variant.group) is not fingerprint(base.group)
     assert identify(variant) == "M10_2"
     with pytest.raises(ValueError):
         build_candidate("S6_2", coset_choice=1)
+
+
+def test_derived_data_is_freed_with_its_group():
+    def identified_copy():
+        G = relabeled_copy(build_candidate("PGL29_2"), random.Random(4244))
+        assert identify(G) == "PGL29_2"
+        assert fingerprint(G).center_order == 2
+        return weakref.ref(G)
+
+    def tabulated_copy():
+        m10 = classify_overgroups().m10
+        G = conjugate_group(m10, Perm.from_cycles([(0, 3, 7)], m10.degree))
+        assert len(character_table(G).classes) == 8
+        return weakref.ref(G)
+
+    refs = [identified_copy(), tabulated_copy()]
+    # center(G) keys G's memo by G itself, a cycle only the collector frees
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_mu4_cycle():

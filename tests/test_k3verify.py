@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from a6k3.exact import CycloNum, cyclo_is_rational
+from a6k3.exact import CycloNum
 from a6k3.permgrp import Perm, closure
 from a6k3.pgl9 import build_psl29
 from a6k3.chartab import character_table
@@ -199,7 +199,7 @@ def test_argument_nonintegral():
     assert fix.status == CONTRADICTION and fix.witnesses["values_checked"] == 20
     assert argument_nonintegral(SignCase(-1, 1, -1), True).status == NOT_APPLICABLE
     # the discriminating sanity value: 3 + 0*zeta4 is integral
-    assert cyclo_is_rational(CycloNum.from_rational(3, 4) + 0 * CycloNum.zeta(4)) == 3
+    assert (CycloNum.from_rational(3, 4) + 0 * CycloNum.zeta(4)).is_rational() == 3
 
 
 def test_argument_pigeonhole():
