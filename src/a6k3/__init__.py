@@ -10,7 +10,7 @@ arithmetic, and exposes the chain as a verification CLI.
 __version__ = "0.1.0"
 
 from .exact import CycloNum, Rational, galois_apply
-from .permgrp import Perm, PermGroup, closure, conjugacy_classes, fingerprint
+from .permgrp import Perm, PermGroup, VerificationError, closure, conjugacy_classes, fingerprint, require
 from .pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from .chartab import character_table, match_reference_table
 from .extbuild import KINDS, build_candidate, identify, pairwise_nonisomorphic
@@ -28,6 +28,8 @@ __all__ = [
     "galois_apply",
     "Perm",
     "PermGroup",
+    "VerificationError",
+    "require",
     "closure",
     "conjugacy_classes",
     "fingerprint",

@@ -16,7 +16,7 @@ from functools import cache
 from math import isqrt, lcm
 
 from .exact import CycloNum
-from .permgrp import ConjClassData, PermGroup, conjugacy_classes, group_cache
+from .permgrp import ConjClassData, PermGroup, VerificationError, conjugacy_classes, group_cache, require
 
 MAX_TABLE_ORDER = 10_000
 MAX_CLASS_COUNT = 16
@@ -59,7 +59,7 @@ class ClassAlgebra:
         for i in range(r):
             for j in range(r):
                 total = sum(self.constants[i][j][k] * sizes[k] for k in range(r))
-                assert total == sizes[i] * sizes[j], (i, j)
+                require(total == sizes[i] * sizes[j], f"class-algebra constants are inconsistent at ({i}, {j})")
 
 
 @group_cache
@@ -113,8 +113,7 @@ def admissible_primes(G: PermGroup):
     p = 2 * root
     while True:
         p += 1
-        if p > PRIME_SEARCH_GUARD:
-            raise RuntimeError("prime search guard exceeded")
+        require(p <= PRIME_SEARCH_GUARD, "prime search guard exceeded")
         if (e == 1 or p % e == 1) and _is_prime(p):
             yield p
 
@@ -183,11 +182,7 @@ def _primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, n // q, p) != 1 for q in factors):
             return g
-    raise RuntimeError("no primitive root found")
-
-
-class _SplitFailure(Exception):
-    pass
+    raise VerificationError("no primitive root found")
 
 
 def _common_eigenvectors(alg: ClassAlgebra, p: int):
@@ -236,17 +231,14 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
                 found += len(sub)
                 if found == len(B):
                     break
-            if found != len(B):
-                raise _SplitFailure(f"class matrix {i} is not diagonalizable mod {p}")
+            require(found == len(B), f"class matrix {i} is not diagonalizable mod {p}")
         spaces = new_spaces
-    if any(len(B) != 1 for B in spaces):
-        raise _SplitFailure(f"common eigenspaces not one-dimensional mod {p}")
+    require(all(len(B) == 1 for B in spaces), f"common eigenspaces not one-dimensional mod {p}")
     rows = []
     for B in spaces:
         w = B[0]
         lead = w[0]  # identity-class coordinate; the true value there is 1
-        if lead % p == 0:
-            raise _SplitFailure("eigenvector vanishes on the identity class")
+        require(lead % p != 0, "eigenvector vanishes on the identity class")
         inv = pow(lead, p - 2, p)
         rows.append([(v * inv) % p for v in w])
     return rows
@@ -297,10 +289,10 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
         try:
             omega_rows = _common_eigenvectors(alg, p)
             break
-        except _SplitFailure as exc:  # pragma: no cover - not expected to trigger
+        except VerificationError as exc:  # pragma: no cover - not expected to trigger
             last_error = exc
     else:  # pragma: no cover
-        raise RuntimeError(f"eigenspace splitting failed repeatedly: {last_error}")
+        raise VerificationError(f"eigenspace splitting failed repeatedly: {last_error}")
 
     # degrees from 1/chi(1)^2 = (1/|G|) sum_i w_i w_i' / |C_i|
     degrees = []
@@ -309,15 +301,13 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
         total = 0
         for i in range(r):
             total = (total + w[i] * w[inv_class[i]] * pow(sizes[i], p - 2, p)) % p
-        if total % p == 0:
-            raise RuntimeError("degree recovery hit a zero denominator")
+        require(total % p != 0, "degree recovery hit a zero denominator")
         dsq = (order * pow(total, p - 2, p)) % p
         d = next((x for x in range(1, p // 2 + 1) if (x * x) % p == dsq), None)
-        if d is None:
-            raise RuntimeError("degree recovery: residue is not a square")
+        require(d is not None, "degree recovery: residue is not a square")
         degrees.append(d)
         charp_rows.append([(d * w[i] * pow(sizes[i], p - 2, p)) % p for i in range(r)])
-    assert sum(d * d for d in degrees) == order, "degree column is inconsistent"
+    require(sum(d * d for d in degrees) == order, "degree column is inconsistent")
 
     # lift chi(g) = sum_s m_s zeta_e^s with m_s = (1/e) sum_l chi_p(g^l) theta^(-s l)
     theta = pow(_primitive_root(p), (p - 1) // e, p)
@@ -334,12 +324,9 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
                 acc = 0
                 for l in range(e):
                     acc += values[l] * theta_pow[(-s * l) % e]
-                m_s = (acc * inv_e) % p
-                if m_s > d:
-                    raise RuntimeError(f"lifted multiplicity {m_s} exceeds the degree {d}")
-                counts.append(m_s)
-            if sum(counts) != d:
-                raise RuntimeError("root-of-unity multiplicities do not sum to the degree")
+                counts.append((acc * inv_e) % p)
+            # each count lies in [0, p), so the sum also bounds every count by d
+            require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
             row.append(CycloNum.from_power_counts(e, counts))
         rows.append(tuple(row))
 
@@ -368,17 +355,15 @@ def _verify_orthogonality(table: CharacterTable):
             for i in range(r):
                 total = total + sizes[i] * (rows[a][i] * rows[b][inv_class[i]])
             expected = order if a == b else 0
-            assert total == expected, f"row orthogonality fails at ({a}, {b})"
+            require(total == expected, f"row orthogonality fails at ({a}, {b})")
     for i in range(r):
         for j in range(r):
             total = CycloNum.zero(table.exponent)
             for a in range(r):
                 total = total + rows[a][i] * rows[a][inv_class[j]]
             expected = Fraction(order, sizes[i]) if i == j else Fraction(0)
-            assert total == CycloNum.from_rational(expected), (
-                f"column orthogonality fails at ({i}, {j})"
-            )
-    assert all(int(row[0].is_rational()) > 0 for row in rows)
+            require(total == CycloNum.from_rational(expected), f"column orthogonality fails at ({i}, {j})")
+    require(all(d > 0 for d in table.degrees), "a degree is not positive")
 
 
 # -- the reference A6 table --------------------------------------------------

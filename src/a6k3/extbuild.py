@@ -24,6 +24,7 @@ from .permgrp import (
     derived_subgroup,
     fingerprint,
     is_a6_certified,
+    require,
 )
 from .pgl9 import build_pgl29, build_psl29, classify_overgroups
 
@@ -57,7 +58,7 @@ def alternating6() -> PermGroup:
     G = closure(
         [Perm.from_cycles([(0, 1, 2)], 6), Perm.from_cycles([(1, 2, 3, 4, 5)], 6)]
     )
-    assert len(G) == 360 and is_a6_certified(G)
+    require(len(G) == 360 and is_a6_certified(G), "A6 fails its certificate")
     return G
 
 
@@ -94,9 +95,10 @@ class ExtensionCandidate:
 def _tail_exponent(x: Perm, base: int) -> int:
     # x must act on the 4 appended points as a power of the 4-cycle
     k = (x(base) - base) % 4
-    for j in range(4):
-        if x(base + j) != base + (j + k) % 4:
-            raise AssertionError("element does not act as a mu4 power on the tail")
+    require(
+        all(x(base + j) == base + (j + k) % 4 for j in range(4)),
+        "element does not act as a mu4 power on the tail",
+    )
     return k
 
 
@@ -120,7 +122,7 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
         pgl = build_pgl29()
         h = min(x for x in pgl.elements if x.order() == 10)
         g = h ** 5
-        assert g.order() == 2 and g not in N_act
+        require(g.order() == 2 and g not in N_act, "h^5 is not an outer involution")
     else:  # M10_2
         N_act = build_psl29()
         split = classify_overgroups()
@@ -134,14 +136,14 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
     a6_gens = tuple(p.embedded(total) for p in N_act.generators)
     gtilde = g.embedded(total) * mu4_cycle(total)
     group = closure(a6_gens + (gtilde,))
-    assert len(group) == 1440, len(group)
+    require(len(group) == 1440, f"{kind} has order {len(group)}, not 1440")
 
     a6 = derived_subgroup(group)
-    assert len(a6) == 360 and is_a6_certified(a6)
-    assert a6 == closure(a6_gens)
+    require(len(a6) == 360 and is_a6_certified(a6), f"the derived subgroup of {kind} is not A6")
+    require(a6 == closure(a6_gens), f"the derived subgroup of {kind} is not the embedded A6")
 
     alpha = {x: _tail_exponent(x, base) for x in group.elements}
-    assert alpha[gtilde] == 1
+    require(alpha[gtilde] == 1, "gtilde does not map to zeta4")
     return ExtensionCandidate(
         kind=kind,
         group=group,
@@ -207,8 +209,7 @@ def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:
     f_candidates = sorted(
         x for x in cent.elements if alpha[x] == 2 and (x * x) == ident
     )
-    if not f_candidates:
-        raise AssertionError("no central involution with alpha = -1 found")
+    require(f_candidates, "no central involution with alpha = -1 found")
     f = f_candidates[0]
     half_kernel = {x for x in G.elements if alpha[x] % 2 == 0}
     product = set(a6.elements) | {a * f for a in a6.elements}
@@ -251,8 +252,7 @@ def identify(obj) -> str:
     if image_order != 720:
         raise ValueError(f"unexpected conjugation image order {image_order}")
     kind = _KIND_BY_FUSION.get(class_fusion(G, a6))
-    if kind is None:
-        raise RuntimeError("conjugation image of order 720 fixes all classes")
+    require(kind is not None, "conjugation image of order 720 fixes all classes")
     return kind
 
 

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 from .chartab import CharacterTable, class_labels, display_value, match_reference_table
 from .exact import CycloNum
-from .extbuild import ExtensionCandidate, identify
-from .permgrp import Perm, PermGroup, conjugacy_classes
+from .extbuild import KINDS, ExtensionCandidate, identify
+from .permgrp import Perm, PermGroup, conjugacy_classes, require
 
 __all__ = [
     "NikulinTable",
@@ -244,8 +244,7 @@ def solve_decomposition(system: DecompositionSystem) -> tuple[MultiplicityVector
 def picard_multiplicities(table: CharacterTable, nikulin: NikulinTable = NikulinTable()) -> MultiplicityVector:
     """The unique solved multiplicity vector, recomputed rather than assumed."""
     solutions = solve_decomposition(decomposition_system(table, nikulin))
-    if len(solutions) != 1:
-        raise RuntimeError(f"expected a unique multiplicity vector, got {len(solutions)}")
+    require(len(solutions) == 1, f"expected a unique multiplicity vector, got {len(solutions)}")
     return solutions[0]
 
 
@@ -301,8 +300,7 @@ class ArgumentOutcome:
 def _degree_rows(table: CharacterTable):
     # rows keyed by their degrees; A6's canonical row order is
     # degrees (1, 5, 5, 8, 8, 9, 10)
-    degs = table.degrees
-    assert degs == (1, 5, 5, 8, 8, 9, 10)
+    require(table.degrees == (1, 5, 5, 8, 8, 9, 10), "the rows are not in A6's degree order")
     return table.rows
 
 
@@ -310,7 +308,9 @@ def _order3_positions(table: CharacterTable):
     return [i for i, c in enumerate(table.classes) if c.element_order == 3]
 
 
-def argument_3class_trace(case: SignCase, table: CharacterTable) -> ArgumentOutcome:
+def argument_3class_trace(
+    case: SignCase, table: CharacterTable, nikulin: NikulinTable = NikulinTable()
+) -> ArgumentOutcome:
     """Trace of iota*sigma on the Picard lattice for an order-3 sigma.
 
     For the mixed sign cases there is an order-3 class on which
@@ -320,7 +320,7 @@ def argument_3class_trace(case: SignCase, table: CharacterTable) -> ArgumentOutc
     name = "3class_trace"
     if case not in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
         return ArgumentOutcome(name, None, case, NOT_APPLICABLE, {"reason": "sign case outside the argument's range"})
-    mv = picard_multiplicities(table)
+    mv = picard_multiplicities(table, nikulin)
     signs = {2: case.eps2, 3: case.eps3, 6: case.eps6}
     rows = _degree_rows(table)
     labels = class_labels(table.classes)
@@ -328,7 +328,7 @@ def argument_3class_trace(case: SignCase, table: CharacterTable) -> ArgumentOutc
     for pos in _order3_positions(table):
         val = trace_on_picard(mv, signs, table, pos)
         rat = val.is_rational()
-        assert rat is not None and rat.denominator == 1
+        require(rat is not None and rat.denominator == 1, "a Picard trace is not an integer")
         parts = [1] + [
             int((signs[i] * mv[i - 2] * rows[i - 1][pos]).is_rational())
             for i in (2, 3, 6)
@@ -408,10 +408,8 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
     if candidate.group.degree != 10:
         raise ValueError("candidate does not act on 6 + 4 points")
     tau = Perm.from_cycles([(3, 4, 5)], candidate.group.degree)
-    if tau not in candidate.a6:
-        raise RuntimeError("the 3-cycle tau is missing from the distinguished A6")
-    if tau * candidate.gtilde != candidate.gtilde * tau:
-        raise RuntimeError("tau does not commute with gtilde")
+    require(tau in candidate.a6, "the 3-cycle tau is missing from the distinguished A6")
+    require(tau * candidate.gtilde == candidate.gtilde * tau, "tau does not commute with gtilde")
     min_fixed, eligible = _min_fixed_of_square()
     status = CONTRADICTION if min_fixed > 0 else NO_CONTRADICTION
     return ArgumentOutcome(
@@ -444,14 +442,13 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
         for x in candidate.a6.elements
         if x.order() == 5 and x * gtilde == gtilde * x
     ]
-    if not sigmas:
-        raise RuntimeError("no order-5 element commuting with gtilde")
+    require(sigmas, "no order-5 element commuting with gtilde")
     sigma = min(sigmas)
 
     # axiom A1 forces an empty iota fixed locus in this sign case, hence an
     # empty gtilde fixed locus: 0 = 2 + 1 + (9 - 2s) pins the block split
     case = SignCase(-1, -1, 1)
-    assert euler_iota(case) == 0
+    require(euler_iota(case) == 0, "the iota fixed locus is not forced empty")
     s = (2 + 1 + 9) // 2
     blocks = (9 - s, s)
 
@@ -466,7 +463,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
             j = size - 4 * k
             value = j * one + k * orbit_sum
             rat = value.is_rational()
-            assert rat is not None and rat.denominator == 1
+            require(rat is not None and rat.denominator == 1, "a Galois-stable trace is not an integer")
             traces.add(int(rat))
         return tuple(sorted(traces))
 
@@ -481,7 +478,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
         for i, c in enumerate(table.classes)
         if c.element_order == 5
     }
-    assert required == {-1}
+    require(required == {-1}, "the degree-9 character is not -1 on the order-5 classes")
     required_total = -1
 
     status = CONTRADICTION if required_total not in totals else NO_CONTRADICTION
@@ -519,9 +516,14 @@ class ExclusionReport:
     """Per-kind, per-sign-case outcomes of the exclusion pipeline."""
 
     outcomes: tuple
-    verdict: str
     sign_cases: tuple
     notes: tuple
+
+    @property
+    def verdict(self) -> str | None:
+        """The unique kind not excluded in every sign case, else None."""
+        survivors = {o.kind for o in self.outcomes if o.status != CONTRADICTION}
+        return survivors.pop() if len(survivors) == 1 else None
 
     def validate_complete(self, kinds) -> bool:
         cases = nonpositive_sign_cases()
@@ -548,10 +550,11 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
     on the distinguished A6, which makes it an antisymplectic involution
     commuting with the whole symplectic part; every allowed sign case then
     ends in a contradiction.  For M10_2 that structural premise fails, so
-    no argument applies and the kind survives.
+    no argument applies and the kind survives.  Outcomes are recorded as
+    found; the verdict is derived from them.
     """
     by_kind = {c.kind: c for c in candidates}
-    if set(by_kind) != {"A6_4", "S6_2", "PGL29_2", "M10_2"}:
+    if set(by_kind) != set(KINDS):
         raise ValueError("need exactly the four candidate kinds")
     if not match_reference_table(table):
         raise ValueError("character table does not match the golden A6 table")
@@ -564,11 +567,10 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
     for kind in ("A6_4", "S6_2", "PGL29_2"):
         cand = by_kind[kind]
         iota = cand.gtilde * cand.gtilde
-        if not _centralizes(iota, cand.a6):
-            raise RuntimeError(f"premise failure: gtilde^2 is not central over A6 for {kind}")
+        require(_centralizes(iota, cand.a6), f"premise failure: gtilde^2 is not central over A6 for {kind}")
         for case in cases:
             if case in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
-                out = argument_3class_trace(case, table)
+                out = argument_3class_trace(case, table, nikulin)
                 out = replace(out, kind=kind)
             elif case == SignCase(-1, -1, -1):
                 out = argument_nonintegral(case, swap23=cand.fusion.swaps_3)
@@ -578,16 +580,11 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
                     out = argument_order5_blocks(cand, table)
                 else:
                     out = argument_pigeonhole(kind, cand)
-            if out.status != CONTRADICTION:
-                raise RuntimeError(
-                    f"expected a contradiction for {kind} in case {case}: {out}"
-                )
             outcomes.append(out)
 
     m10 = by_kind["M10_2"]
     iota = m10.gtilde * m10.gtilde
-    if _centralizes(iota, m10.a6):
-        raise RuntimeError("M10_2 unexpectedly satisfies the central-square premise")
+    require(not _centralizes(iota, m10.a6), "M10_2 unexpectedly satisfies the central-square premise")
     for case in cases:
         outcomes.append(
             ArgumentOutcome(
@@ -601,7 +598,6 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
 
     report = ExclusionReport(
         outcomes=tuple(outcomes),
-        verdict="M10_2",
         sign_cases=cases,
         notes=(
             "invariant cohomology accounting: rank 5 over the full cohomology "
@@ -611,7 +607,7 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
             + " are unused by A6 and kept for fidelity",
         ),
     )
-    assert report.validate_complete(("A6_4", "S6_2", "PGL29_2", "M10_2"))
+    require(report.validate_complete(KINDS), "an exclusion outcome is missing")
     return report
 
 
@@ -702,7 +698,7 @@ def gram_signature(gram) -> tuple[int, int]:
     """
     n = len(gram)
     m = [[Fraction(v) for v in row] for row in gram]
-    assert all(m[i][j] == m[j][i] for i in range(n) for j in range(n)), "matrix not symmetric"
+    require(all(m[i][j] == m[j][i] for i in range(n) for j in range(n)), "matrix not symmetric")
     pos = neg = 0
     for i in range(n):
         if m[i][i] == 0:
@@ -717,7 +713,7 @@ def gram_signature(gram) -> tuple[int, int]:
                     for r in range(n):
                         m[r][i] += sign * m[r][j]
                     break
-            assert m[i][i] != 0
+            require(m[i][i] != 0, "a zero pivot was not repaired")
         d = m[i][i]
         if d > 0:
             pos += 1
@@ -782,7 +778,7 @@ def lattice_checks() -> LatticeReport:
     ok = True
     for lattice in lattices:
         det = gram_determinant(lattice.gram)
-        assert det.denominator == 1
+        require(det.denominator == 1, "an integer Gram matrix has a non-integral determinant")
         facts = LatticeFacts(
             name=lattice.name,
             rank=lattice.rank,

@@ -17,6 +17,10 @@ One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
 group with the same elements.  `functools.cache` is only for builders of
 fixed objects.
+
+One way to fail a check: a fact the package verifies and finds false raises
+`VerificationError` through `require`, which `python -O` does not strip.
+Bad caller input raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ MAX_GROUP_ORDER = 10**6
 
 __all__ = [
     "MAX_GROUP_ORDER",
+    "VerificationError",
+    "require",
     "Perm",
     "PermGroup",
     "ConjClassData",
@@ -54,6 +60,16 @@ __all__ = [
 # Class-size certificate for A6 in canonical class order
 # (order, size): (1,1) (2,45) (3,40) (3,40) (4,90) (5,72) (5,72).
 A6_CLASS_SIZES = (1, 45, 40, 40, 90, 72, 72)
+
+
+class VerificationError(Exception):
+    """A fact the package checks turned out to be false."""
+
+
+def require(condition, message: str) -> None:
+    """Raise VerificationError(message) unless condition holds."""
+    if not condition:
+        raise VerificationError(message)
 
 
 class Perm:
@@ -378,8 +394,7 @@ def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
         seen |= orbit
         raw.append(tuple(sorted(orbit)))
     raw.sort(key=lambda members: (members[0].order(), len(members), members[0].images))
-    if sum(len(m) for m in raw) != len(G):
-        raise RuntimeError("class equation violated")
+    require(sum(len(m) for m in raw) == len(G), "class equation violated")
     exponent = lcm(*(m[0].order() for m in raw))
     class_of = {x: k for k, members in enumerate(raw) for x in members}
     out = []
@@ -404,7 +419,7 @@ def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
 
 def _subgroup(G: PermGroup, elements, generators=None) -> PermGroup:
     H = PermGroup.from_elements(tuple(elements), generators=generators)
-    assert len(G) % len(H) == 0, "Lagrange check failed"
+    require(len(G) % len(H) == 0, "Lagrange check failed")
     return H
 
 
@@ -421,13 +436,11 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     # the normal closure is generated by the conjugates of the seeds
     conjugates = _orbit(seeds, gens, Perm.conjugated_by)
     els, used = _dimino(sorted(conjugates), G.degree, MAX_GROUP_ORDER)
-    H = PermGroup(used, degree=G.degree, _elements=tuple(sorted(els)))
+    H = _subgroup(G, els, used)
+    # g<used>g^-1 has the order of H, so conjugating used is enough
     for g in gens:
         gi = g.inverse()
-        if any(g * h * gi not in H for h in H.elements):
-            raise RuntimeError("derived subgroup not normal")
-    if len(G) % len(H):
-        raise RuntimeError("Lagrange check failed")
+        require(all(g * h * gi in H for h in used), "derived subgroup not normal")
     return H
 
 
@@ -564,7 +577,7 @@ def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
         coset = {g * a for a in A.elements}
         covered |= coset
         cosets.append((g, coset))
-    assert len(cosets) == 3
+    require(len(cosets) == 3, "A has other than three nontrivial cosets in G")
     out = []
     for rep, coset in cosets:
         members = tuple(sorted(set(A.elements) | coset))
@@ -603,7 +616,7 @@ def _coset_table(G: PermGroup, H: PermGroup):
         reps.append(lead)
         for x in coset:
             rep_of[x] = lead
-    assert len(reps) * len(H) == len(G)
+    require(len(reps) * len(H) == len(G), "cosets do not partition the group")
     return reps, rep_of
 
 
@@ -638,7 +651,7 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
             k += 1
         orders[r] = k
     exponent = max(orders.values())
-    assert lcm(*orders.values()) == exponent, "quotient is not abelian"
+    require(lcm(*orders.values()) == exponent, "quotient is not abelian")
     divisors = [k for k in range(1, exponent + 1) if exponent % k == 0]
     # counts[k] = #{q : q^k = e} = #{q : ord(q) | k}; these determine the type
     counts = {k: sum(1 for r in reps if k % orders[r] == 0) for k in divisors}
@@ -647,7 +660,7 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
             continue
         if all(counts[k] == prod(gcd(d, k) for d in chain) for k in divisors):
             return chain
-    raise AssertionError("no abelian type matches the quotient")
+    raise VerificationError("no abelian type matches the quotient")
 
 
 @group_cache

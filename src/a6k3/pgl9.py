@@ -22,6 +22,7 @@ from .permgrp import (
     derived_subgroup,
     index2_overgroups,
     is_a6_certified,
+    require,
 )
 
 __all__ = [
@@ -156,14 +157,14 @@ def build_pgl29() -> PermGroup:
     one = F9(1)
     zero = F9(0)
     gen = F9(1, 1)  # multiplicative generator of GF(9)^x, order 8
-    assert all((gen ** k) != one for k in range(1, 8)) and gen ** 8 == one
+    require(all((gen ** k) != one for k in range(1, 8)) and gen ** 8 == one, "1+i does not have order 8")
     gens = [
         moebius_perm(one, one, zero, one),   # x |-> x + 1
         moebius_perm(gen, zero, zero, one),  # x |-> g*x
         moebius_perm(zero, one, one, zero),  # x |-> 1/x
     ]
     G = closure(gens)
-    assert len(G) == 720, len(G)
+    require(len(G) == 720, f"PGL(2,9) has order {len(G)}, not 720")
     return G
 
 
@@ -171,7 +172,7 @@ def build_pgl29() -> PermGroup:
 def build_pgammal29() -> PermGroup:
     """PGammaL(2,9) = <PGL(2,9), Frobenius>, order 1440."""
     G = closure(build_pgl29().generators + (frobenius_perm(),))
-    assert len(G) == 1440, len(G)
+    require(len(G) == 1440, f"PGammaL(2,9) has order {len(G)}, not 1440")
     return G
 
 
@@ -179,8 +180,7 @@ def build_pgammal29() -> PermGroup:
 def build_psl29() -> PermGroup:
     """PSL(2,9), obtained as the derived subgroup of PGL(2,9); certified A6."""
     H = derived_subgroup(build_pgl29())
-    assert len(H) == 360, len(H)
-    assert is_a6_certified(H)
+    require(len(H) == 360 and is_a6_certified(H), "PSL(2,9) fails the A6 certificate")
     return H
 
 
@@ -199,9 +199,9 @@ def _split_overgroups(gam: PermGroup, psl: PermGroup) -> OvergroupSplit:
     for H in subs:
         ft = class_fusion(H, psl)
         key = (ft.swaps_3, ft.swaps_5)
-        assert key not in labeled, "fusion patterns are not pairwise distinct"
+        require(key not in labeled, "fusion patterns are not pairwise distinct")
         labeled[key] = H
-    assert set(labeled) == {(False, True), (True, False), (True, True)}, sorted(labeled)
+    require(set(labeled) == {(False, True), (True, False), (True, True)}, "an overgroup fixes both class pairs")
     return OvergroupSplit(
         s6=labeled[(False, True)],
         pgl=labeled[(True, False)],
@@ -214,7 +214,7 @@ def classify_overgroups() -> OvergroupSplit:
     """Label the overgroups of PSL(2,9) inside PGammaL(2,9) by fusion pattern."""
     split = _split_overgroups(build_pgammal29(), build_psl29())
     # the fusion label "pgl" must recover the Moebius group as an element set
-    assert split.pgl == build_pgl29(), "fusion labeling disagrees with the Moebius group"
+    require(split.pgl == build_pgl29(), "fusion labeling disagrees with the Moebius group")
     return split
 
 

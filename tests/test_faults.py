@@ -1,0 +1,135 @@
+"""Fault injection: a corrupted input or fixture must surface as FAIL lines
+and exit status 1, never as a traceback or as the verdict M10_2."""
+
+import json
+from functools import partial
+
+import pytest
+
+from a6k3 import chartab, cli, exact, extbuild, k3verify, permgrp, pgl9
+from a6k3.exact import CycloNum
+from a6k3.extbuild import build_all_candidates
+from a6k3.k3verify import NikulinTable, run_exclusion
+from a6k3.permgrp import FusionType, Perm, VerificationError
+from a6k3.pgl9 import build_psl29
+
+# the functools.cache builders of fixed objects, collected before any patching
+BUILDERS = {
+    fn
+    for module in (exact, permgrp, pgl9, chartab, extbuild, k3verify)
+    for fn in vars(module).values()
+    if hasattr(fn, "cache_clear")
+}
+
+# Nikulin's table with 5 instead of 6 fixed points for order 3
+COUNTS_ORDER3_IS_5 = tuple((o, 5 if o == 3 else n) for o, n in NikulinTable().counts)
+
+
+@pytest.fixture
+def fresh_builders():
+    """Rebuild every fixed object under the mutant, and drop what it built."""
+    for fn in BUILDERS:
+        fn.cache_clear()
+    yield
+    for fn in BUILDERS:
+        fn.cache_clear()
+
+
+def nikulin_order3(monkeypatch):
+    monkeypatch.setattr(cli, "NikulinTable", partial(NikulinTable, counts=COUNTS_ORDER3_IS_5))
+
+
+def k3_euler(monkeypatch):
+    monkeypatch.setattr(cli, "NikulinTable", partial(NikulinTable, whole_surface_euler=25))
+
+
+def golden_entry(monkeypatch):
+    golden = chartab.reference_a6_rows
+
+    def corrupted():
+        rows = [list(row) for row in golden()]
+        rows[6][1] = CycloNum.from_rational(2)  # chi7(2A) is -2
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(chartab, "reference_a6_rows", corrupted)
+
+
+def mu4_generator(monkeypatch):
+    # a 4-cycle on the tail points, but not the one representing zeta4
+    def wrong_cycle(total_degree):
+        d = total_degree - 4
+        return Perm.from_cycles([(d, d + 2, d + 1, d + 3)], total_degree)
+
+    monkeypatch.setattr(extbuild, "mu4_cycle", wrong_cycle)
+
+
+def fusion_label(monkeypatch):
+    labels = dict(extbuild._KIND_BY_FUSION)
+    s6, pgl = FusionType(swaps_3=False, swaps_5=True), FusionType(swaps_3=True, swaps_5=False)
+    labels[s6], labels[pgl] = labels[pgl], labels[s6]
+    monkeypatch.setattr(extbuild, "_KIND_BY_FUSION", labels)
+
+
+# each mutant with the checks it must fail
+MUTANTS = {
+    nikulin_order3: {"lefschetz.rank", "decompose.solve", "exclude.error"},
+    k3_euler: {"lefschetz.rank", "decompose.solve", "exclude.error"},
+    golden_entry: {"chartab.a6", "decompose.error", "exclude.error"},
+    mu4_generator: {"groups.error", "exclude.error"},
+    fusion_label: {"ext.candidates", "exclude.error"},
+}
+
+
+@pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)
+def test_mutant_fails_the_report(mutate, fresh_builders, monkeypatch, capsys):
+    mutate(monkeypatch)
+    assert cli.main(["all", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {c["id"] for c in report["checks"] if c["status"] == "fail"}
+    assert failed == MUTANTS[mutate]
+    assert report["verdict"] != "M10_2"
+    for check in report["checks"]:
+        if check["id"].endswith(".error"):
+            assert set(check["witnesses"]) == {"error"}
+    # the text report renders from the outcomes alone
+    assert cli.main(["all"]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL]" in text and "VERDICT" not in text
+
+
+def test_stage_error_keeps_later_stages(monkeypatch, capsys):
+    def broken():
+        raise VerificationError("stage check failed")
+
+    monkeypatch.setattr(cli, "stage_decompose", broken)
+    report = cli.build_report("all")
+    ids = [c["id"] for c in report["checks"]]
+    assert "decompose.error" in ids and ids[-1] == "lattice.forms"
+    error = next(c for c in report["checks"] if c["id"] == "decompose.error")
+    assert error["status"] == "fail"
+    assert error["witnesses"] == {"error": "VerificationError: stage check failed"}
+    # the exclusion stage still ran, but a failed stage forfeits exit 0
+    assert report["verdict"] == "M10_2"
+    assert cli.main(["decompose", "--format", "json", "-v"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["checks"][0]["id"] == "decompose.error"
+    # the traceback goes to stderr, with the progress notes
+    assert "Traceback" in captured.err
+
+
+def test_exclusion_reads_its_nikulin_table():
+    table = chartab.character_table(build_psl29())
+    cands = build_all_candidates().values()
+    assert run_exclusion(cands, table, NikulinTable()).verdict == "M10_2"
+    with pytest.raises(VerificationError, match="unique multiplicity vector"):
+        run_exclusion(cands, table, NikulinTable(counts=COUNTS_ORDER3_IS_5))
+
+
+def test_unexcluded_kind_voids_the_verdict(monkeypatch):
+    # a square permutation without fixed points breaks the pigeonhole argument
+    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (0, 1))
+    table = chartab.character_table(build_psl29())
+    report = run_exclusion(build_all_candidates().values(), table, NikulinTable())
+    assert report.verdict is None
+    open_kinds = {o.kind for o in report.outcomes if o.status == k3verify.NO_CONTRADICTION}
+    assert open_kinds == {"A6_4", "S6_2"}
