@@ -10,7 +10,7 @@ re-verified exactly before a table is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -50,7 +50,6 @@ class ClassAlgebra:
     group_order: int
     classes: tuple[ConjClassData, ...]
     constants: tuple
-    class_of: dict = field(repr=False)
 
     def check_consistency(self):
         """sum_k a[i][j][k] |C_k| = |C_i| |C_j| for all i, j."""
@@ -81,7 +80,6 @@ def structure_constants(G: PermGroup) -> ClassAlgebra:
         group_order=len(G),
         classes=classes,
         constants=tuple(tuple(tuple(row) for row in plane) for plane in a),
-        class_of=class_of,
     )
     alg.check_consistency()
     return alg

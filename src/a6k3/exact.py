@@ -6,6 +6,10 @@ polynomial.  The representation is canonical: two values of equal order are
 equal exactly when their coefficient tuples are equal.  A value lying in a
 smaller cyclotomic field is never demoted automatically; mixed-order
 arithmetic embeds both operands into Q(zeta_lcm) first.
+
+Coefficients are ints or Fractions.  The constructor converts any other
+value with Fraction() once and nothing else converts, so a value in Z[zeta_n],
+such as every character value, keeps int coefficients (Phi_n is monic).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-# Exact rationals: always stored reduced, denominator positive.
+# Exact rationals; a CycloNum coefficient is an int or one of these.
 Rational = Fraction
 
 __all__ = [
@@ -72,19 +76,23 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(order: int, dense) -> tuple[Fraction, ...]:
+def _degree(order: int) -> int:
+    # phi(order), read off the cached cyclotomic polynomial
+    return len(cyclotomic_polynomial(order)) - 1
+
+
+def _reduce(order: int, dense) -> tuple[int | Fraction, ...]:
     # Polynomial remainder modulo Phi_order, padded to length phi(order).
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    cs = [Fraction(c) for c in dense]
+    cs = list(dense)
     for i in range(len(cs) - 1, deg - 1, -1):
         c = cs[i]
         if c:
-            cs[i] = Fraction(0)
             for j in range(deg):
                 cs[i - deg + j] -= c * phi[j]
     cs = cs[:deg]
-    cs.extend([Fraction(0)] * (deg - len(cs)))
+    cs.extend([0] * (deg - len(cs)))
     return tuple(cs)
 
 
@@ -94,11 +102,10 @@ class CycloNum:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != euler_phi(order):
-            raise ValueError(
-                f"need phi({order}) = {euler_phi(order)} coefficients, got {len(coeffs)}"
-            )
+        coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
+        deg = _degree(order)
+        if len(coeffs) != deg:
+            raise ValueError(f"need phi({order}) = {deg} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -109,18 +116,18 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycloNum":
-        dense = [Fraction(value)] + [0] * (euler_phi(order) - 1)
+        dense = [value] + [0] * (_degree(order) - 1)
         return cls(order, dense)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycloNum":
         """The root of unity zeta_order ** power."""
-        dense = [Fraction(0)] * (power % order) + [Fraction(1)]
+        dense = [0] * (power % order) + [1]
         return cls(order, _reduce(order, dense))
 
     @classmethod
     def from_power_counts(cls, order: int, counts) -> "CycloNum":
-        """Build sum_s c_s * zeta_order**s from a dense coefficient sequence."""
+        """Build sum_s c_s * zeta_order**s from a dense sequence of ints or Fractions."""
         return cls(order, _reduce(order, counts))
 
     @classmethod
@@ -140,7 +147,7 @@ class CycloNum:
         if m % self.order:
             raise ValueError(f"cannot embed order {self.order} into order {m}")
         step = m // self.order
-        dense = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        dense = [0] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             dense[i * step] = c
         return CycloNum(m, _reduce(m, dense))
@@ -151,7 +158,7 @@ class CycloNum:
             raise ValueError(f"{n} does not divide order {self.order}")
         if n == self.order:
             return self
-        basis = [CycloNum.zeta(n, i).embed(self.order).coeffs for i in range(euler_phi(n))]
+        basis = [CycloNum.zeta(n, i).embed(self.order).coeffs for i in range(_degree(n))]
         sol = _solve_columns(basis, self.coeffs)
         if sol is None:
             raise ValueError(f"value does not lie in Q(zeta_{n})")
@@ -202,7 +209,7 @@ class CycloNum:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        dense = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+        dense = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
@@ -243,7 +250,7 @@ class CycloNum:
         n = self.order
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not coprime to the order {n}")
-        dense = [Fraction(0)] * n
+        dense = [0] * n
         for i, c in enumerate(self.coeffs):
             dense[(i * k) % n] += c
         return CycloNum(n, _reduce(n, dense))
@@ -251,7 +258,7 @@ class CycloNum:
     # -- queries and rendering ---------------------------------------------
 
     def is_rational(self):
-        """The value as a Fraction when it is rational, else None."""
+        """The value as an int or Fraction when it is rational, else None."""
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
@@ -300,7 +307,7 @@ def _solve_columns(columns, rhs):
     # Solve sum_j x_j * columns[j] = rhs over the rationals; None when unsolvable.
     nrows = len(rhs)
     ncols = len(columns)
-    mat = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs[i])] for i in range(nrows)]
+    mat = [[columns[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
     pivots = []
     row = 0
     for col in range(ncols):
@@ -308,7 +315,7 @@ def _solve_columns(columns, rhs):
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
+        inv = Fraction(1, mat[row][col])  # exact; int / int would give a float
         mat[row] = [v * inv for v in mat[row]]
         for r in range(nrows):
             if r != row and mat[r][col] != 0:
@@ -322,7 +329,7 @@ def _solve_columns(columns, rhs):
     for r in range(row, nrows):
         if mat[r][ncols] != 0:
             return None
-    sol = [Fraction(0)] * ncols
+    sol = [0] * ncols
     for r, col in enumerate(pivots):
         sol[col] = mat[r][ncols]
     return tuple(sol)

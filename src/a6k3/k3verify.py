@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from math import prod
 from typing import NamedTuple
 
 from .chartab import CharacterTable, class_labels, display_value, match_reference_table
@@ -669,42 +670,25 @@ def gram_transcendental() -> tuple:
     return ((6, 0), (0, 6))
 
 
-def gram_determinant(gram) -> Fraction:
-    n = len(gram)
-    m = [[Fraction(v) for v in row] for row in gram]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+def _diagonal(gram) -> list[Fraction]:
+    """The pivots of an exact symmetric elimination of gram.
 
-
-def gram_signature(gram) -> tuple[int, int]:
-    """Signature (positive, negative) by exact symmetric pivoting.
-
-    Zero diagonal pivots are repaired by adding (or, when that cancels,
-    subtracting) another row and column, the congruence move that splits a
-    hyperbolic 2x2 block.
+    Every move has determinant 1, so the product of the pivots is det(gram).
+    A zero pivot is repaired by adding (or, when that cancels, subtracting)
+    another row and column, the congruence move that splits a hyperbolic 2x2
+    block; it stays zero only when its row is zero.  Row operations alone
+    clear below a pivot: the block not yet pivoted is the Schur complement
+    that the full congruence would leave, so it stays symmetric and the
+    pivots have gram's signature.
     """
     n = len(gram)
     m = [[Fraction(v) for v in row] for row in gram]
     require(all(m[i][j] == m[j][i] for i in range(n) for j in range(n)), "matrix not symmetric")
-    pos = neg = 0
     for i in range(n):
         if m[i][i] == 0:
             j = next((c for c in range(i + 1, n) if m[i][c] != 0), None)
             if j is None:
-                continue  # zero row: contributes nothing
+                continue  # zero row: a zero on the diagonal
             for sign in (1, -1):
                 probe = 2 * sign * m[i][j] + m[j][j]
                 if probe != 0:
@@ -715,18 +699,23 @@ def gram_signature(gram) -> tuple[int, int]:
                     break
             require(m[i][i] != 0, "a zero pivot was not repaired")
         d = m[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
         for r in range(i + 1, n):
             if m[r][i] != 0:
                 f = m[r][i] / d
                 for c in range(n):
                     m[r][c] -= f * m[i][c]
-                for rr in range(n):
-                    m[rr][r] -= f * m[rr][i]
-    return pos, neg
+    return [m[i][i] for i in range(n)]
+
+
+def gram_determinant(gram) -> Fraction:
+    """Determinant of a symmetric matrix: the product of its diagonal form."""
+    return prod(_diagonal(gram), start=Fraction(1))
+
+
+def gram_signature(gram) -> tuple[int, int]:
+    """Signature (positive, negative) of a symmetric matrix."""
+    diag = _diagonal(gram)
+    return sum(d > 0 for d in diag), sum(d < 0 for d in diag)
 
 
 def gram_is_even(gram) -> bool:

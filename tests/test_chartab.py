@@ -138,6 +138,12 @@ def test_character_table_a6():
         assert key in golden
 
 
+def test_character_values_keep_int_coefficients():
+    # character values lie in Z[zeta_e], so no Fraction is ever built for them
+    t = character_table(build_psl29())
+    assert all(type(c) is int for row in t.rows for v in row for c in v.coeffs)
+
+
 def test_match_reference_table():
     assert match_reference_table(character_table(build_psl29()))
     assert match_reference_table(character_table(alternating6()))

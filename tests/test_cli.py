@@ -8,6 +8,7 @@ import pytest
 from a6k3.cli import COMMANDS, REPORT_VERSION, build_report, main
 
 REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
+TEXT_REPORT_DIGEST = "ff41c0502feadfc73f6c33ed90b074b1"
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +28,13 @@ def test_all_json(capsys):
     assert all(check["status"] == "pass" for check in report["checks"])
     for check in report["checks"]:
         assert {"id", "paper_ref", "status", "witnesses", "axioms_used"} <= set(check)
+
+
+def test_all_text(capsys):
+    code, out = run_cli(capsys, "all", "--format", "text")
+    assert code == 0
+    # rationals reach the text report through str(), so this pins their form
+    assert hashlib.md5(out.encode()).hexdigest() == TEXT_REPORT_DIGEST
 
 
 def test_output_is_deterministic(capsys):

@@ -182,3 +182,17 @@ def test_coefficient_invariants():
     assert v.coeffs[1] == -2 and v.coeffs[1].denominator == 1
     with pytest.raises(ValueError):
         CycloNum(12, [1, 2, 3])
+
+
+def test_coefficient_rule():
+    # ints and Fractions pass through; anything else goes through Fraction()
+    v = CycloNum(4, [0.5, "1/3"])
+    assert v.coeffs == (Fraction(1, 2), Fraction(1, 3))
+    assert all(type(c) is Fraction for c in v.coeffs)
+    assert [type(c) for c in CycloNum(4, [3, Fraction(1, 2)]).coeffs] == [int, Fraction]
+    # integral values stay int through reduction, products, embedding and Galois
+    z = CycloNum.zeta(60, 7)
+    for w in (z, z * z + 3 * z, z.embed(120), galois_apply(z, 11), z - CycloNum.zeta(5)):
+        assert all(type(c) is int for c in w.coeffs)
+    half = Fraction(1, 2) * CycloNum.zeta(5)
+    assert any(type(c) is Fraction for c in half.coeffs)

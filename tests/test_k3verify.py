@@ -1,5 +1,6 @@
 """Lefschetz bookkeeping, the decomposition system, and the exclusion tree."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from a6k3.exact import CycloNum
-from a6k3.permgrp import Perm, closure
+from a6k3.permgrp import Perm, VerificationError, closure
 from a6k3.pgl9 import build_psl29
 from a6k3.chartab import character_table
 from a6k3.extbuild import build_all_candidates, build_candidate
@@ -328,8 +329,32 @@ def test_lattice_invariants_exact():
     assert gram_is_even(T)
 
 
+def test_singular_gram_matrices():
+    # a zero pivot whose row is zero stays on the diagonal as a zero
+    assert gram_determinant(((1, 1), (1, 1))) == 0
+    assert gram_signature(((1, 1), (1, 1))) == (1, 0)
+    assert gram_determinant(((0, 0), (0, 0))) == 0
+    assert gram_signature(((0, 0), (0, 0))) == (0, 0)
+    # one elimination serves both, so both require a symmetric matrix
+    for fn in (gram_determinant, gram_signature):
+        with pytest.raises(VerificationError):
+            fn(((0, 1), (2, 0)))
+
+
+def random_symmetric(rng: random.Random, n: int) -> tuple:
+    # sparse small entries, so zero pivots and singular matrices are common
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.choice((0, 0, 0, 1, -1, 2, -2, 3))
+    return tuple(tuple(row) for row in m)
+
+
 def test_lattice_signatures_against_float_oracle():
-    for gram in (gram_hyperbolic(), gram_e8(), gram_k3(), gram_transcendental()):
+    rng = random.Random(7322)
+    fixed = (gram_hyperbolic(), gram_e8(), gram_k3(), gram_transcendental())
+    samples = tuple(random_symmetric(rng, rng.randint(1, 6)) for _ in range(200))
+    for gram in fixed + samples:
         eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
         pos = int(np.sum(eig > 1e-9))
         neg = int(np.sum(eig < -1e-9))
