@@ -9,7 +9,7 @@ arithmetic, and exposes the chain as a verification CLI.
 
 __version__ = "0.1.0"
 
-from .exact import CycloNum, Rational, galois_apply
+from .exact import CycloNum, galois_apply
 from .permgrp import Perm, PermGroup, VerificationError, closure, conjugacy_classes, fingerprint, require
 from .pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from .chartab import character_table, match_reference_table
@@ -24,7 +24,6 @@ from .k3verify import (
 __all__ = [
     "__version__",
     "CycloNum",
-    "Rational",
     "galois_apply",
     "Perm",
     "PermGroup",

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import isqrt, lcm
 
 from .exact import CycloNum
@@ -278,19 +279,9 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
     inv_class = _inverse_class_map(classes)
     sizes = [c.size for c in classes]
 
-    primes = admissible_primes(G)
-    for _ in range(prime_index):
-        next(primes)
-    last_error = None
-    for _ in range(5):  # splitting succeeds for admissible p; retry is a safety net
-        p = next(primes)
-        try:
-            omega_rows = _common_eigenvectors(alg, p)
-            break
-        except VerificationError as exc:  # pragma: no cover - not expected to trigger
-            last_error = exc
-    else:  # pragma: no cover
-        raise VerificationError(f"eigenspace splitting failed repeatedly: {last_error}")
+    # an admissible prime always splits the class algebra (Dixon 1967)
+    p = next(islice(admissible_primes(G), prime_index, None))
+    omega_rows = _common_eigenvectors(alg, p)
 
     # degrees from 1/chi(1)^2 = (1/|G|) sum_i w_i w_i' / |C_i|
     degrees = []

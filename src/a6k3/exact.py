@@ -18,11 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-# Exact rationals; a CycloNum coefficient is an int or one of these.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "CycloNum",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -218,18 +214,6 @@ class CycloNum:
         return CycloNum(a.order, _reduce(a.order, dense))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        out = CycloNum.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)

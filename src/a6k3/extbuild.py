@@ -23,6 +23,7 @@ from .permgrp import (
     closure,
     derived_subgroup,
     fingerprint,
+    group_cache,
     is_a6_certified,
     require,
 )
@@ -58,8 +59,17 @@ def alternating6() -> PermGroup:
     G = closure(
         [Perm.from_cycles([(0, 1, 2)], 6), Perm.from_cycles([(1, 2, 3, 4, 5)], 6)]
     )
-    require(len(G) == 360 and is_a6_certified(G), "A6 fails its certificate")
+    require(is_a6_certified(G), "A6 fails its certificate")
     return G
+
+
+@group_cache
+def _embedded_a6(N: PermGroup) -> PermGroup:
+    """N on N.degree + 4 points, certified once; the `a6` of every candidate over N."""
+    total = N.degree + 4
+    a6 = closure(p.embedded(total) for p in N.generators)
+    require(is_a6_certified(a6), "the embedded A6 fails its certificate")
+    return a6
 
 
 def mu4_cycle(total_degree: int) -> Perm:
@@ -131,18 +141,14 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
     if kind != "M10_2" and coset_choice != 0:
         raise ValueError("coset_choice only varies the M10_2 construction")
 
-    base = N_act.degree
-    total = base + 4
-    a6_gens = tuple(p.embedded(total) for p in N_act.generators)
+    a6 = _embedded_a6(N_act)
+    total = a6.degree
     gtilde = g.embedded(total) * mu4_cycle(total)
-    group = closure(a6_gens + (gtilde,))
+    group = closure(a6.generators + (gtilde,))
     require(len(group) == 1440, f"{kind} has order {len(group)}, not 1440")
+    require(derived_subgroup(group) == a6, f"the derived subgroup of {kind} is not the embedded A6")
 
-    a6 = derived_subgroup(group)
-    require(len(a6) == 360 and is_a6_certified(a6), f"the derived subgroup of {kind} is not A6")
-    require(a6 == closure(a6_gens), f"the derived subgroup of {kind} is not the embedded A6")
-
-    alpha = {x: _tail_exponent(x, base) for x in group.elements}
+    alpha = {x: _tail_exponent(x, N_act.degree) for x in group.elements}
     require(alpha[gtilde] == 1, "gtilde does not map to zeta4")
     return ExtensionCandidate(
         kind=kind,
@@ -242,7 +248,8 @@ def identify(obj) -> str:
     G = obj.group if isinstance(obj, ExtensionCandidate) else obj
     if len(G) != 1440:
         raise ValueError(f"expected a group of order 1440, got {len(G)}")
-    a6 = derived_subgroup(G)
+    # build_candidate checked that a candidate's a6 is the derived subgroup
+    a6 = obj.a6 if isinstance(obj, ExtensionCandidate) else derived_subgroup(G)
     if not is_a6_certified(a6):
         raise ValueError("derived subgroup does not carry the A6 certificate")
     cent = centralizer_of_subgroup(G, a6)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .chartab import CharacterTable, class_labels, display_value, match_reference_table
 from .exact import CycloNum
 from .extbuild import KINDS, ExtensionCandidate, identify
-from .permgrp import Perm, PermGroup, conjugacy_classes, require
+from .permgrp import Perm, PermGroup, centralizer_of_subgroup, conjugacy_classes, require
 
 __all__ = [
     "NikulinTable",
@@ -540,10 +540,6 @@ class ExclusionReport:
         }
 
 
-def _centralizes(x: Perm, H: PermGroup) -> bool:
-    return all(x * g == g * x for g in H.generators)
-
-
 def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> ExclusionReport:
     """Run the full sign-case decision tree over all four candidates.
 
@@ -568,7 +564,10 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
     for kind in ("A6_4", "S6_2", "PGL29_2"):
         cand = by_kind[kind]
         iota = cand.gtilde * cand.gtilde
-        require(_centralizes(iota, cand.a6), f"premise failure: gtilde^2 is not central over A6 for {kind}")
+        require(
+            iota in centralizer_of_subgroup(cand.group, cand.a6),
+            f"premise failure: gtilde^2 is not central over A6 for {kind}",
+        )
         for case in cases:
             if case in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
                 out = argument_3class_trace(case, table, nikulin)
@@ -585,7 +584,10 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
 
     m10 = by_kind["M10_2"]
     iota = m10.gtilde * m10.gtilde
-    require(not _centralizes(iota, m10.a6), "M10_2 unexpectedly satisfies the central-square premise")
+    require(
+        iota not in centralizer_of_subgroup(m10.group, m10.a6),
+        "M10_2 unexpectedly satisfies the central-square premise",
+    )
     for case in cases:
         outcomes.append(
             ArgumentOutcome(
@@ -744,9 +746,6 @@ class LatticeFacts:
 class LatticeReport:
     entries: tuple
     ok: bool
-
-    def to_json(self) -> dict:
-        return {"entries": [e.to_json() for e in self.entries], "ok": self.ok}
 
 
 def lattice_checks() -> LatticeReport:

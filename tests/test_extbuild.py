@@ -42,6 +42,12 @@ def relabeled_copy(cand: ExtensionCandidate, rng: random.Random) -> PermGroup:
     return closure(tuple(t * g * t.inverse() for g in cand.group.generators))
 
 
+def test_candidates_share_their_base_groups_a6():
+    assert build_candidate("A6_4").a6 is build_candidate("S6_2").a6
+    assert build_candidate("PGL29_2").a6 is build_candidate("M10_2").a6
+    assert build_candidate("M10_2", coset_choice=7).a6 is build_candidate("M10_2").a6
+
+
 def test_every_kind_has_order_1440():
     for kind in KINDS:
         cand = build_candidate(kind)

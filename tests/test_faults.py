@@ -1,38 +1,24 @@
 """Fault injection: a corrupted input or fixture must surface as FAIL lines
 and exit status 1, never as a traceback or as the verdict M10_2."""
 
+import hashlib
 import json
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
 
-from a6k3 import chartab, cli, exact, extbuild, k3verify, permgrp, pgl9
+from a6k3 import chartab, cli, extbuild, k3verify
 from a6k3.exact import CycloNum
 from a6k3.extbuild import build_all_candidates
 from a6k3.k3verify import NikulinTable, run_exclusion
 from a6k3.permgrp import FusionType, Perm, VerificationError
 from a6k3.pgl9 import build_psl29
 
-# the functools.cache builders of fixed objects, collected before any patching
-BUILDERS = {
-    fn
-    for module in (exact, permgrp, pgl9, chartab, extbuild, k3verify)
-    for fn in vars(module).values()
-    if hasattr(fn, "cache_clear")
-}
+REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
 
 # Nikulin's table with 5 instead of 6 fixed points for order 3
 COUNTS_ORDER3_IS_5 = tuple((o, 5 if o == 3 else n) for o, n in NikulinTable().counts)
-
-
-@pytest.fixture
-def fresh_builders():
-    """Rebuild every fixed object under the mutant, and drop what it built."""
-    for fn in BUILDERS:
-        fn.cache_clear()
-    yield
-    for fn in BUILDERS:
-        fn.cache_clear()
 
 
 def nikulin_order3(monkeypatch):
@@ -79,22 +65,48 @@ MUTANTS = {
     fusion_label: {"ext.candidates", "exclude.error"},
 }
 
+# the functools.cache builders whose results a mutant's patch changes; a warm
+# cache would hide the mutant, and a stale one would outlive it
+REBUILT = {mu4_generator: (extbuild.build_candidate,)}
+
+
+@contextmanager
+def applied(mutate):
+    """Apply one mutant, rebuilding what it reaches, and drop that on undo."""
+    builders = REBUILT.get(mutate, ())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for fn in builders:
+            fn.cache_clear()
+        mutate(monkeypatch)
+        yield
+    for fn in builders:
+        fn.cache_clear()
+
 
 @pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)
-def test_mutant_fails_the_report(mutate, fresh_builders, monkeypatch, capsys):
-    mutate(monkeypatch)
-    assert cli.main(["all", "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    failed = {c["id"] for c in report["checks"] if c["status"] == "fail"}
-    assert failed == MUTANTS[mutate]
-    assert report["verdict"] != "M10_2"
-    for check in report["checks"]:
-        if check["id"].endswith(".error"):
-            assert set(check["witnesses"]) == {"error"}
-    # the text report renders from the outcomes alone
-    assert cli.main(["all"]) == 1
-    text = capsys.readouterr().out
-    assert "[FAIL]" in text and "VERDICT" not in text
+def test_mutant_fails_the_report(mutate, capsys):
+    with applied(mutate):
+        assert cli.main(["all", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = {c["id"] for c in report["checks"] if c["status"] == "fail"}
+        assert failed == MUTANTS[mutate]
+        assert report["verdict"] != "M10_2"
+        for check in report["checks"]:
+            if check["id"].endswith(".error"):
+                assert set(check["witnesses"]) == {"error"}
+        # the text report renders from the outcomes alone
+        assert cli.main(["all"]) == 1
+        text = capsys.readouterr().out
+        assert "[FAIL]" in text and "VERDICT" not in text
+
+
+@pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)
+def test_undone_mutant_leaves_the_report_intact(mutate, capsys):
+    with applied(mutate):
+        assert cli.main(["all", "--format", "json"]) == 1
+    capsys.readouterr()
+    assert cli.main(["all", "--format", "json"]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == REPORT_DIGEST
 
 
 def test_stage_error_keeps_later_stages(monkeypatch, capsys):
