@@ -2,17 +2,18 @@
 
 The pipeline: exhaustive structure constants, a simultaneous eigenspace
 split of the class-sum matrices over a prime field F_p with p = 1 mod the
-group exponent and p > 2*ceil(sqrt(|G|)), degree recovery from the second
-orthogonality relation, and a lift of every value to Q(zeta_exponent)
-through root-of-unity multiplicities.  Both orthogonality relations are
-re-verified exactly before a table is returned.
+group exponent and p > 2*ceil(sqrt(|G|)), eigenvalues the roots of the
+characteristic polynomial, ascending, degree recovery from the second
+orthogonality relation, and a lift of each value on a class of order o to
+Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  Both
+orthogonality relations are re-verified exactly before a table is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import islice
 from math import isqrt, lcm
 
@@ -71,12 +72,12 @@ def structure_constants(G: PermGroup) -> ClassAlgebra:
     r = len(classes)
     class_of = {x: k for k, c in enumerate(classes) for x in c.members}
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k, ck in enumerate(classes):
-        z = ck.representative
-        for i, ci in enumerate(classes):
-            for x in ci.members:
-                y = x.inverse() * z  # the unique y with x*y = z
-                a[i][class_of[y]][k] += 1
+    for i, ci in enumerate(classes):
+        inverses = [x.inverse() for x in ci.members]
+        for k, ck in enumerate(classes):
+            z = ck.representative
+            for xi in inverses:
+                a[i][class_of[xi * z]][k] += 1  # xi*z is the unique y with x*y = z
     alg = ClassAlgebra(
         group_order=len(G),
         classes=classes,
@@ -164,6 +165,21 @@ def _nullspace(matrix, p):
     return basis
 
 
+def _eigenvalues(S, p):
+    """The eigenvalues of S over F_p, ascending: the roots of its characteristic
+    polynomial det(x I - S), by Faddeev-LeVerrier, which needs len(S) < p."""
+    m = len(S)
+    coeffs, M = [1], [[0] * m for _ in range(m)]  # leading coefficient first
+    for k in range(1, m + 1):
+        # M_k = S M_(k-1) + c_(k-1) I and c_k = -tr(S M_k) / k
+        cols = list(zip(*M))
+        M = [[(sum(a * b for a, b in zip(row, col)) + (coeffs[-1] if x == y else 0)) % p
+              for y, col in enumerate(cols)] for x, row in enumerate(S)]
+        trace = sum(S[x][t] * M[t][x] for x in range(m) for t in range(m))
+        coeffs.append(-trace * pow(k, p - 2, p) % p)
+    return [lam for lam in range(p) if reduce(lambda acc, c: (acc * lam + c) % p, coeffs) == 0]
+
+
 def _primitive_root(p: int) -> int:
     # smallest primitive root mod p; p-1 is small enough for trial factoring
     n = p - 1
@@ -188,8 +204,9 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
     """One-dimensional common eigenspaces of the class-sum matrices over F_p.
 
     Spaces are refined against the class matrices in canonical class order;
-    within a split, eigenvalues are scanned ascending.  The result is the
-    list of normalized central-character rows (identity-class entry 1).
+    within a split, the eigenvalues are the roots of the characteristic
+    polynomial, ascending.  The result is the list of normalized
+    central-character rows (identity-class entry 1).
     """
     r = len(alg.classes)
     # bases are kept in reduced row-echelon form so that the coordinates of a
@@ -212,11 +229,9 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
             # restricted matrix in the rref coordinates of B
             S = [[imgs[a][pivots[b]] for a in range(len(B))] for b in range(len(B))]
             found = 0
-            for lam in range(p):
+            for lam in _eigenvalues(S, p):
                 A = [[(S[x][y] - (lam if x == y else 0)) % p for y in range(len(B))] for x in range(len(B))]
                 kernel = _nullspace(A, p)
-                if not kernel:
-                    continue
                 vecs = []
                 for coords in kernel:
                     v = [0] * r
@@ -259,10 +274,7 @@ class CharacterTable:
 
 
 def _inverse_class_map(classes) -> list[int]:
-    out = []
-    for c in classes:
-        out.append(c.power_map[c.element_order - 1])
-    return out
+    return [c.power_map[c.element_order - 1] for c in classes]
 
 
 @group_cache
@@ -298,23 +310,23 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
         charp_rows.append([(d * w[i] * pow(sizes[i], p - 2, p)) % p for i in range(r)])
     require(sum(d * d for d in degrees) == order, "degree column is inconsistent")
 
-    # lift chi(g) = sum_s m_s zeta_e^s with m_s = (1/e) sum_l chi_p(g^l) theta^(-s l)
+    # lift chi(g) = sum_t m_t zeta_o^t for g of order o, where
+    # m_t = (1/o) sum_{l<o} chi_p(g^l) theta^(-t l e/o); zeta_o^t = zeta_e^(t e/o)
     theta = pow(_primitive_root(p), (p - 1) // e, p)
     theta_pow = [pow(theta, t, p) for t in range(e)]
-    inv_e = pow(e, p - 2, p)
     rows = []
     for d, chi_p in zip(degrees, charp_rows):
         row = []
-        for j in range(r):
-            pm = classes[j].power_map
-            values = [chi_p[pm[l]] for l in range(e)]
-            counts = []
-            for s in range(e):
-                acc = 0
-                for l in range(e):
-                    acc += values[l] * theta_pow[(-s * l) % e]
-                counts.append((acc * inv_e) % p)
-            # each count lies in [0, p), so the sum also bounds every count by d
+        for c in classes:
+            o = c.element_order
+            step, inv_o = e // o, pow(o, p - 2, p)
+            values = [chi_p[c.power_map[l]] for l in range(o)]
+            counts = [0] * e
+            for t in range(o):
+                acc = sum(v * theta_pow[-t * l * step % e] for l, v in enumerate(values))
+                counts[t * step] = acc * inv_o % p
+            # the power map has period o, so the other counts are 0; each count
+            # lies in [0, p), so the sum also bounds every count by d
             require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
             row.append(CycloNum.from_power_counts(e, counts))
         rows.append(tuple(row))
@@ -337,21 +349,24 @@ def _verify_orthogonality(table: CharacterTable):
     order = table.group_order
     inv_class = _inverse_class_map(classes)
     sizes = [c.size for c in classes]
+    # i -> i* is a size-preserving involution, so row pair (a, b) has the sum
+    # of (b, a) and column pair (i, j) that of (j*, i*): each is checked once
+    involution = all(inv_class[inv_class[i]] == i and sizes[inv_class[i]] == sizes[i] for i in range(r))
+    require(involution, "class inversion is not a size-preserving involution")
     rows = table.rows
     for a in range(r):
-        for b in range(r):
+        for b in range(a, r):
             total = CycloNum.zero(table.exponent)
             for i in range(r):
                 total = total + sizes[i] * (rows[a][i] * rows[b][inv_class[i]])
             expected = order if a == b else 0
             require(total == expected, f"row orthogonality fails at ({a}, {b})")
-    for i in range(r):
-        for j in range(r):
-            total = CycloNum.zero(table.exponent)
-            for a in range(r):
-                total = total + rows[a][i] * rows[a][inv_class[j]]
-            expected = Fraction(order, sizes[i]) if i == j else Fraction(0)
-            require(total == CycloNum.from_rational(expected), f"column orthogonality fails at ({i}, {j})")
+    for i, j in ((i, j) for i in range(r) for j in range(r) if (i, j) <= (inv_class[j], inv_class[i])):
+        total = CycloNum.zero(table.exponent)
+        for a in range(r):
+            total = total + rows[a][i] * rows[a][inv_class[j]]
+        expected = Fraction(order, sizes[i]) if i == j else Fraction(0)
+        require(total == CycloNum.from_rational(expected), f"column orthogonality fails at ({i}, {j})")
     require(all(d > 0 for d in table.degrees), "a degree is not positive")
 
 

@@ -129,9 +129,6 @@ class Perm:
             k >>= 1
         return out
 
-    def conjugated_by(self, g: "Perm") -> "Perm":
-        return g * self * g.inverse()
-
     def order(self) -> int:
         cyc = self.cycles()
         return lcm(*(len(c) for c in cyc)) if cyc else 1
@@ -235,6 +232,16 @@ def _orbit(seeds, gens, act) -> set:
                     new.append(y)
         frontier = new
     return orbit
+
+
+def _with_inverses(gens) -> tuple[tuple[Perm, Perm], ...]:
+    """Each generator paired with its inverse, for `_orbit(..., _conjugate)`."""
+    return tuple((g, g.inverse()) for g in gens)
+
+
+def _conjugate(x: Perm, pair: tuple[Perm, Perm]) -> Perm:
+    g, gi = pair
+    return g * x * gi
 
 
 def _extend(els: set, gens, x: Perm, max_order: int) -> None:
@@ -387,10 +394,11 @@ def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     """Conjugacy classes in canonical order (element order, size, least rep)."""
     seen = set()
     raw = []
+    pairs = _with_inverses(G.generators)
     for x in G.elements:
         if x in seen:
             continue
-        orbit = _orbit((x,), G.generators, Perm.conjugated_by)
+        orbit = _orbit((x,), pairs, _conjugate)
         seen |= orbit
         raw.append(tuple(sorted(orbit)))
     raw.sort(key=lambda members: (members[0].order(), len(members), members[0].images))
@@ -400,17 +408,18 @@ def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     out = []
     for members in raw:
         rep = members[0]
+        order = rep.order()
         acc = G.identity
         powers = []
-        for _ in range(exponent):
+        for _ in range(order):
             powers.append(class_of[acc])
             acc = acc * rep
         out.append(
             ConjClassData(
                 representative=rep,
                 size=len(members),
-                element_order=rep.order(),
-                power_map=tuple(powers),
+                element_order=order,
+                power_map=tuple(powers * (exponent // order)),
                 members=members,
             )
         )
@@ -424,8 +433,9 @@ def _subgroup(G: PermGroup, elements, generators=None) -> PermGroup:
 
 
 def center(G: PermGroup) -> PermGroup:
-    """The elements commuting with all of G."""
-    return centralizer_of_subgroup(G, G)
+    """The elements commuting with all of G, searched inside C_G(G')."""
+    inside = centralizer_of_subgroup(G, derived_subgroup(G)).elements
+    return _subgroup(G, [x for x in inside if all(x * g == g * x for g in G.generators)])
 
 
 @group_cache
@@ -434,7 +444,7 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     gens = G.generators
     seeds = {a * b * a.inverse() * b.inverse() for a in gens for b in gens}
     # the normal closure is generated by the conjugates of the seeds
-    conjugates = _orbit(seeds, gens, Perm.conjugated_by)
+    conjugates = _orbit(seeds, _with_inverses(gens), _conjugate)
     els, used = _dimino(sorted(conjugates), G.degree, MAX_GROUP_ORDER)
     H = _subgroup(G, els, used)
     # g<used>g^-1 has the order of H, so conjugating used is enough

@@ -16,7 +16,9 @@ from functools import cache
 from .permgrp import (
     Perm,
     PermGroup,
+    _conjugate,
     _orbit,
+    _with_inverses,
     class_fusion,
     closure,
     derived_subgroup,
@@ -234,7 +236,7 @@ def m10_order4_class_check(m10: PermGroup, psl: PermGroup) -> M10CosetFacts:
     quads = [x for x in coset if x.order() == 4]
     one_class = False
     if quads:
-        orbit = _orbit(quads[:1], m10.generators, Perm.conjugated_by)
+        orbit = _orbit(quads[:1], _with_inverses(m10.generators), _conjugate)
         one_class = orbit == set(quads)
     return M10CosetFacts(
         involutions_outside=involutions,

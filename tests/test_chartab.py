@@ -1,15 +1,20 @@
 """The Dixon-Schneider engine: structure constants, primes, exact tables."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 
 from a6k3.exact import CycloNum, galois_apply
-from a6k3.permgrp import Perm, closure, conjugacy_classes
-from a6k3.pgl9 import build_psl29
+from a6k3.permgrp import Perm, VerificationError, closure, conjugacy_classes
+from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from a6k3.chartab import (
+    _eigenvalues,
+    _nullspace,
+    _verify_orthogonality,
     admissible_primes,
     character_table,
     class_labels,
@@ -253,3 +258,161 @@ def test_random_small_groups_have_valid_tables():
         assert sum(d * d for d in t.degrees) == len(G)
         assert len(t.rows) == len(conjugacy_classes(G))
         built += 1
+
+
+# the A6 tower with the sorted degree columns the benchmark's set-up expects
+TOWER = {
+    "S6": (lambda: classify_overgroups().s6, (1, 1, 5, 5, 5, 5, 9, 9, 10, 10, 16)),
+    "PGL(2,9)": (build_pgl29, (1, 1, 8, 8, 8, 8, 9, 9, 10, 10, 10)),
+    "M10": (lambda: classify_overgroups().m10, (1, 1, 9, 9, 10, 10, 10, 16)),
+    "PGammaL(2,9)": (build_pgammal29, (1, 1, 1, 1, 9, 9, 9, 9, 10, 10, 16, 16, 20)),
+    "PSL(2,9)": (build_psl29, (1, 5, 5, 8, 8, 9, 10)),
+}
+
+
+@pytest.mark.parametrize("name", list(TOWER))
+def test_values_lie_in_their_class_fields_and_obey_galois(name):
+    # chi(g) lies in Q(zeta_o) for g of order o, and chi(g^k) = sigma_k(chi(g))
+    # for k coprime to o: facts of the field, not of the engine
+    t = character_table(TOWER[name][0]())
+    for row in t.rows:
+        for c, v in zip(t.classes, row):
+            o = c.element_order
+            small = v.restrict(o)
+            for k in range(o):
+                if gcd(k, o) == 1:
+                    assert row[c.power_map[k]] == galois_apply(small, k)
+
+
+@pytest.mark.parametrize("name", [n for n in TOWER if n != "PSL(2,9)"])
+def test_tower_tables_agree_at_two_primes(name):
+    build, degrees = TOWER[name]
+    t1 = character_table(build(), prime_index=0)
+    t2 = character_table(build(), prime_index=1)
+    assert t1.prime != t2.prime
+    assert tuple(sorted(t1.degrees)) == degrees
+    assert all(v == w for r1, r2 in zip(t1.rows, t2.rows) for v, w in zip(r1, r2))
+
+
+def scanned_eigenspaces(S, p):
+    # one nullspace per candidate eigenvalue: {eigenvalue: eigenspace dimension}
+    m = len(S)
+    dims = {}
+    for lam in range(p):
+        kernel = _nullspace([[(S[x][y] - (lam if x == y else 0)) % p for y in range(m)] for x in range(m)], p)
+        if kernel:
+            dims[lam] = len(kernel)
+    return dims
+
+
+def similar_jordan_matrix(rng, m, p):
+    # Jordan blocks with few distinct eigenvalues, hidden by elementary similarities
+    S = [[0] * m for _ in range(m)]
+    eigen = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+    for x in range(m):
+        S[x][x] = rng.choice(eigen)
+        if x and S[x - 1][x - 1] == S[x][x] and rng.random() < 0.6:
+            S[x - 1][x] = 1
+    for _ in range(3 * m):
+        i, j, c = rng.randrange(m), rng.randrange(m), rng.randrange(1, p)
+        if i != j:
+            # S <- E S E^-1 with E = I + c e_i e_j^T
+            S[i] = [(a + c * b) % p for a, b in zip(S[i], S[j])]
+            for row in S:
+                row[j] = (row[j] - c * row[i]) % p
+    return S
+
+
+def test_eigenvalues_are_the_scanned_eigenvalues():
+    p = 241
+    rng = random.Random(4217)
+    defective = 0
+    for m in range(1, 9):
+        dense = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(3)]
+        for S in dense + [similar_jordan_matrix(rng, m, p) for _ in range(3)]:
+            dims = scanned_eigenspaces(S, p)
+            assert _eigenvalues(S, p) == sorted(dims)
+            defective += sum(dims.values()) < m
+    # the sample includes matrices that are not diagonalizable
+    assert defective > 0
+
+
+def naive_orthogonality(table):
+    # every row pair and every column pair, and positive integer degrees
+    classes, rows, r = table.classes, table.rows, len(table.classes)
+    inv = [c.power_map[c.element_order - 1] for c in classes]
+    sizes = [c.size for c in classes]
+    for a in range(r):
+        for b in range(r):
+            total = sum((sizes[i] * (rows[a][i] * rows[b][inv[i]]) for i in range(r)), CycloNum.zero())
+            if total != (table.group_order if a == b else 0):
+                return False
+    for i in range(r):
+        for j in range(r):
+            total = sum((rows[a][i] * rows[a][inv[j]] for a in range(r)), CycloNum.zero())
+            if total != (Fraction(table.group_order, sizes[i]) if i == j else 0):
+                return False
+    return all(isinstance(row[0].is_rational(), int) and row[0].is_rational() > 0 for row in rows)
+
+
+def corrupted_entry(table, seed):
+    rng = random.Random(seed)
+    a, i = rng.randrange(len(table.rows)), rng.randrange(len(table.classes))
+    v = table.rows[a][i]
+    new = rng.choice(
+        [
+            v + 1,
+            -v,
+            v.galois(table.exponent - 1),  # complex conjugate
+            v * CycloNum.zeta(table.exponent, rng.randrange(1, table.exponent)),
+            table.rows[a][rng.randrange(len(table.classes))],  # another entry of the row
+        ]
+    )
+    rows = [list(row) for row in table.rows]
+    rows[a][i] = new
+    return replace(table, rows=tuple(tuple(row) for row in rows))
+
+
+def test_orthogonality_check_matches_the_full_check():
+    t = character_table(build_pgl29())
+    outcomes = set()
+    seen = set()
+    for seed in range(200):
+        bad = corrupted_entry(t, seed)
+        key = tuple(v.sort_key() for row in bad.rows for v in row)
+        if key in seen:
+            continue
+        seen.add(key)
+        passes = naive_orthogonality(bad)
+        outcomes.add(passes)
+        if passes:
+            _verify_orthogonality(bad)
+        else:
+            with pytest.raises(VerificationError):
+                _verify_orthogonality(bad)
+    # some corruptions leave the table unchanged, most do not
+    assert len(seen) >= 100 and outcomes == {True, False}
+
+
+def test_class_inversion_must_be_a_size_preserving_involution():
+    t = character_table(build_pgl29())
+    classes = list(t.classes)
+    sizes = [c.size for c in classes]
+    selfinv = [k for k, c in enumerate(classes) if c.power_map[c.element_order - 1] == k]
+    i, j = next((i, j) for i in selfinv for j in selfinv if sizes[i] != sizes[j])
+
+    def with_inverse(cls, k, target):
+        c = cls[k]
+        pm = list(c.power_map)
+        for l in range(c.element_order - 1, len(pm), c.element_order):
+            pm[l] = target
+        cls[k] = replace(c, power_map=tuple(pm))
+
+    not_involution = list(classes)
+    with_inverse(not_involution, i, j)  # i* = j but j* = j
+    size_changing = list(classes)
+    with_inverse(size_changing, i, j)
+    with_inverse(size_changing, j, i)  # an involution exchanging sizes
+    for cls in (not_involution, size_changing):
+        with pytest.raises(VerificationError, match="involution"):
+            _verify_orthogonality(replace(t, classes=tuple(cls)))

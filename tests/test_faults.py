@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from a6k3 import chartab, cli, extbuild, k3verify
+from a6k3 import chartab, cli, extbuild, k3verify, pgl9
 from a6k3.exact import CycloNum
 from a6k3.extbuild import build_all_candidates
 from a6k3.k3verify import NikulinTable, run_exclusion
@@ -56,6 +56,12 @@ def fusion_label(monkeypatch):
     monkeypatch.setattr(extbuild, "_KIND_BY_FUSION", labels)
 
 
+def eigenvalue_root(monkeypatch):
+    # the eigenspace split loses the largest root of a characteristic polynomial
+    roots = chartab._eigenvalues
+    monkeypatch.setattr(chartab, "_eigenvalues", lambda S, p: roots(S, p)[:-1])
+
+
 # each mutant with the checks it must fail
 MUTANTS = {
     nikulin_order3: {"lefschetz.rank", "decompose.solve", "exclude.error"},
@@ -63,11 +69,18 @@ MUTANTS = {
     golden_entry: {"chartab.a6", "decompose.error", "exclude.error"},
     mu4_generator: {"groups.error", "exclude.error"},
     fusion_label: {"ext.candidates", "exclude.error"},
+    eigenvalue_root: {"chartab.error", "decompose.error", "exclude.error"},
 }
 
-# the functools.cache builders whose results a mutant's patch changes; a warm
-# cache would hide the mutant, and a stale one would outlive it
-REBUILT = {mu4_generator: (extbuild.build_candidate,)}
+# the functools.cache builders whose results, or the data memoized on them, a
+# mutant's patch changes; a warm cache would hide the mutant, and a stale one
+# would outlive it
+REBUILT = {
+    mu4_generator: (extbuild.build_candidate,),
+    # the A6 tables are memoized on PSL(2,9), which is memoized on PGL(2,9);
+    # the candidates take their A6 from PSL(2,9), so they are rebuilt with it
+    eigenvalue_root: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
+}
 
 
 @contextmanager
