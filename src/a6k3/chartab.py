@@ -167,16 +167,16 @@ def _nullspace(matrix, p):
 
 def _eigenvalues(S, p):
     """The eigenvalues of S over F_p, ascending: the roots of its characteristic
-    polynomial det(x I - S), by Faddeev-LeVerrier, which needs len(S) < p."""
-    m = len(S)
-    coeffs, M = [1], [[0] * m for _ in range(m)]  # leading coefficient first
-    for k in range(1, m + 1):
-        # M_k = S M_(k-1) + c_(k-1) I and c_k = -tr(S M_k) / k
-        cols = list(zip(*M))
-        M = [[(sum(a * b for a, b in zip(row, col)) + (coeffs[-1] if x == y else 0)) % p
-              for y, col in enumerate(cols)] for x, row in enumerate(S)]
-        trace = sum(S[x][t] * M[t][x] for x in range(m) for t in range(m))
-        coeffs.append(-trace * pow(k, p - 2, p) % p)
+    polynomial det(x I - S), by Berkowitz's algorithm, which never divides and
+    so holds for every p, also when p <= len(S)."""
+    coeffs = [1]  # of the leading k x k block, leading coefficient first
+    for k in range(len(S)):
+        # Toeplitz column of the new block: 1, -s_kk, -R C, -R A C, ..., -R A^(k-1) C
+        col, toeplitz = [S[x][k] for x in range(k)], [1, -S[k][k] % p]
+        for _ in range(k):
+            toeplitz.append(-sum(S[k][x] * col[x] for x in range(k)) % p)
+            col = [sum(S[x][y] * col[y] for y in range(k)) % p for x in range(k)]
+        coeffs = [sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1)) % p for i in range(k + 2)]
     return [lam for lam in range(p) if reduce(lambda acc, c: (acc * lam + c) % p, coeffs) == 0]
 
 

@@ -337,6 +337,28 @@ def test_eigenvalues_are_the_scanned_eigenvalues():
     assert defective > 0
 
 
+def test_eigenvalues_hold_for_matrices_larger_than_p():
+    # class matrices can have more rows than an admissible prime (16 classes, p = 7)
+    rng = random.Random(5309)
+    defective = 0
+    for p in (7, 11, 13):
+        for m in range(9, 17):
+            dense = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(3)]
+            for S in dense + [similar_jordan_matrix(rng, m, p) for _ in range(3)]:
+                dims = scanned_eigenspaces(S, p)
+                assert _eigenvalues(S, p) == sorted(dims)
+                defective += sum(dims.values()) < m
+    assert defective > 0
+
+
+def test_character_table_d8_x_c3_at_p_13():
+    # 15 classes at p = 13: the central involution's class matrix is 15 x 15
+    G = closure([Perm([1, 2, 3, 0, 4, 5, 6]), Perm([0, 3, 2, 1, 4, 5, 6]), Perm([0, 1, 2, 3, 5, 6, 4])])
+    t = character_table(G)
+    assert (len(G), t.prime) == (24, 13)
+    assert sorted(t.degrees) == [1] * 12 + [2] * 3
+
+
 def naive_orthogonality(table):
     # every row pair and every column pair, and positive integer degrees
     classes, rows, r = table.classes, table.rows, len(table.classes)
