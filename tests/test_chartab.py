@@ -323,31 +323,20 @@ def similar_jordan_matrix(rng, m, p):
     return S
 
 
-def test_eigenvalues_are_the_scanned_eigenvalues():
-    p = 241
-    rng = random.Random(4217)
+# p = 241 is the tower's prime; at 7, 11 and 13 a matrix can have p or more
+# rows, as a class matrix of a group with up to 16 classes can
+@pytest.mark.parametrize("p, sizes, seed", [(241, range(1, 9), 4217), (7, range(9, 17), 5309),
+                                            (11, range(9, 17), 5310), (13, range(9, 17), 5311)])
+def test_eigenvalues_are_the_scanned_eigenvalues(p, sizes, seed):
+    rng = random.Random(seed)
     defective = 0
-    for m in range(1, 9):
+    for m in sizes:
         dense = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(3)]
         for S in dense + [similar_jordan_matrix(rng, m, p) for _ in range(3)]:
             dims = scanned_eigenspaces(S, p)
             assert _eigenvalues(S, p) == sorted(dims)
             defective += sum(dims.values()) < m
     # the sample includes matrices that are not diagonalizable
-    assert defective > 0
-
-
-def test_eigenvalues_hold_for_matrices_larger_than_p():
-    # class matrices can have more rows than an admissible prime (16 classes, p = 7)
-    rng = random.Random(5309)
-    defective = 0
-    for p in (7, 11, 13):
-        for m in range(9, 17):
-            dense = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(3)]
-            for S in dense + [similar_jordan_matrix(rng, m, p) for _ in range(3)]:
-                dims = scanned_eigenspaces(S, p)
-                assert _eigenvalues(S, p) == sorted(dims)
-                defective += sum(dims.values()) < m
     assert defective > 0
 
 
