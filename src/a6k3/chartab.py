@@ -5,12 +5,14 @@ split of the class-sum matrices over a prime field F_p with p = 1 mod the
 group exponent and p > 2*ceil(sqrt(|G|)), eigenvalues the roots of the
 characteristic polynomial, ascending, degree recovery from the second
 orthogonality relation, and a lift of each value on a class of order o to
-Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  Both
-orthogonality relations are re-verified exactly before a table is returned.
+Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  The
+row orthogonality relations of the square table, which imply the column
+relations, are re-verified exactly before a table is returned.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -18,7 +20,16 @@ from itertools import islice
 from math import isqrt, lcm
 
 from .exact import CycloNum
-from .permgrp import ConjClassData, PermGroup, VerificationError, conjugacy_classes, group_cache, require
+from .permgrp import (
+    ConjClassData,
+    PermGroup,
+    VerificationError,
+    _classes,
+    _tables,
+    conjugacy_classes,
+    group_cache,
+    require,
+)
 
 MAX_TABLE_ORDER = 10_000
 MAX_CLASS_COUNT = 16
@@ -70,14 +81,15 @@ def structure_constants(G: PermGroup) -> ClassAlgebra:
         raise ValueError(f"group order {len(G)} exceeds the guard {MAX_TABLE_ORDER}")
     classes = conjugacy_classes(G)
     r = len(classes)
-    class_of = {x: k for k, c in enumerate(classes) for x in c.members}
+    class_of = _classes(G)[1]
+    inv_class = _inverse_class_map(classes)
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i, ci in enumerate(classes):
-        inverses = [x.inverse() for x in ci.members]
-        for k, ck in enumerate(classes):
-            z = ck.representative
-            for xi in inverses:
-                a[i][class_of[xi * z]][k] += 1  # xi*z is the unique y with x*y = z
+    for k, ck in enumerate(classes):
+        # x*y = z has the unique solution y = x^-1 z, and y^-1 = z^-1 x
+        left = _tables(G).left(ck.representative.inverse().images)
+        pairs = Counter(zip(class_of, map(inv_class.__getitem__, map(class_of.__getitem__, left))))
+        for (i, j), count in pairs.items():
+            a[i][j][k] = count
     alg = ClassAlgebra(
         group_order=len(G),
         classes=classes,
@@ -347,13 +359,18 @@ def _verify_orthogonality(table: CharacterTable):
     classes = table.classes
     r = len(classes)
     order = table.group_order
+    rows = table.rows
+    require(len(rows) == r and all(len(row) == r for row in rows), "the table is not square")
+    degrees = [row[0].is_rational() for row in rows]
+    require(all(d is not None and d.denominator == 1 and d > 0 for d in degrees), "a degree is not a positive integer")
     inv_class = _inverse_class_map(classes)
     sizes = [c.size for c in classes]
     # i -> i* is a size-preserving involution, so row pair (a, b) has the sum
-    # of (b, a) and column pair (i, j) that of (j*, i*): each is checked once
+    # of (b, a): each pair is checked once
     involution = all(inv_class[inv_class[i]] == i and sizes[inv_class[i]] == sizes[i] for i in range(r))
     require(involution, "class inversion is not a size-preserving involution")
-    rows = table.rows
+    # for a square table the row relations X D Y^T = |G| I, with D the class
+    # sizes and Y[b][i] = chi_b(i*), imply the column relations Y^T X D = |G| I
     for a in range(r):
         for b in range(a, r):
             total = CycloNum.zero(table.exponent)
@@ -361,13 +378,6 @@ def _verify_orthogonality(table: CharacterTable):
                 total = total + sizes[i] * (rows[a][i] * rows[b][inv_class[i]])
             expected = order if a == b else 0
             require(total == expected, f"row orthogonality fails at ({a}, {b})")
-    for i, j in ((i, j) for i in range(r) for j in range(r) if (i, j) <= (inv_class[j], inv_class[i])):
-        total = CycloNum.zero(table.exponent)
-        for a in range(r):
-            total = total + rows[a][i] * rows[a][inv_class[j]]
-        expected = Fraction(order, sizes[i]) if i == j else Fraction(0)
-        require(total == CycloNum.from_rational(expected), f"column orthogonality fails at ({i}, {j})")
-    require(all(d > 0 for d in table.degrees), "a degree is not positive")
 
 
 # -- the reference A6 table --------------------------------------------------

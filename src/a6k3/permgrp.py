@@ -6,12 +6,15 @@ on image tuples, and every deterministic-output contract in the package
 refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
-Three primitives carry the group work: `_orbit`, the one breadth-first
-search (conjugacy classes, normal closures, conjugation actions); `_extend`,
-one step of Dimino's algorithm (G. Butler, *Fundamental Algorithms for
-Permutation Groups*, LNCS 559, 1991), through which every element set is
-built; and `_fusion`, the one class-fusion routine, behind `class_fusion`
-and `fusion_type`.
+The primitives run on indices.  `_dimino`, Dimino's algorithm (G. Butler,
+*Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991), builds
+every element set from image tuples composed by `operator.itemgetter`, and
+each element is wrapped in a `Perm` once.  Then an element is its index in
+`G.elements`: `_tables(G)` holds int tables for right multiplication and
+conjugation by each generator, and a spanning tree of the Cayley graph
+along which a table for any element takes one pass.  `_orbit` is the one
+breadth-first search over them (classes, normal closures, cosets), and
+`_fusion` the one class-fusion routine.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
@@ -29,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import gcd, lcm, prod
+from operator import attrgetter, itemgetter
 
 MAX_GROUP_ORDER = 10**6
 
@@ -109,13 +113,10 @@ class Perm:
         b = other.images
         if len(a) != len(b):
             raise ValueError("degree mismatch")
-        return Perm._raw(tuple(a[i] for i in b))
+        return Perm._raw(_rmul(b)(a))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm._raw(tuple(inv))
+        return Perm._raw(tuple(sorted(range(len(self.images)), key=self.images.__getitem__)))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
@@ -211,68 +212,49 @@ class Perm:
     def __lt__(self, other):
         return self.images < other.images
 
-    def __le__(self, other):
-        return self.images <= other.images
-
     def __repr__(self):
         return f"Perm[{self.cycle_string()}]"
 
 
-def _orbit(seeds, gens, act) -> set:
-    """Every point reachable from seeds by act(point, g) with g in gens."""
-    orbit = set(seeds)
-    frontier = list(orbit)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = act(x, g)
-                if y not in orbit:
-                    orbit.add(y)
-                    new.append(y)
-        frontier = new
-    return orbit
-
-
-def _with_inverses(gens) -> tuple[tuple[Perm, Perm], ...]:
-    """Each generator paired with its inverse, for `_orbit(..., _conjugate)`."""
-    return tuple((g, g.inverse()) for g in gens)
-
-
-def _conjugate(x: Perm, pair: tuple[Perm, Perm]) -> Perm:
-    g, gi = pair
-    return g * x * gi
-
-
-def _extend(els: set, gens, x: Perm, max_order: int) -> None:
-    """Dimino step: grow the closed set els = <gens> in place to <gens, x>.
-
-    The new group is a union of right cosets <gens> * r.  A representative
-    times a generator lies in a known coset or starts a new one, so each new
-    element costs one product.
-    """
-    base = tuple(els)
-    gens = tuple(gens) + (x,)
-    reps = [Perm.identity(x.degree)]
-    for r in reps:
-        for s in gens:
-            y = r * s
-            if y not in els:
-                els.update(h * y for h in base)
-                if len(els) > max_order:
-                    raise ValueError(f"closure exceeds the order guard {max_order}")
-                reps.append(y)
+def _rmul(s: tuple):
+    """The map x |-> x * s on image tuples, one C call per x."""
+    return itemgetter(*s) if len(s) > 1 else lambda x: tuple(x[i] for i in s)
 
 
 def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
-    """The elements of <gens>, and the generators that were not redundant."""
-    els = {Perm.identity(degree)}
+    """The image tuples of <gens>, and the generators that were not redundant.
+
+    Dimino's algorithm: adding x to the closed set <used> makes a union of
+    right cosets <used> * r.  A representative times a generator lies in a
+    known coset or starts a new one, so each new element costs one
+    composition of image tuples.
+    """
+    els = {tuple(range(degree))}
     used = []
     for x in gens:
-        if x not in els:
-            _extend(els, used, x, max_order)
-            used.append(x)
+        if x in els:
+            continue
+        base = tuple(els)
+        used.append(x)
+        muls = [_rmul(s) for s in used]
+        reps = [tuple(range(degree))]
+        for r in reps:
+            for mul in muls:
+                if (y := mul(r)) not in els:
+                    els.update(map(_rmul(y), base))
+                    if len(els) > max_order:
+                        raise ValueError(f"closure exceeds the order guard {max_order}")
+                    reps.append(y)
     return els, used
+
+
+def _orbit(seeds, tables) -> set:
+    """Every index reachable from seeds through the int tables."""
+    orbit = frontier = set(seeds)
+    while frontier:
+        frontier = {T[x] for T in tables for x in frontier} - orbit
+        orbit |= frontier
+    return orbit
 
 
 def group_cache(fn):
@@ -288,11 +270,14 @@ def group_cache(fn):
     return cached
 
 
+_images = attrgetter("images")
+
+
 class PermGroup:
     """A finitely generated permutation group with its full element set."""
 
     def __init__(self, generators, degree=None, _elements=None, point_labels=None):
-        gens = tuple(sorted(set(generators)))
+        gens = tuple(sorted(set(generators), key=_images))
         if degree is None:
             if not gens:
                 raise ValueError("need generators or an explicit degree")
@@ -307,13 +292,12 @@ class PermGroup:
 
     @classmethod
     def from_elements(cls, elements, generators=None, point_labels=None) -> "PermGroup":
-        elements = tuple(sorted(set(elements)))
-        degree = elements[0].degree
-        ident = Perm.identity(degree)
-        if ident not in elements:
+        elements = tuple(sorted(set(elements), key=_images))
+        # the identity is the least element of any set containing it
+        if not elements or elements[0] != Perm.identity(elements[0].degree):
             raise ValueError("element set lacks the identity")
         gens = tuple(generators) if generators is not None else elements
-        return cls(gens, degree=degree, _elements=elements, point_labels=point_labels)
+        return cls(gens, degree=elements[0].degree, _elements=elements, point_labels=point_labels)
 
     @property
     def degree(self) -> int:
@@ -327,8 +311,8 @@ class PermGroup:
     def elements(self) -> tuple[Perm, ...]:
         if self._elements is not None:
             return self._elements
-        els, _ = _dimino(self._gens, self._degree, MAX_GROUP_ORDER)
-        return tuple(sorted(els))
+        els, _ = _dimino([g.images for g in self._gens], self._degree, MAX_GROUP_ORDER)
+        return tuple(map(Perm._raw, sorted(els)))
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -374,8 +358,69 @@ def closure(generators, *, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    els, _ = _dimino(gens, degree, max_order)
-    return PermGroup(gens, degree=degree, _elements=tuple(sorted(els)))
+    els, _ = _dimino([g.images for g in gens], degree, max_order)
+    return PermGroup(gens, degree=degree, _elements=tuple(map(Perm._raw, sorted(els))))
+
+
+class _Tables:
+    """The index core of G, built on first use by `_tables` and memoized on
+    G: element i is G.elements[i], the identity is 0, and tables hold indices."""
+
+    def __init__(self, G: PermGroup):
+        imgs = [x.images for x in G.elements]
+        self.pos = dict(zip(imgs, range(len(imgs))))
+        try:
+            # per generator s: x -> x * s, one itemgetter pass
+            self.right = right = [list(map(self.pos.__getitem__, map(_rmul(s.images), imgs))) for s in G.generators]
+        except KeyError:
+            raise VerificationError("the elements are not closed under the generators") from None
+        # a spanning tree of the Cayley graph: x = p * (generator k), parents first
+        self.tree = tree = []
+        order, seen = [0], {0}
+        for p in order:
+            for k, R in enumerate(right):
+                if (x := R[p]) not in seen:
+                    seen.add(x)
+                    order.append(x)
+                    tree.append((x, p, k))
+        if len(order) != len(imgs):
+            raise ValueError("the generators of G do not generate its elements")
+        # per generator s: x -> s^-1 x s
+        self.conj = [[R[y] for y in self.left(s.inverse().images)] for s, R in zip(G.generators, right)]
+
+    def along(self, tables, start: int) -> list[int]:
+        """The map f with f(1) = start and f(p * s_k) = tables[k][f(p)]."""
+        out = [start] * (len(self.tree) + 1)
+        for x, p, k in self.tree:
+            out[x] = tables[k][out[p]]
+        return out
+
+    def left(self, a: tuple) -> list[int]:
+        """x -> a * x, for a given by its image tuple: a p s = (a p) s."""
+        return self.along(self.right, self.pos[a])
+
+
+_tables = group_cache(_Tables)
+
+
+@group_cache
+def _classes(G: PermGroup) -> tuple[list[list[int]], list[int]]:
+    """The conjugacy classes as ascending index lists in canonical order
+    (element order, size, least element), and the class of each index."""
+    els, conj = G.elements, _tables(G).conj
+    seen, classes = set(), []
+    for x in range(len(els)):
+        if x not in seen:
+            orbit = _orbit((x,), conj)
+            seen |= orbit
+            classes.append(sorted(orbit))
+    classes.sort(key=lambda members: (els[members[0]].order(), len(members), members[0]))
+    require(sum(map(len, classes)) == len(G), "class equation violated")
+    class_of = [0] * len(G)
+    for k, members in enumerate(classes):
+        for x in members:
+            class_of[x] = k
+    return classes, class_of
 
 
 @dataclass(frozen=True)
@@ -392,87 +437,76 @@ class ConjClassData:
 @group_cache
 def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     """Conjugacy classes in canonical order (element order, size, least rep)."""
-    seen = set()
-    raw = []
-    pairs = _with_inverses(G.generators)
-    for x in G.elements:
-        if x in seen:
-            continue
-        orbit = _orbit((x,), pairs, _conjugate)
-        seen |= orbit
-        raw.append(tuple(sorted(orbit)))
-    raw.sort(key=lambda members: (members[0].order(), len(members), members[0].images))
-    require(sum(len(m) for m in raw) == len(G), "class equation violated")
-    exponent = lcm(*(m[0].order() for m in raw))
-    class_of = {x: k for k, members in enumerate(raw) for x in members}
+    classes, class_of = _classes(G)
+    els, pos = G.elements, _tables(G).pos
+    exponent = lcm(*(els[members[0]].order() for members in classes))
     out = []
-    for members in raw:
-        rep = members[0]
+    for members in classes:
+        rep = els[members[0]]
         order = rep.order()
-        acc = G.identity
-        powers = []
+        step, acc, powers = _rmul(rep.images), G.identity.images, []
         for _ in range(order):
-            powers.append(class_of[acc])
-            acc = acc * rep
-        out.append(
-            ConjClassData(
-                representative=rep,
-                size=len(members),
-                element_order=order,
-                power_map=tuple(powers * (exponent // order)),
-                members=members,
-            )
-        )
+            powers.append(class_of[pos[acc]])
+            acc = step(acc)
+        power_map = tuple(powers * (exponent // order))
+        out.append(ConjClassData(rep, len(members), order, power_map, tuple(map(els.__getitem__, members))))
     return tuple(out)
 
 
-def _subgroup(G: PermGroup, elements, generators=None) -> PermGroup:
-    H = PermGroup.from_elements(tuple(elements), generators=generators)
+def _subgroup(G: PermGroup, indices, generators=None) -> PermGroup:
+    members = tuple(map(G.elements.__getitem__, sorted(indices)))
+    H = PermGroup(members if generators is None else generators, degree=G.degree, _elements=members)
     require(len(G) % len(H) == 0, "Lagrange check failed")
     return H
 
 
 def center(G: PermGroup) -> PermGroup:
-    """The elements commuting with all of G, searched inside C_G(G')."""
-    inside = centralizer_of_subgroup(G, derived_subgroup(G)).elements
-    return _subgroup(G, [x for x in inside if all(x * g == g * x for g in G.generators)])
+    """The elements that conjugation by every generator fixes."""
+    conj = _tables(G).conj
+    return _subgroup(G, [x for x in range(len(G)) if all(T[x] == x for T in conj)])
 
 
 @group_cache
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Normal closure of all generator-pair commutators, verified normal."""
-    gens = G.generators
-    seeds = {a * b * a.inverse() * b.inverse() for a in gens for b in gens}
+    els, T = G.elements, _tables(G)
+    pairs = [(g.images, g.inverse().images) for g in G.generators]
+    seeds = {T.pos[_rmul(bi)(_rmul(ai)(_rmul(b)(a)))] for a, ai in pairs for b, bi in pairs}
     # the normal closure is generated by the conjugates of the seeds
-    conjugates = _orbit(seeds, _with_inverses(gens), _conjugate)
-    els, used = _dimino(sorted(conjugates), G.degree, MAX_GROUP_ORDER)
-    H = _subgroup(G, els, used)
-    # g<used>g^-1 has the order of H, so conjugating used is enough
-    for g in gens:
-        gi = g.inverse()
-        require(all(g * h * gi in H for h in used), "derived subgroup not normal")
+    conjugates = _orbit(seeds, T.conj)
+    sub, used = _dimino([els[i].images for i in sorted(conjugates)], G.degree, MAX_GROUP_ORDER)
+    H = _subgroup(G, map(T.pos.__getitem__, sub), [els[T.pos[h]] for h in used])
+    # s^-1 <used> s has the order of H, so conjugating used is enough
+    require(all(els[C[T.pos[h]]].images in sub for C in T.conj for h in used), "derived subgroup not normal")
     return H
+
+
+def _normal_action(G: PermGroup, A: PermGroup) -> tuple[list[int], list[list[int]]]:
+    """The indices in G of A's elements, and per generator s of G the map
+    a |-> s^-1 a s on A's indices; ValueError unless A is normal in G."""
+    T = _tables(G)
+    inside = [T.pos.get(a.images) for a in A.elements]
+    if None in inside:
+        raise ValueError("A is not a subgroup of G")
+    back = dict(zip(inside, range(len(inside))))
+    try:
+        return inside, [[back[C[x]] for x in inside] for C in T.conj]
+    except KeyError:
+        raise ValueError("A is not normal in G") from None
 
 
 @group_cache
 def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
     """{g in G : ga = ag for all a in A}."""
-    if not A.is_subgroup_of(G):
+    T = _tables(G)
+    if any(a.images not in T.pos for a in A.elements):
         raise ValueError("A is not a subgroup of G")
-    gens = A.generators
-    members = [x for x in G.elements if all(x * a == a * x for a in gens)]
+    members = range(len(G))
+    for a in A.generators:
+        # x commutes with a iff x^-1 a x = a = moved[0]; (p s)^-1 a (p s) = s^-1 (p^-1 a p) s
+        moved = T.along(T.conj, T.pos[a.images])
+        members = [x for x in members if moved[x] == moved[0]]
     return _subgroup(G, members)
-
-
-def _check_normal(G: PermGroup, A: PermGroup):
-    if not A.is_subgroup_of(G):
-        raise ValueError("A is not a subgroup of G")
-    aset = A.element_set
-    for g in G.generators:
-        gi = g.inverse()
-        if any(g * a * gi not in aset for a in A.generators):
-            raise ValueError("A is not normal in G")
-        # generator conjugates generate the conjugate subgroup; size forces equality
 
 
 @group_cache
@@ -483,31 +517,16 @@ def conjugation_image(G: PermGroup, A: PermGroup):
     are A's canonically ordered elements, and mapping sends each g in G to
     the permutation a |-> g a g^-1 of those labels.
     """
-    _check_normal(G, A)
-    labels = A.elements
-    index = {a: i for i, a in enumerate(labels)}
-    gens = G.generators
-
-    def conj_perm(g: Perm) -> Perm:
-        gi = g.inverse()
-        return Perm._raw(tuple(index[g * a * gi] for a in labels))
-
-    gen_imgs = [conj_perm(g) for g in gens]
-    ident_img = Perm.identity(len(labels))
-    # the graph of g |-> conj_perm(g) is the orbit of (1, 1) under the
-    # generator pairs; it has |G| points exactly when gens generate G
-    pairs = _orbit(
-        ((G.identity, ident_img),),
-        tuple(zip(gens, gen_imgs)),
-        lambda p, s: (p[0] * s[0], p[1] * s[1]),
-    )
-    if len(pairs) != len(G):
-        raise ValueError("the generators of G do not generate its elements")
-    interned = {}
-    mapping = {g: interned.setdefault(f, f) for g, f in pairs}
-    image = PermGroup.from_elements(
-        set(mapping.values()), generators=tuple(sorted(set(gen_imgs))), point_labels=A
-    )
+    # the tables act by s^-1, so s acts by their inverses
+    gen_imgs = [Perm._raw(tuple(C)).inverse() for C in _normal_action(G, A)[1]]
+    steps = [_rmul(f.images) for f in gen_imgs]
+    # g |-> (a |-> g a g^-1) is a homomorphism: p s maps to image(p) * image(s)
+    imgs = [tuple(range(len(A)))] * len(G)
+    for x, p, k in _tables(G).tree:
+        imgs[x] = steps[k](imgs[p])
+    interned = {f: Perm._raw(f) for f in imgs}
+    mapping = {g: interned[f] for g, f in zip(G.elements, imgs)}
+    image = PermGroup.from_elements(interned.values(), generators=gen_imgs, point_labels=A)
     return image, mapping
 
 
@@ -520,35 +539,31 @@ class FusionType:
 
 
 def _fusion(A: PermGroup, automorphisms) -> FusionType:
-    """Which order-3 / order-5 class pairs of A the automorphisms swap.
-
-    Each automorphism is a function on A's elements and must map every
-    conjugacy class of A onto exactly one class.
-    """
-    classes = conjugacy_classes(A)
-    class_index = {frozenset(c.members): k for k, c in enumerate(classes)}
-    idx3 = [k for k, c in enumerate(classes) if c.element_order == 3]
-    idx5 = [k for k, c in enumerate(classes) if c.element_order == 5]
-    if len(idx3) != 2 or len(idx5) != 2:
+    """Which order-3 / order-5 class pairs of A the automorphisms swap.  Each
+    is a sequence permuting A's element indices and must map classes onto classes."""
+    classes, class_of = _classes(A)
+    pairs = {o: [k for k, c in enumerate(conjugacy_classes(A)) if c.element_order == o] for o in (3, 5)}
+    if any(len(pair) != 2 for pair in pairs.values()):
         raise ValueError("acted-on group does not have two order-3 and two order-5 classes")
-    swaps_3 = False
-    swaps_5 = False
+    swapped = set()
     for phi in automorphisms:
-        moved = [class_index.get(frozenset(map(phi, c.members))) for c in classes]
-        if None in moved:
-            raise ValueError("action does not normalize the class partition")
-        if moved[idx3[0]] == idx3[1]:
-            swaps_3 = True
-        if moved[idx5[0]] == idx5[1]:
-            swaps_5 = True
-    return FusionType(swaps_3=swaps_3, swaps_5=swaps_5)
+        moved = []
+        for members in classes:
+            # a bijection maps a class onto a class iff into one of its size
+            hit = {class_of[phi[x]] for x in members}
+            if len(hit) != 1 or len(classes[min(hit)]) != len(members):
+                raise ValueError("action does not normalize the class partition")
+            moved.append(hit.pop())
+        swapped |= {o for o, (i, j) in pairs.items() if moved[i] == j}
+    return FusionType(swaps_3=3 in swapped, swaps_5=5 in swapped)
 
 
 @group_cache
 def class_fusion(G: PermGroup, A: PermGroup) -> FusionType:
     """Class-fusion pattern of G acting on its normal subgroup A by conjugation."""
-    _check_normal(G, A)
-    return _fusion(A, [lambda a, g=g, gi=g.inverse(): g * a * gi for g in G.generators])
+    # conjugating by s^-1 instead of s inverts the class permutation, which
+    # swaps a class pair exactly when the one of s does
+    return _fusion(A, _normal_action(G, A)[1])
 
 
 def fusion_type(image: PermGroup) -> FusionType:
@@ -560,40 +575,31 @@ def fusion_type(image: PermGroup) -> FusionType:
     A = image.point_labels
     if not isinstance(A, PermGroup):
         raise ValueError("image does not carry its acted-on group")
-    labels = A.elements
-    pos = {a: i for i, a in enumerate(labels)}
-    # precondition: the inner automorphisms sit inside the image
-    for a in A.generators:
-        ai = a.inverse()
-        inner = Perm._raw(tuple(pos[a * x * ai] for x in labels))
-        if inner not in image:
-            raise ValueError("image does not contain the inner automorphisms")
-    return _fusion(A, [lambda x, s=sigma: labels[s(pos[x])] for sigma in image.generators])
+    # precondition: the inner automorphisms (by the inverse generators) lie in the image
+    if any(Perm._raw(tuple(C)) not in image for C in _tables(A).conj):
+        raise ValueError("image does not contain the inner automorphisms")
+    return _fusion(A, [sigma.images for sigma in image.generators])
 
 
 def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
     """The three H with A < H < G when G/A is the Klein four-group."""
-    _check_normal(G, A)
+    inside = _normal_action(G, A)[0]
     if len(G) != 4 * len(A):
         raise ValueError("index of A in G is not 4")
-    aset = A.element_set
-    if any(g * g not in aset for g in G.elements):
-        raise ValueError("quotient is not C2 x C2")
-    cosets = []
-    covered = set(aset)
-    for g in G.elements:
+    els, aset, covered, cosets = G.elements, set(inside), set(inside), []
+    for g in range(len(G)):
         if g in covered:
             continue
-        coset = {g * a for a in A.elements}
+        left = _tables(G).left(els[g].images)
+        # (g a)^2 lies in g^2 A, so the coset representatives decide the exponent
+        if left[g] not in aset:
+            raise ValueError("quotient is not C2 x C2")
+        coset = {left[a] for a in inside}
         covered |= coset
-        cosets.append((g, coset))
+        cosets.append(coset)
     require(len(cosets) == 3, "A has other than three nontrivial cosets in G")
-    out = []
-    for rep, coset in cosets:
-        members = tuple(sorted(set(A.elements) | coset))
-        out.append(_subgroup(G, members, generators=A.generators + (min(coset),)))
-    out.sort(key=lambda H: H.elements)
-    return tuple(out)
+    out = [_subgroup(G, aset | coset, A.generators + (els[min(coset)],)) for coset in cosets]
+    return tuple(sorted(out, key=lambda H: H.elements))
 
 
 @dataclass(frozen=True)
@@ -614,22 +620,6 @@ class Fingerprint:
         }
 
 
-def _coset_table(G: PermGroup, H: PermGroup):
-    # Cosets of normal H in G, keyed by canonical (least) representative.
-    rep_of = {}
-    reps = []
-    for g in G.elements:
-        if g in rep_of:
-            continue
-        coset = sorted(g * h for h in H.elements)
-        lead = coset[0]
-        reps.append(lead)
-        for x in coset:
-            rep_of[x] = lead
-    require(len(reps) * len(H) == len(G), "cosets do not partition the group")
-    return reps, rep_of
-
-
 def _divisor_chains(n: int, head: int):
     # Non-increasing divisor chains d1 | d0, d2 | d1, ... with product n, d0 = head.
     if n == 1:
@@ -642,29 +632,33 @@ def _divisor_chains(n: int, head: int):
 
 
 def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
-    # Invariant factors of the abelian quotient G/H, from order-dividing counts.
-    reps, rep_of = _coset_table(G, H)
-    n = len(reps)
+    # Invariant factors of the abelian quotient G/H of normal H, from
+    # order-dividing counts.  The coset H x is the orbit of x under left
+    # multiplication by H's generators; the coset of the identity is 0.
+    T = _tables(G)
+    lefts = [T.left(h.images) for h in H.generators]
+    seen, cosets = set(), []
+    for x in range(len(G)):
+        if x not in seen:
+            cosets.append(_orbit((x,), lefts))
+            require(len(cosets[-1]) == len(H), "cosets do not partition the group")
+            seen |= cosets[-1]
+    n = len(cosets)
     if n == 1:
         return ()
-
-    def q_mul(a, b):
-        return rep_of[a * b]
-
-    ident = rep_of[G.identity]
-    orders = {}
-    for r in reps:
-        k = 1
-        acc = r
-        while acc != ident:
-            acc = q_mul(acc, r)
-            k += 1
-        orders[r] = k
-    exponent = max(orders.values())
-    require(lcm(*orders.values()) == exponent, "quotient is not abelian")
+    orders = []
+    for coset in cosets:
+        # the order of the coset of r: the least k with r^k in H
+        step = _rmul(G.elements[min(coset)].images)
+        acc, k = step(G.identity.images), 1
+        while T.pos[acc] not in cosets[0]:
+            acc, k = step(acc), k + 1
+        orders.append(k)
+    exponent = max(orders)
+    require(lcm(*orders) == exponent, "quotient is not abelian")
     divisors = [k for k in range(1, exponent + 1) if exponent % k == 0]
     # counts[k] = #{q : q^k = e} = #{q : ord(q) | k}; these determine the type
-    counts = {k: sum(1 for r in reps if k % orders[r] == 0) for k in divisors}
+    counts = {k: sum(1 for o in orders if k % o == 0) for k in divisors}
     for chain in _divisor_chains(n, exponent):
         if chain and chain[0] != exponent:
             continue
@@ -676,7 +670,9 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
 @group_cache
 def fingerprint(G: PermGroup) -> Fingerprint:
     """Order, center order, abelianization and element-order histogram."""
-    hist = Counter(x.order() for x in G.elements)
+    hist = Counter()
+    for c in conjugacy_classes(G):
+        hist[c.element_order] += c.size
     return Fingerprint(
         order=len(G),
         center_order=len(center(G)),
@@ -687,17 +683,21 @@ def fingerprint(G: PermGroup) -> Fingerprint:
 
 def conjugate_group(G: PermGroup, t: Perm) -> PermGroup:
     """The conjugate group t G t^-1 on the same points."""
-    ti = t.inverse()
-    els = tuple(sorted(t * g * ti for g in G.elements))
-    gens = tuple(t * g * ti for g in G.generators)
-    return PermGroup.from_elements(els, generators=gens)
+    if t.degree != G.degree:
+        raise ValueError("degree mismatch")
+    after = _rmul(t.inverse().images)
+
+    def conj(g: Perm) -> Perm:
+        return Perm._raw(_rmul(after(g.images))(t.images))
+
+    els = tuple(sorted(map(conj, G.elements), key=_images))
+    return PermGroup(map(conj, G.generators), degree=G.degree, _elements=els)
 
 
 def is_a6_certified(G: PermGroup) -> bool:
     """Certificate for "isomorphic to A6": perfect, order 360, A6 class sizes."""
-    if len(G) != 360:
-        return False
-    if derived_subgroup(G) != G:
-        return False
-    sizes = tuple(c.size for c in conjugacy_classes(G))
-    return sizes == A6_CLASS_SIZES
+    return (
+        len(G) == 360
+        and derived_subgroup(G) == G
+        and tuple(c.size for c in conjugacy_classes(G)) == A6_CLASS_SIZES
+    )

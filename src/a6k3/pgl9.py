@@ -16,11 +16,9 @@ from functools import cache
 from .permgrp import (
     Perm,
     PermGroup,
-    _conjugate,
-    _orbit,
-    _with_inverses,
     class_fusion,
     closure,
+    conjugacy_classes,
     derived_subgroup,
     index2_overgroups,
     is_a6_certified,
@@ -234,10 +232,7 @@ def m10_order4_class_check(m10: PermGroup, psl: PermGroup) -> M10CosetFacts:
     coset = [x for x in m10.elements if x not in psl]
     involutions = sum(1 for x in coset if x.order() == 2)
     quads = [x for x in coset if x.order() == 4]
-    one_class = False
-    if quads:
-        orbit = _orbit(quads[:1], _with_inverses(m10.generators), _conjugate)
-        one_class = orbit == set(quads)
+    one_class = any(set(c.members) == set(quads) for c in conjugacy_classes(m10))
     return M10CosetFacts(
         involutions_outside=involutions,
         order4_outside_one_class=one_class,

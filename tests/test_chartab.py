@@ -405,6 +405,19 @@ def test_orthogonality_check_matches_the_full_check():
     assert len(seen) >= 100 and outcomes == {True, False}
 
 
+def test_orthogonality_check_rejects_a_table_of_the_wrong_shape():
+    t = character_table(classify_overgroups().m10)
+    rows = [list(row) for row in t.rows]
+    rows[2][0] = rows[2][0] + CycloNum.zeta(t.exponent, 1)  # an irrational degree
+    for bad, message in (
+        (t.rows + t.rows[-1:], "not square"),
+        (t.rows[:-1], "not square"),
+        (tuple(tuple(row) for row in rows), "positive integer"),
+    ):
+        with pytest.raises(VerificationError, match=message):
+            _verify_orthogonality(replace(t, rows=bad))
+
+
 def test_class_inversion_must_be_a_size_preserving_involution():
     t = character_table(build_pgl29())
     classes = list(t.classes)

@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from a6k3 import chartab, cli, extbuild, k3verify, pgl9
+from a6k3 import chartab, cli, extbuild, k3verify, permgrp, pgl9
 from a6k3.exact import CycloNum
 from a6k3.extbuild import build_all_candidates
 from a6k3.k3verify import NikulinTable, run_exclusion
@@ -62,6 +62,22 @@ def eigenvalue_root(monkeypatch):
     monkeypatch.setattr(chartab, "_eigenvalues", lambda S, p: roots(S, p)[:-1])
 
 
+def table_generator(monkeypatch):
+    # the index tables multiply by s^-1 where they should multiply by s, for
+    # the first generator s of each group that is not an involution
+    build, rmul = permgrp._Tables.__init__, permgrp._rmul
+
+    def mutated(tables, G):
+        first = next((s.images for s in G.generators if s != s.inverse()), None)
+        permgrp._rmul = lambda s: rmul(Perm(s).inverse().images if s == first else s)
+        try:
+            build(tables, G)
+        finally:
+            permgrp._rmul = rmul
+
+    monkeypatch.setattr(permgrp._Tables, "__init__", mutated)
+
+
 # each mutant with the checks it must fail
 MUTANTS = {
     nikulin_order3: {"lefschetz.rank", "decompose.solve", "exclude.error"},
@@ -70,6 +86,7 @@ MUTANTS = {
     mu4_generator: {"groups.error", "exclude.error"},
     fusion_label: {"ext.candidates", "exclude.error"},
     eigenvalue_root: {"chartab.error", "decompose.error", "exclude.error"},
+    table_generator: {"groups.error", "chartab.error", "decompose.error", "exclude.error"},
 }
 
 # the functools.cache builders whose results, or the data memoized on them, a
@@ -80,6 +97,15 @@ REBUILT = {
     # the A6 tables are memoized on PSL(2,9), which is memoized on PGL(2,9);
     # the candidates take their A6 from PSL(2,9), so they are rebuilt with it
     eigenvalue_root: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
+    # the index tables are memoized on every group the builders hold
+    table_generator: (
+        pgl9.build_pgl29,
+        pgl9.build_pgammal29,
+        pgl9.build_psl29,
+        pgl9.classify_overgroups,
+        extbuild.alternating6,
+        extbuild.build_candidate,
+    ),
 }
 
 

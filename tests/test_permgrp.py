@@ -8,6 +8,7 @@ from a6k3.permgrp import (
     A6_CLASS_SIZES,
     Perm,
     PermGroup,
+    _tables,
     center,
     centralizer_of_subgroup,
     class_fusion,
@@ -22,7 +23,7 @@ from a6k3.permgrp import (
     is_a6_certified,
 )
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
-from a6k3.extbuild import alternating6
+from a6k3.extbuild import KINDS, alternating6, build_candidate
 
 
 def naive_closure(gens):
@@ -77,6 +78,12 @@ def test_closure_s3():
     assert set(G.elements) == naive_closure(list(G.generators))
     # canonical element order is lexicographic on image tuples
     assert list(G.elements) == sorted(G.elements)
+
+
+def test_from_elements_needs_the_identity():
+    for elements in ((), [Perm.from_cycles([(0, 1)], 3)]):
+        with pytest.raises(ValueError, match="lacks the identity"):
+            PermGroup.from_elements(elements)
 
 
 def test_lazy_materialization():
@@ -286,3 +293,40 @@ def test_is_a6_certified():
     assert is_a6_certified(alternating6())
     assert is_a6_certified(build_psl29())
     assert not is_a6_certified(build_pgl29())
+
+
+def index_table_groups():
+    split = classify_overgroups()
+    yield from (build_psl29(), split.s6, split.pgl, split.m10, build_pgammal29())
+    yield from (build_candidate(kind).group for kind in KINDS)
+    rng = random.Random(1204)
+    for _ in range(30):
+        degree = rng.randint(3, 6)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            imgs = list(range(degree))
+            rng.shuffle(imgs)
+            gens.append(Perm(imgs))
+        yield closure(gens)
+
+
+def test_index_tables_against_perm_arithmetic():
+    for G in index_table_groups():
+        els = G.elements
+        T = _tables(G)
+        # the index order is the canonical order, with the identity first
+        assert list(els) == sorted(els) and els[0] == G.identity
+        assert T.pos == {x.images: i for i, x in enumerate(els)}
+        for s, right, conj in zip(G.generators, T.right, T.conj):
+            assert [els[i] for i in right] == [x * s for x in els]
+            assert [els[i] for i in conj] == [s.inverse() * x * s for x in els]
+        # the tree reaches every other element once, from an earlier parent
+        reached = {0}
+        for x, p, k in T.tree:
+            assert p in reached and x not in reached
+            assert els[x] == els[p] * G.generators[k]
+            reached.add(x)
+        assert len(reached) == len(G)
+        # tables built along the tree: left multiplication by any element
+        for a in (els[-1], els[len(els) // 2]) + G.generators:
+            assert [els[i] for i in T.left(a.images)] == [a * x for x in els]
