@@ -7,7 +7,8 @@ characteristic polynomial, ascending, degree recovery from the second
 orthogonality relation, and a lift of each value on a class of order o to
 Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  The
 row orthogonality relations of the square table, which imply the column
-relations, are re-verified exactly before a table is returned.
+relations, are re-verified exactly before a table is returned, each row
+pair as one `exact.dot` with a single cyclotomic reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cache, reduce
 from itertools import islice
 from math import isqrt, lcm
 
-from .exact import CycloNum
+from .exact import CycloNum, dot
 from .permgrp import (
     ConjClassData,
     PermGroup,
@@ -356,6 +357,12 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
 
 
 def _verify_orthogonality(table: CharacterTable):
+    """Require sum_i |C_i| chi_a(i) chi_b(i*) = |G| delta_ab for every row
+    pair a <= b of a square table with positive integer degrees.
+
+    Each pair is one `dot` over the classes, so its r products share one
+    reduction modulo Phi_exponent; the sum is compared exactly.
+    """
     classes = table.classes
     r = len(classes)
     order = table.group_order
@@ -371,13 +378,12 @@ def _verify_orthogonality(table: CharacterTable):
     require(involution, "class inversion is not a size-preserving involution")
     # for a square table the row relations X D Y^T = |G| I, with D the class
     # sizes and Y[b][i] = chi_b(i*), imply the column relations Y^T X D = |G| I
+    starred = [[row[i] for i in inv_class] for row in rows]
+    field = lcm(table.exponent, *(v.order for row in rows for v in row))
     for a in range(r):
         for b in range(a, r):
-            total = CycloNum.zero(table.exponent)
-            for i in range(r):
-                total = total + sizes[i] * (rows[a][i] * rows[b][inv_class[i]])
-            expected = order if a == b else 0
-            require(total == expected, f"row orthogonality fails at ({a}, {b})")
+            total = dot(field, sizes, rows[a], starred[b])
+            require(total == (order if a == b else 0), f"row orthogonality fails at ({a}, {b})")
 
 
 # -- the reference A6 table --------------------------------------------------

@@ -10,16 +10,24 @@ arithmetic embeds both operands into Q(zeta_lcm) first.
 Coefficients are ints or Fractions.  The constructor converts any other
 value with Fraction() once and nothing else converts, so a value in Z[zeta_n],
 such as every character value, keeps int coefficients (Phi_n is monic).
+
+Arithmetic costs what the nonzero terms cost.  `dot` is the one coefficient
+convolution: it accumulates a whole sum of products in one dense list,
+skipping zero coefficients, and reduces it once; a product of two values is
+a `dot` of one term.  `_reduce` subtracts only the nonzero terms of Phi_n,
+6 of the 32 lower coefficients of Phi_120.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import gcd, lcm
 
 __all__ = [
     "CycloNum",
+    "dot",
     "euler_phi",
     "cyclotomic_polynomial",
     "galois_apply",
@@ -77,19 +85,29 @@ def _degree(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 
 
+@cache
+def _phi_terms(order: int) -> tuple[tuple[int, int], ...]:
+    # the nonzero lower terms (j, c) of Phi_order = x^deg + sum c x^j
+    return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(order)[:-1]) if c)
+
+
 def _reduce(order: int, dense) -> tuple[int | Fraction, ...]:
-    # Polynomial remainder modulo Phi_order, padded to length phi(order).
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
+    # Polynomial remainder modulo Phi_order, padded to length phi(order):
+    # x^i = -sum c x^(i - deg + j) over the nonzero lower terms of Phi_order.
+    deg, terms = _degree(order), _phi_terms(order)
     cs = list(dense)
     for i in range(len(cs) - 1, deg - 1, -1):
         c = cs[i]
         if c:
-            for j in range(deg):
-                cs[i - deg + j] -= c * phi[j]
+            base = i - deg
+            for j, p in terms:
+                cs[base + j] -= c * p
     cs = cs[:deg]
     cs.extend([0] * (deg - len(cs)))
     return tuple(cs)
+
+
+_EXACT = {int, Fraction}
 
 
 class CycloNum:
@@ -98,7 +116,9 @@ class CycloNum:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not set(map(type, coeffs)) <= _EXACT:
+            coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs)
         deg = _degree(order)
         if len(coeffs) != deg:
             raise ValueError(f"need phi({order}) = {deg} coefficients, got {len(coeffs)}")
@@ -204,14 +224,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        dense = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        dense[i + j] += x * y
-        return CycloNum(a.order, _reduce(a.order, dense))
+        return dot(lcm(self.order, other.order), (1,), (self,), (other,))
 
     __rmul__ = __mul__
 
@@ -285,6 +298,35 @@ class CycloNum:
 
     def __repr__(self):
         return f"CycloNum({self.order}, {self.render_text()!r})"
+
+
+def dot(order: int, weights, xs, ys) -> CycloNum:
+    """sum_i weights[i] * xs[i] * ys[i] in Q(zeta_order).
+
+    weights are ints or Fractions, xs and ys CycloNums whose orders divide
+    order.  zeta_m^i is zeta_order^(i * order/m), so every product of
+    nonzero coefficients lands in one dense list at its exponent over
+    zeta_order, and the sum is reduced modulo Phi_order once.
+    """
+    dense = [0] * (2 * order - 1)  # an exponent is below 2 * order - 1
+    top = 0
+    for w, x, y in zip(weights, xs, ys, strict=True):
+        if not w:
+            continue
+        if order % x.order or order % y.order:
+            raise ValueError(f"orders {x.order} and {y.order} do not both divide {order}")
+        sx, sy, xc, yc = order // x.order, order // y.order, x.coeffs, y.coeffs
+        # the exponents of the nonzero coefficients, found in C
+        xt = list(compress(range(len(xc)), xc))
+        yt = [(j * sy, yc[j]) for j in compress(range(len(yc)), yc)]
+        if xt and yt:
+            top = max(top, xt[-1] * sx + yt[-1][0])
+            for i in xt:
+                a, at = xc[i] * w, i * sx
+                for j, b in yt:
+                    dense[at + j] += a * b
+    del dense[top + 1 :]  # so that the reduction scans only written exponents
+    return CycloNum(order, _reduce(order, dense))
 
 
 def _solve_columns(columns, rhs):

@@ -18,10 +18,13 @@ from .permgrp import (
     Perm,
     PermGroup,
     FusionType,
+    _rmul,
+    _tables,
     centralizer_of_subgroup,
     class_fusion,
     closure,
     derived_subgroup,
+    element_orders,
     fingerprint,
     group_cache,
     is_a6_certified,
@@ -102,14 +105,13 @@ class ExtensionCandidate:
         }
 
 
-def _tail_exponent(x: Perm, base: int) -> int:
-    # x must act on the 4 appended points as a power of the 4-cycle
-    k = (x(base) - base) % 4
-    require(
-        all(x(base + j) == base + (j + k) % 4 for j in range(4)),
-        "element does not act as a mu4 power on the tail",
-    )
-    return k
+def _tail_exponents(G: PermGroup, base: int) -> dict:
+    """x -> k for each x in G acting on the points base.. as the k-th power
+    of the 4-cycle there; every element must act as one."""
+    rotations = {tuple(base + (j + k) % 4 for j in range(4)): k for k in range(4)}
+    ks = [rotations.get(x.images[base:]) for x in G.elements]
+    require(None not in ks, "element does not act as a mu4 power on the tail")
+    return dict(zip(G.elements, ks))
 
 
 @cache
@@ -130,13 +132,14 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
     elif kind == "PGL29_2":
         N_act = build_psl29()
         pgl = build_pgl29()
-        h = min(x for x in pgl.elements if x.order() == 10)
+        h = min(x for x, o in zip(pgl.elements, element_orders(pgl)) if o == 10)
         g = h ** 5
         require(g.order() == 2 and g not in N_act, "h^5 is not an outer involution")
     else:  # M10_2
         N_act = build_psl29()
         split = classify_overgroups()
-        quads = sorted(x for x in split.m10.elements if x not in N_act and x.order() == 4)
+        m10 = split.m10
+        quads = sorted(x for x, o in zip(m10.elements, element_orders(m10)) if o == 4 and x not in N_act)
         g = quads[coset_choice]
     if kind != "M10_2" and coset_choice != 0:
         raise ValueError("coset_choice only varies the M10_2 construction")
@@ -148,7 +151,7 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
     require(len(group) == 1440, f"{kind} has order {len(group)}, not 1440")
     require(derived_subgroup(group) == a6, f"the derived subgroup of {kind} is not the embedded A6")
 
-    alpha = {x: _tail_exponent(x, N_act.degree) for x in group.elements}
+    alpha = _tail_exponents(group, N_act.degree)
     require(alpha[gtilde] == 1, "gtilde does not map to zeta4")
     return ExtensionCandidate(
         kind=kind,
@@ -217,12 +220,19 @@ def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:
     )
     require(f_candidates, "no central involution with alpha = -1 found")
     f = f_candidates[0]
-    half_kernel = {x for x in G.elements if alpha[x] % 2 == 0}
-    product = set(a6.elements) | {a * f for a in a6.elements}
+    # the right coset a6 * z as indices of G: one itemgetter pass
+    pos, a6_images = _tables(G).pos, [a.images for a in a6.elements]
+
+    def coset(z: Perm) -> set:
+        return set(map(pos.__getitem__, map(_rmul(z.images), a6_images)))
+
+    alpha_at = [alpha[x] for x in G.elements]
+    half_kernel = {x for x, k in enumerate(alpha_at) if k % 2 == 0}
+    product = coset(ident) | coset(f)
     half_is_product = (f not in a6) and half_kernel == product
 
-    inner_acting = {a * z for a in a6.elements for z in cent.elements}
-    outer_ok = all(alpha[x] % 2 == 1 for x in G.elements if x not in inner_acting)
+    inner_acting = set().union(*map(coset, cent.elements))
+    outer_ok = all(k % 2 == 1 for x, k in enumerate(alpha_at) if x not in inner_acting)
 
     powers = [cand.gtilde ** k for k in range(1, 4)]
     split = cand.gtilde.order() == 4 and all(p not in a6 for p in powers)

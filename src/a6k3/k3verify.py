@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .chartab import CharacterTable, class_labels, display_value, match_reference_table
 from .exact import CycloNum
 from .extbuild import KINDS, ExtensionCandidate, identify
-from .permgrp import Perm, PermGroup, centralizer_of_subgroup, conjugacy_classes, require
+from .permgrp import Perm, PermGroup, centralizer_of_subgroup, conjugacy_classes, element_orders, require
 
 __all__ = [
     "NikulinTable",
@@ -437,11 +437,11 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     name = "order5_blocks"
     if candidate.kind != "PGL29_2":
         raise ValueError("argument applies to the PGL29_2 candidate only")
-    gtilde = candidate.gtilde
+    gtilde, a6 = candidate.gtilde, candidate.a6
     sigmas = [
         x
-        for x in candidate.a6.elements
-        if x.order() == 5 and x * gtilde == gtilde * x
+        for x, o in zip(a6.elements, element_orders(a6))
+        if o == 5 and x * gtilde == gtilde * x
     ]
     require(sigmas, "no order-5 element commuting with gtilde")
     sigma = min(sigmas)
@@ -709,15 +709,22 @@ def _diagonal(gram) -> list[Fraction]:
     return [m[i][i] for i in range(n)]
 
 
+def _determinant(diag) -> Fraction:
+    return prod(diag, start=Fraction(1))
+
+
+def _signature(diag) -> tuple[int, int]:
+    return sum(d > 0 for d in diag), sum(d < 0 for d in diag)
+
+
 def gram_determinant(gram) -> Fraction:
     """Determinant of a symmetric matrix: the product of its diagonal form."""
-    return prod(_diagonal(gram), start=Fraction(1))
+    return _determinant(_diagonal(gram))
 
 
 def gram_signature(gram) -> tuple[int, int]:
     """Signature (positive, negative) of a symmetric matrix."""
-    diag = _diagonal(gram)
-    return sum(d > 0 for d in diag), sum(d < 0 for d in diag)
+    return _signature(_diagonal(gram))
 
 
 def gram_is_even(gram) -> bool:
@@ -765,14 +772,16 @@ def lattice_checks() -> LatticeReport:
     entries = []
     ok = True
     for lattice in lattices:
-        det = gram_determinant(lattice.gram)
+        # one elimination gives both the determinant and the signature
+        diag = _diagonal(lattice.gram)
+        det = _determinant(diag)
         require(det.denominator == 1, "an integer Gram matrix has a non-integral determinant")
         facts = LatticeFacts(
             name=lattice.name,
             rank=lattice.rank,
             determinant=int(det),
             even=gram_is_even(lattice.gram),
-            signature=gram_signature(lattice.gram),
+            signature=_signature(diag),
         )
         want = expected[lattice.name]
         if (facts.rank, facts.determinant, facts.even, facts.signature) != want:

@@ -32,7 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import gcd, lcm, prod
-from operator import attrgetter, itemgetter
+from itertools import compress
+from operator import attrgetter, eq, itemgetter
 
 MAX_GROUP_ORDER = 10**6
 
@@ -48,6 +49,7 @@ __all__ = [
     "group_cache",
     "closure",
     "conjugacy_classes",
+    "element_orders",
     "center",
     "derived_subgroup",
     "centralizer_of_subgroup",
@@ -453,17 +455,36 @@ def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     return tuple(out)
 
 
+@group_cache
+def element_orders(G: PermGroup) -> tuple[int, ...]:
+    """The order of each element of G, in canonical element order, read
+    off its conjugacy class."""
+    orders = [c.element_order for c in conjugacy_classes(G)]
+    return tuple(map(orders.__getitem__, _classes(G)[1]))
+
+
 def _subgroup(G: PermGroup, indices, generators=None) -> PermGroup:
+    """The subgroup of G on the given element indices.  Without generators,
+    Dimino's algorithm over the members keeps those that are not redundant,
+    and their closure must be exactly the member set."""
     members = tuple(map(G.elements.__getitem__, sorted(indices)))
-    H = PermGroup(members if generators is None else generators, degree=G.degree, _elements=members)
+    if generators is None:
+        imgs = [m.images for m in members]
+        closed, used = _dimino(imgs, G.degree, MAX_GROUP_ORDER)
+        require(closed == set(imgs), "the members are not closed under multiplication")
+        generators = map(Perm._raw, used)
+    H = PermGroup(generators, degree=G.degree, _elements=members)
     require(len(G) % len(H) == 0, "Lagrange check failed")
     return H
 
 
 def center(G: PermGroup) -> PermGroup:
     """The elements that conjugation by every generator fixes."""
-    conj = _tables(G).conj
-    return _subgroup(G, [x for x in range(len(G)) if all(T[x] == x for T in conj)])
+    indices = range(len(G))
+    fixed = set(indices)
+    for T in _tables(G).conj:
+        fixed.intersection_update(compress(indices, map(eq, T, indices)))
+    return _subgroup(G, fixed)
 
 
 @group_cache

@@ -20,6 +20,7 @@ from .permgrp import (
     closure,
     conjugacy_classes,
     derived_subgroup,
+    element_orders,
     index2_overgroups,
     is_a6_certified,
     require,
@@ -229,9 +230,9 @@ def m10_order4_class_check(m10: PermGroup, psl: PermGroup) -> M10CosetFacts:
     """Element-order facts about the nontrivial coset of PSL(2,9) in M10."""
     if not psl.is_subgroup_of(m10) or len(m10) != 2 * len(psl):
         raise ValueError("psl must have index 2 in m10")
-    coset = [x for x in m10.elements if x not in psl]
-    involutions = sum(1 for x in coset if x.order() == 2)
-    quads = [x for x in coset if x.order() == 4]
+    coset = [(x, o) for x, o in zip(m10.elements, element_orders(m10)) if x not in psl]
+    involutions = sum(1 for x, o in coset if o == 2)
+    quads = [x for x, o in coset if o == 4]
     one_class = any(set(c.members) == set(quads) for c in conjugacy_classes(m10))
     return M10CosetFacts(
         involutions_outside=involutions,

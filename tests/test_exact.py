@@ -9,7 +9,9 @@ import pytest
 
 from a6k3.exact import (
     CycloNum,
+    _reduce,
     cyclotomic_polynomial,
+    dot,
     euler_phi,
     galois_apply,
 )
@@ -196,3 +198,87 @@ def test_coefficient_rule():
         assert all(type(c) is int for c in w.coeffs)
     half = Fraction(1, 2) * CycloNum.zeta(5)
     assert any(type(c) is Fraction for c in half.coeffs)
+
+
+def random_sparse(rng: random.Random, order: int) -> CycloNum:
+    # like a table value: mostly zero coefficients, ints or Fractions
+    coeffs = [0] * euler_phi(order)
+    for _ in range(rng.randint(0, 3)):
+        value = rng.randint(-5, 5)
+        coeffs[rng.randrange(len(coeffs))] = Fraction(value, rng.randint(1, 3)) if rng.random() < 0.3 else value
+    return CycloNum(order, coeffs)
+
+
+def test_dot_matches_the_termwise_sum():
+    rng = random.Random(60605)
+    for _ in range(200):
+        field = rng.choice((12, 20, 60, 120))
+        orders = [d for d in range(1, field + 1) if field % d == 0]
+        n = rng.randint(0, 6)
+        weights = [rng.choice((0, rng.randint(-50, 50), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))) for _ in range(n)]
+        xs = [random_sparse(rng, rng.choice(orders)) for _ in range(n)]
+        ys = [random_sparse(rng, rng.choice(orders)) for _ in range(n)]
+        got = dot(field, weights, xs, ys)
+        termwise = CycloNum.zero(field)
+        for w, x, y in zip(weights, xs, ys):
+            termwise = termwise + w * (x * y)
+        assert got.order == field and got == termwise
+        assert abs(evaluate(got) - sum(float(w) * evaluate(x) * evaluate(y) for w, x, y in zip(weights, xs, ys))) < 1e-6
+        if all(type(c) is int for v in xs + ys for c in v.coeffs) and all(type(w) is int for w in weights):
+            assert all(type(c) is int for c in got.coeffs)
+    with pytest.raises(ValueError):
+        dot(12, [1], [CycloNum.zeta(5)], [CycloNum.one()])  # 5 does not divide 12
+    with pytest.raises(ValueError):
+        dot(12, [1, 1], [CycloNum.one()], [CycloNum.one()])  # lengths differ
+
+
+def full_width_reduce(order, dense):
+    # the reduction over every lower coefficient of Phi_order, zeros included
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    cs = list(dense)
+    for i in range(len(cs) - 1, deg - 1, -1):
+        c = cs[i]
+        if c:
+            for j in range(deg):
+                cs[i - deg + j] -= c * phi[j]
+    cs = cs[:deg]
+    cs.extend([0] * (deg - len(cs)))
+    return tuple(cs)
+
+
+def test_reduce_matches_the_full_width_loop():
+    rng = random.Random(60606)
+    orders = [d for d in range(1, 121) if 120 % d == 0] + [7, 9, 16, 18, 21, 35, 36, 105]
+    for order in orders:
+        for _ in range(10):
+            dense = [0] * rng.randint(1, 2 * order)
+            for _ in range(rng.randint(0, 6)):
+                value = rng.randint(-20, 20)
+                dense[rng.randrange(len(dense))] = Fraction(value, rng.randint(1, 4)) if rng.random() < 0.3 else value
+            got = _reduce(order, dense)
+            assert got == full_width_reduce(order, dense)
+            if all(type(d) is int for d in dense):
+                assert all(type(c) is int for c in got)
+
+
+def test_constructor_coercion_randomized():
+    # ints, bools and Fractions pass unchanged; floats and strings go
+    # through Fraction()
+    rng = random.Random(60607)
+    makers = (
+        lambda: rng.randint(-9, 9),
+        lambda: rng.choice((True, False)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        lambda: rng.randint(-40, 40) / 8,
+        lambda: f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}",
+    )
+    for _ in range(200):
+        order = rng.choice((1, 4, 5, 12))
+        given = [rng.choice(makers)() for _ in range(euler_phi(order))]
+        got = CycloNum(order, iter(given)).coeffs
+        for g, c in zip(given, got, strict=True):
+            if isinstance(g, (int, Fraction)):
+                assert c is g
+            else:
+                assert type(c) is Fraction and c == Fraction(g)

@@ -8,6 +8,8 @@ from a6k3.permgrp import (
     A6_CLASS_SIZES,
     Perm,
     PermGroup,
+    VerificationError,
+    _subgroup,
     _tables,
     center,
     centralizer_of_subgroup,
@@ -17,6 +19,7 @@ from a6k3.permgrp import (
     conjugate_group,
     conjugation_image,
     derived_subgroup,
+    element_orders,
     fingerprint,
     fusion_type,
     index2_overgroups,
@@ -330,3 +333,29 @@ def test_index_tables_against_perm_arithmetic():
         # tables built along the tree: left multiplication by any element
         for a in (els[-1], els[len(els) // 2]) + G.generators:
             assert [els[i] for i in T.left(a.images)] == [a * x for x in els]
+
+
+def test_subgroup_generators_close_to_the_members():
+    # center and centralizer_of_subgroup name only the members; the derived
+    # generators are not redundant, so each one at least doubles the order
+    A6 = alternating6()
+    triv = PermGroup.from_elements((Perm.identity(6),))
+    groups = [centralizer_of_subgroup(A6, triv), center(A6)]
+    for G in index_table_groups():
+        groups += [center(G), centralizer_of_subgroup(G, closure(G.generators[:1]))]
+    for H in groups:
+        assert 2 ** len(H.generators) <= len(H)
+        if len(H) > 1:
+            assert closure(H.generators).elements == H.elements
+        else:
+            assert H.generators == ()
+    assert len(groups[0].generators) < 9
+    # a member set that is not closed fails the closure check
+    x = next(x for x in A6.elements if x.order() == 3)
+    with pytest.raises(VerificationError, match="not closed"):
+        _subgroup(A6, [0, A6.elements.index(x)])
+
+
+def test_element_orders_against_perm_orders():
+    for G in index_table_groups():
+        assert element_orders(G) == tuple(x.order() for x in G.elements)
