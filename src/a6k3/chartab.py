@@ -334,12 +334,13 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
             o = c.element_order
             step, inv_o = e // o, pow(o, p - 2, p)
             values = [chi_p[c.power_map[l]] for l in range(o)]
-            counts = [0] * e
+            # the power map has period o, so only the exponents t * e/o carry
+            # counts, and the list ends at the highest of them; each count
+            # lies in [0, p), so the sum also bounds every count by d
+            counts = [0] * ((o - 1) * step + 1)
             for t in range(o):
                 acc = sum(v * theta_pow[-t * l * step % e] for l, v in enumerate(values))
                 counts[t * step] = acc * inv_o % p
-            # the power map has period o, so the other counts are 0; each count
-            # lies in [0, p), so the sum also bounds every count by d
             require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
             row.append(CycloNum.from_power_counts(e, counts))
         rows.append(tuple(row))

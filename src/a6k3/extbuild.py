@@ -18,6 +18,7 @@ from .permgrp import (
     Perm,
     PermGroup,
     FusionType,
+    _pad,
     _rmul,
     _tables,
     centralizer_of_subgroup,
@@ -108,7 +109,9 @@ class ExtensionCandidate:
 def _tail_exponents(G: PermGroup, base: int) -> dict:
     """x -> k for each x in G acting on the points base.. as the k-th power
     of the 4-cycle there; every element must act as one."""
-    rotations = {tuple(base + (j + k) % 4 for j in range(4)): k for k in range(4)}
+    # the k-th power sends base + j to base + (j + k) % 4; built here, not
+    # from mu4_cycle, which a fault check replaces
+    rotations = {Perm([*range(base), *(base + (j + k) % 4 for j in range(4))]).images[base:]: k for k in range(4)}
     ks = [rotations.get(x.images[base:]) for x in G.elements]
     require(None not in ks, "element does not act as a mu4 power on the tail")
     return dict(zip(G.elements, ks))
@@ -220,11 +223,11 @@ def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:
     )
     require(f_candidates, "no central involution with alpha = -1 found")
     f = f_candidates[0]
-    # the right coset a6 * z as indices of G: one itemgetter pass
-    pos, a6_images = _tables(G).pos, [a.images for a in a6.elements]
+    # the right coset a6 * z as indices of G: one pass of compositions
+    pos, a6_padded = _tables(G).pos, [_pad(a.images) for a in a6.elements]
 
     def coset(z: Perm) -> set:
-        return set(map(pos.__getitem__, map(_rmul(z.images), a6_images)))
+        return set(map(pos.__getitem__, map(_rmul(z.images), a6_padded)))
 
     alpha_at = [alpha[x] for x in G.elements]
     half_kernel = {x for x, k in enumerate(alpha_at) if k % 2 == 0}

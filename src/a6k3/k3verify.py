@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .chartab import CharacterTable, class_labels, display_value, match_reference_table
 from .exact import CycloNum
 from .extbuild import KINDS, ExtensionCandidate, identify
-from .permgrp import Perm, PermGroup, centralizer_of_subgroup, conjugacy_classes, element_orders, require
+from .permgrp import Perm, PermGroup, centralizer_of_subgroup, closure, conjugacy_classes, element_orders, require
 
 __all__ = [
     "NikulinTable",
@@ -438,11 +438,9 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     if candidate.kind != "PGL29_2":
         raise ValueError("argument applies to the PGL29_2 candidate only")
     gtilde, a6 = candidate.gtilde, candidate.a6
-    sigmas = [
-        x
-        for x, o in zip(a6.elements, element_orders(a6))
-        if o == 5 and x * gtilde == gtilde * x
-    ]
+    # the centralizer of <gtilde> is read from the candidate's index tables
+    commuting = centralizer_of_subgroup(candidate.group, closure([gtilde]))
+    sigmas = [x for x, o in zip(a6.elements, element_orders(a6)) if o == 5 and x in commuting]
     require(sigmas, "no order-5 element commuting with gtilde")
     sigma = min(sigmas)
 

@@ -2,14 +2,17 @@
 
 Groups at this scale (a few thousand elements at most) are materialized
 completely; no stabilizer chains.  Canonical element order is lexicographic
-on image tuples, and every deterministic-output contract in the package
+on image sequences, and every deterministic-output contract in the package
 refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
-The primitives run on indices.  `_dimino`, Dimino's algorithm (G. Butler,
-*Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991), builds
-every element set from image tuples composed by `operator.itemgetter`, and
-each element is wrapped in a `Perm` once.  Then an element is its index in
+A permutation's images are stored as bytes up to degree 256 and as a tuple
+above; only `_pack`, `_pad` and `_rmul` know which.  Bytes cache their hash
+and sort like tuples of ints, and a composition is one `bytes.translate`
+call.  The primitives run on indices.  `_dimino`, Dimino's algorithm
+(G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
+1991), builds every element set from composed images, and each element is
+wrapped in a `Perm` once.  Then an element is its index in
 `G.elements`: `_tables(G)` holds int tables for right multiplication and
 conjugation by each generator, and a spanning tree of the Cayley graph
 along which a table for any element takes one pass.  `_orbit` is the one
@@ -79,7 +82,8 @@ def require(condition, message: str) -> None:
 
 
 class Perm:
-    """A permutation of {0, ..., degree-1}, stored as its image tuple."""
+    """A permutation of {0, ..., degree-1}, stored as its images in the
+    format of `_pack`: bytes up to degree 256, a tuple of ints above."""
 
     __slots__ = ("images", "_hash")
 
@@ -87,12 +91,12 @@ class Perm:
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images)-1}: {images}")
-        self.images = images
-        self._hash = hash(images)
+        self.images = _pack(images)
+        self._hash = hash(self.images)
 
     @classmethod
-    def _raw(cls, images: tuple) -> "Perm":
-        # Internal fast path: caller guarantees images is a valid tuple.
+    def _raw(cls, images) -> "Perm":
+        # Internal fast path: caller guarantees images is valid and packed.
         p = object.__new__(cls)
         p.images = images
         p._hash = hash(images)
@@ -100,7 +104,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls._raw(tuple(range(degree)))
+        return cls._raw(_pack(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -115,10 +119,10 @@ class Perm:
         b = other.images
         if len(a) != len(b):
             raise ValueError("degree mismatch")
-        return Perm._raw(_rmul(b)(a))
+        return Perm._raw(_rmul(b)(_pad(a)))
 
     def inverse(self) -> "Perm":
-        return Perm._raw(tuple(sorted(range(len(self.images)), key=self.images.__getitem__)))
+        return Perm._raw(_pack(sorted(range(len(self.images)), key=self.images.__getitem__)))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
@@ -203,7 +207,7 @@ class Perm:
         images = list(range(degree))
         for i, j in enumerate(self.images):
             images[offset + i] = offset + j
-        return Perm._raw(tuple(images))
+        return Perm._raw(_pack(images))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -218,29 +222,50 @@ class Perm:
         return f"Perm[{self.cycle_string()}]"
 
 
-def _rmul(s: tuple):
-    """The map x |-> x * s on image tuples, one C call per x."""
-    return itemgetter(*s) if len(s) > 1 else lambda x: tuple(x[i] for i in s)
+# Only these three helpers know the image format.  Up to degree 256 images
+# are bytes: they hash once and compare like tuples of ints, and x * s is
+# s.translate(x padded to 256 entries), one C call.  Above, they are tuples
+# composed by itemgetter; conjugation_image acts on 360 points.
+# _TAILS[n]: the points n..255, which an n-point image fixes as a table
+_TAILS = [bytes(range(256))[n:] for n in range(257)]
+
+
+def _pack(images):
+    """The stored images of a permutation given by a sized sequence of ints."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
+def _pad(x):
+    """x as the argument of `_rmul(s)`: bytes grow to a 256-entry translation
+    table by the points it fixes; tuples stay."""
+    return x + _TAILS[len(x)] if type(x) is bytes else x
+
+
+def _rmul(s):
+    """The map _pad(x) |-> x * s on stored images, one C call per x."""
+    return s.translate if type(s) is bytes else itemgetter(*s)
 
 
 def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
-    """The image tuples of <gens>, and the generators that were not redundant.
+    """The stored images of <gens>, and the generators that were not redundant.
 
     Dimino's algorithm: adding x to the closed set <used> makes a union of
     right cosets <used> * r.  A representative times a generator lies in a
     known coset or starts a new one, so each new element costs one
-    composition of image tuples.
+    composition.
     """
-    els = {tuple(range(degree))}
+    one = _pack(range(degree))
+    els = {one}
     used = []
     for x in gens:
         if x in els:
             continue
-        base = tuple(els)
+        base = list(map(_pad, els))
         used.append(x)
         muls = [_rmul(s) for s in used]
-        reps = [tuple(range(degree))]
+        reps = [one]
         for r in reps:
+            r = _pad(r)
             for mul in muls:
                 if (y := mul(r)) not in els:
                     els.update(map(_rmul(y), base))
@@ -371,9 +396,10 @@ class _Tables:
     def __init__(self, G: PermGroup):
         imgs = [x.images for x in G.elements]
         self.pos = dict(zip(imgs, range(len(imgs))))
+        padded = list(map(_pad, imgs))
         try:
-            # per generator s: x -> x * s, one itemgetter pass
-            self.right = right = [list(map(self.pos.__getitem__, map(_rmul(s.images), imgs))) for s in G.generators]
+            # per generator s: x -> x * s, one pass of compositions
+            self.right = right = [list(map(self.pos.__getitem__, map(_rmul(s.images), padded))) for s in G.generators]
         except KeyError:
             raise VerificationError("the elements are not closed under the generators") from None
         # a spanning tree of the Cayley graph: x = p * (generator k), parents first
@@ -397,8 +423,8 @@ class _Tables:
             out[x] = tables[k][out[p]]
         return out
 
-    def left(self, a: tuple) -> list[int]:
-        """x -> a * x, for a given by its image tuple: a p s = (a p) s."""
+    def left(self, a) -> list[int]:
+        """x -> a * x, for a given by its images: a p s = (a p) s."""
         return self.along(self.right, self.pos[a])
 
 
@@ -449,7 +475,7 @@ def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
         step, acc, powers = _rmul(rep.images), G.identity.images, []
         for _ in range(order):
             powers.append(class_of[pos[acc]])
-            acc = step(acc)
+            acc = step(_pad(acc))
         power_map = tuple(powers * (exponent // order))
         out.append(ConjClassData(rep, len(members), order, power_map, tuple(map(els.__getitem__, members))))
     return tuple(out)
@@ -492,7 +518,13 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     """Normal closure of all generator-pair commutators, verified normal."""
     els, T = G.elements, _tables(G)
     pairs = [(g.images, g.inverse().images) for g in G.generators]
-    seeds = {T.pos[_rmul(bi)(_rmul(ai)(_rmul(b)(a)))] for a, ai in pairs for b, bi in pairs}
+    seeds = set()
+    for a, ai in pairs:
+        for b, bi in pairs:
+            x = a
+            for s in (b, ai, bi):
+                x = _rmul(s)(_pad(x))
+            seeds.add(T.pos[x])
     # the normal closure is generated by the conjugates of the seeds
     conjugates = _orbit(seeds, T.conj)
     sub, used = _dimino([els[i].images for i in sorted(conjugates)], G.degree, MAX_GROUP_ORDER)
@@ -539,12 +571,12 @@ def conjugation_image(G: PermGroup, A: PermGroup):
     the permutation a |-> g a g^-1 of those labels.
     """
     # the tables act by s^-1, so s acts by their inverses
-    gen_imgs = [Perm._raw(tuple(C)).inverse() for C in _normal_action(G, A)[1]]
+    gen_imgs = [Perm._raw(_pack(C)).inverse() for C in _normal_action(G, A)[1]]
     steps = [_rmul(f.images) for f in gen_imgs]
     # g |-> (a |-> g a g^-1) is a homomorphism: p s maps to image(p) * image(s)
-    imgs = [tuple(range(len(A)))] * len(G)
+    imgs = [_pack(range(len(A)))] * len(G)
     for x, p, k in _tables(G).tree:
-        imgs[x] = steps[k](imgs[p])
+        imgs[x] = steps[k](_pad(imgs[p]))
     interned = {f: Perm._raw(f) for f in imgs}
     mapping = {g: interned[f] for g, f in zip(G.elements, imgs)}
     image = PermGroup.from_elements(interned.values(), generators=gen_imgs, point_labels=A)
@@ -597,7 +629,7 @@ def fusion_type(image: PermGroup) -> FusionType:
     if not isinstance(A, PermGroup):
         raise ValueError("image does not carry its acted-on group")
     # precondition: the inner automorphisms (by the inverse generators) lie in the image
-    if any(Perm._raw(tuple(C)) not in image for C in _tables(A).conj):
+    if any(Perm._raw(_pack(C)) not in image for C in _tables(A).conj):
         raise ValueError("image does not contain the inner automorphisms")
     return _fusion(A, [sigma.images for sigma in image.generators])
 
@@ -671,9 +703,9 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
     for coset in cosets:
         # the order of the coset of r: the least k with r^k in H
         step = _rmul(G.elements[min(coset)].images)
-        acc, k = step(G.identity.images), 1
+        acc, k = step(_pad(G.identity.images)), 1
         while T.pos[acc] not in cosets[0]:
-            acc, k = step(acc), k + 1
+            acc, k = step(_pad(acc)), k + 1
         orders.append(k)
     exponent = max(orders)
     require(lcm(*orders) == exponent, "quotient is not abelian")
@@ -706,10 +738,10 @@ def conjugate_group(G: PermGroup, t: Perm) -> PermGroup:
     """The conjugate group t G t^-1 on the same points."""
     if t.degree != G.degree:
         raise ValueError("degree mismatch")
-    after = _rmul(t.inverse().images)
+    after, before = _rmul(t.inverse().images), _pad(t.images)
 
     def conj(g: Perm) -> Perm:
-        return Perm._raw(_rmul(after(g.images))(t.images))
+        return Perm._raw(_rmul(after(_pad(g.images)))(before))
 
     els = tuple(sorted(map(conj, G.elements), key=_images))
     return PermGroup(map(conj, G.generators), degree=G.degree, _elements=els)

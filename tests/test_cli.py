@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import a6k3
 from a6k3.cli import COMMANDS, REPORT_VERSION, build_report, main
 
 REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
@@ -122,3 +127,32 @@ def test_verbose_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert code == 0
     json.loads(captured.out)  # stdout stays parseable
+
+
+COUNT_PERM_PRODUCTS = """
+import contextlib, io
+from a6k3 import cli, permgrp
+
+mul, count = permgrp.Perm.__mul__, [0]
+
+def counting(p, q):
+    count[0] += 1
+    return mul(p, q)
+
+permgrp.Perm.__mul__ = counting
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["all", "--format", "json"])
+print(code, count[0])
+"""
+
+
+def test_cold_report_multiplies_through_the_index_tables():
+    # group work runs on int tables and composed images, not on Perm
+    # products; what is left is __pow__ and single-element checks
+    env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_PERM_PRODUCTS], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    code, products = map(int, out.split())
+    assert code == 0
+    assert products <= 57

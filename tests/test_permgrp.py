@@ -313,26 +313,57 @@ def index_table_groups():
         yield closure(gens)
 
 
+def assert_tables_match_perm_arithmetic(G):
+    els = G.elements
+    T = _tables(G)
+    # the index order is the canonical order, with the identity first
+    assert list(els) == sorted(els) and els[0] == G.identity
+    assert T.pos == {x.images: i for i, x in enumerate(els)}
+    for s, right, conj in zip(G.generators, T.right, T.conj):
+        assert [els[i] for i in right] == [x * s for x in els]
+        assert [els[i] for i in conj] == [s.inverse() * x * s for x in els]
+    # the tree reaches every other element once, from an earlier parent
+    reached = {0}
+    for x, p, k in T.tree:
+        assert p in reached and x not in reached
+        assert els[x] == els[p] * G.generators[k]
+        reached.add(x)
+    assert len(reached) == len(G)
+    # tables built along the tree: left multiplication by any element
+    for a in (els[-1], els[len(els) // 2]) + G.generators:
+        assert [els[i] for i in T.left(a.images)] == [a * x for x in els]
+
+
 def test_index_tables_against_perm_arithmetic():
     for G in index_table_groups():
-        els = G.elements
-        T = _tables(G)
-        # the index order is the canonical order, with the identity first
-        assert list(els) == sorted(els) and els[0] == G.identity
-        assert T.pos == {x.images: i for i, x in enumerate(els)}
-        for s, right, conj in zip(G.generators, T.right, T.conj):
-            assert [els[i] for i in right] == [x * s for x in els]
-            assert [els[i] for i in conj] == [s.inverse() * x * s for x in els]
-        # the tree reaches every other element once, from an earlier parent
-        reached = {0}
-        for x, p, k in T.tree:
-            assert p in reached and x not in reached
-            assert els[x] == els[p] * G.generators[k]
-            reached.add(x)
-        assert len(reached) == len(G)
-        # tables built along the tree: left multiplication by any element
-        for a in (els[-1], els[len(els) // 2]) + G.generators:
-            assert [els[i] for i in T.left(a.images)] == [a * x for x in els]
+        assert_tables_match_perm_arithmetic(G)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 14, 256, 257, 300])
+def test_image_format_boundary(degree):
+    # images are bytes up to degree 256 and tuples above; both formats must
+    # give the same group arithmetic, with points near the top moved
+    if degree == 1:
+        gens = [Perm.identity(1)]
+    else:
+        pts = sorted({0, degree // 2, degree - 2, degree - 1})
+        gens = [Perm.from_cycles([pts], degree), Perm.from_cycles([pts[-2:]], degree)]
+    for p in gens:
+        assert type(p.images) is (bytes if degree <= 256 else tuple)
+        assert Perm(p.images) == Perm(tuple(p.images)) == Perm(list(p.images)) == p
+    G = closure(gens)
+    assert set(G.elements) == naive_closure(gens)
+    assert len(G) == (1 if degree == 1 else 2 if degree == 2 else 24)
+    assert_tables_match_perm_arithmetic(G)
+    imgs = list(range(degree))
+    random.Random(degree).shuffle(imgs)
+    t = Perm(imgs)
+    H = conjugate_group(G, t)
+    assert H.elements == tuple(sorted(t * g * t.inverse() for g in G.elements))
+    assert H.generators == tuple(sorted(t * g * t.inverse() for g in G.generators))
+    for p in G.elements:
+        for q in gens:
+            assert p.embedded(300) * q.embedded(300) == (p * q).embedded(300)
 
 
 def test_subgroup_generators_close_to_the_members():
