@@ -20,7 +20,7 @@ from functools import cache, reduce
 from itertools import islice
 from math import isqrt, lcm
 
-from .exact import CycloNum, dot
+from .exact import CycloNum, dot, prime_factors
 from .permgrp import (
     ConjClassData,
     PermGroup,
@@ -105,16 +105,7 @@ def group_exponent(G: PermGroup) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def admissible_primes(G: PermGroup):
@@ -195,20 +186,9 @@ def _eigenvalues(S, p):
 
 def _primitive_root(p: int) -> int:
     # smallest primitive root mod p; p-1 is small enough for trial factoring
-    n = p - 1
-    factors = set()
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            factors.add(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
-        if all(pow(g, n // q, p) != 1 for q in factors):
+    factors = prime_factors(p - 1)
+    for g in range(1, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise VerificationError("no primitive root found")
 

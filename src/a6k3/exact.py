@@ -29,26 +29,33 @@ __all__ = [
     "CycloNum",
     "dot",
     "euler_phi",
+    "prime_factors",
     "cyclotomic_polynomial",
     "galois_apply",
 ]
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient of n."""
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def euler_phi(n: int) -> int:
+    """Euler totient of n."""
+    result = n
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 

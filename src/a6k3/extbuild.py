@@ -18,12 +18,10 @@ from .permgrp import (
     Perm,
     PermGroup,
     FusionType,
-    _pad,
-    _rmul,
-    _tables,
     centralizer_of_subgroup,
     class_fusion,
     closure,
+    cosets,
     derived_subgroup,
     element_orders,
     fingerprint,
@@ -223,19 +221,15 @@ def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:
     )
     require(f_candidates, "no central involution with alpha = -1 found")
     f = f_candidates[0]
-    # the right coset a6 * z as indices of G: one pass of compositions
-    pos, a6_padded = _tables(G).pos, [_pad(a.images) for a in a6.elements]
+    # the right cosets a6 * x, a6 first, and the parities of alpha on each
+    parts = cosets(G, a6)
+    coset_of = {x: k for k, c in enumerate(parts) for x in c}
+    parities = [{alpha[x] % 2 for x in c} for c in parts]
+    even = {0, coset_of[f]}
+    half_is_product = (f not in a6) and all(p == ({0} if k in even else {1}) for k, p in enumerate(parities))
 
-    def coset(z: Perm) -> set:
-        return set(map(pos.__getitem__, map(_rmul(z.images), a6_padded)))
-
-    alpha_at = [alpha[x] for x in G.elements]
-    half_kernel = {x for x, k in enumerate(alpha_at) if k % 2 == 0}
-    product = coset(ident) | coset(f)
-    half_is_product = (f not in a6) and half_kernel == product
-
-    inner_acting = set().union(*map(coset, cent.elements))
-    outer_ok = all(k % 2 == 1 for x, k in enumerate(alpha_at) if x not in inner_acting)
+    inner_acting = {coset_of[z] for z in cent.elements}
+    outer_ok = all(p == {1} for k, p in enumerate(parities) if k not in inner_acting)
 
     powers = [cand.gtilde ** k for k in range(1, 4)]
     split = cand.gtilde.order() == 4 and all(p not in a6 for p in powers)

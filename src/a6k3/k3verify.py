@@ -241,7 +241,6 @@ def solve_decomposition(system: DecompositionSystem) -> tuple[MultiplicityVector
 # -- the sign-case analysis ----------------------------------------------------
 
 
-@cache
 def picard_multiplicities(table: CharacterTable, nikulin: NikulinTable = NikulinTable()) -> MultiplicityVector:
     """The unique solved multiplicity vector, recomputed rather than assumed."""
     solutions = solve_decomposition(decomposition_system(table, nikulin))
@@ -310,9 +309,9 @@ def _order3_positions(table: CharacterTable):
 
 
 def argument_3class_trace(
-    case: SignCase, table: CharacterTable, nikulin: NikulinTable = NikulinTable()
+    case: SignCase, table: CharacterTable, mv: MultiplicityVector
 ) -> ArgumentOutcome:
-    """Trace of iota*sigma on the Picard lattice for an order-3 sigma.
+    """Trace of iota*sigma on the Picard lattice, with multiplicities mv, for an order-3 sigma.
 
     For the mixed sign cases there is an order-3 class on which
     1 + eps2*chi2 + eps3*chi3 + eps6*chi6 is negative, violating axiom A2
@@ -321,7 +320,6 @@ def argument_3class_trace(
     name = "3class_trace"
     if case not in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
         return ArgumentOutcome(name, None, case, NOT_APPLICABLE, {"reason": "sign case outside the argument's range"})
-    mv = picard_multiplicities(table, nikulin)
     signs = {2: case.eps2, 3: case.eps3, 6: case.eps6}
     rows = _degree_rows(table)
     labels = class_labels(table.classes)
@@ -558,6 +556,7 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
             raise ValueError(f"candidate labeled {kind} identifies differently")
 
     cases = nonpositive_sign_cases()
+    mv = picard_multiplicities(table, nikulin)
     outcomes = []
     for kind in ("A6_4", "S6_2", "PGL29_2"):
         cand = by_kind[kind]
@@ -568,7 +567,7 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
         )
         for case in cases:
             if case in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
-                out = argument_3class_trace(case, table, nikulin)
+                out = argument_3class_trace(case, table, mv)
                 out = replace(out, kind=kind)
             elif case == SignCase(-1, -1, -1):
                 out = argument_nonintegral(case, swap23=cand.fusion.swaps_3)

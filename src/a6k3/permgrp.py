@@ -16,8 +16,9 @@ wrapped in a `Perm` once.  Then an element is its index in
 `G.elements`: `_tables(G)` holds int tables for right multiplication and
 conjugation by each generator, and a spanning tree of the Cayley graph
 along which a table for any element takes one pass.  `_orbit` is the one
-breadth-first search over them (classes, normal closures, cosets), and
-`_fusion` the one class-fusion routine.
+breadth-first search over such tables (normal closures), and `_orbits` the
+one partition into orbits (conjugacy classes, cosets); the tree is built by
+its own breadth-first search.  `_fusion` is the one class-fusion routine.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
@@ -35,8 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import gcd, lcm, prod
-from itertools import compress
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, itemgetter
 
 MAX_GROUP_ORDER = 10**6
 
@@ -56,6 +56,7 @@ __all__ = [
     "center",
     "derived_subgroup",
     "centralizer_of_subgroup",
+    "cosets",
     "conjugation_image",
     "class_fusion",
     "fusion_type",
@@ -284,6 +285,16 @@ def _orbit(seeds, tables) -> set:
     return orbit
 
 
+def _orbits(n: int, tables) -> list[set]:
+    """The orbits of range(n) under the int tables, ordered by least member."""
+    seen, orbits = set(), []
+    for x in range(n):
+        if x not in seen:
+            orbits.append(_orbit((x,), tables))
+            seen |= orbits[-1]
+    return orbits
+
+
 def group_cache(fn):
     """Memoize fn(G, *args, **kwargs) in G's own memo, freed with G."""
 
@@ -435,13 +446,8 @@ _tables = group_cache(_Tables)
 def _classes(G: PermGroup) -> tuple[list[list[int]], list[int]]:
     """The conjugacy classes as ascending index lists in canonical order
     (element order, size, least element), and the class of each index."""
-    els, conj = G.elements, _tables(G).conj
-    seen, classes = set(), []
-    for x in range(len(els)):
-        if x not in seen:
-            orbit = _orbit((x,), conj)
-            seen |= orbit
-            classes.append(sorted(orbit))
+    els = G.elements
+    classes = [sorted(orbit) for orbit in _orbits(len(els), _tables(G).conj)]
     classes.sort(key=lambda members: (els[members[0]].order(), len(members), members[0]))
     require(sum(map(len, classes)) == len(G), "class equation violated")
     class_of = [0] * len(G)
@@ -504,15 +510,6 @@ def _subgroup(G: PermGroup, indices, generators=None) -> PermGroup:
     return H
 
 
-def center(G: PermGroup) -> PermGroup:
-    """The elements that conjugation by every generator fixes."""
-    indices = range(len(G))
-    fixed = set(indices)
-    for T in _tables(G).conj:
-        fixed.intersection_update(compress(indices, map(eq, T, indices)))
-    return _subgroup(G, fixed)
-
-
 @group_cache
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Normal closure of all generator-pair commutators, verified normal."""
@@ -534,16 +531,16 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     return H
 
 
-def _normal_action(G: PermGroup, A: PermGroup) -> tuple[list[int], list[list[int]]]:
-    """The indices in G of A's elements, and per generator s of G the map
-    a |-> s^-1 a s on A's indices; ValueError unless A is normal in G."""
+def _normal_action(G: PermGroup, A: PermGroup) -> list[list[int]]:
+    """Per generator s of G the map a |-> s^-1 a s on A's element indices;
+    ValueError unless A is a normal subgroup of G."""
     T = _tables(G)
     inside = [T.pos.get(a.images) for a in A.elements]
     if None in inside:
         raise ValueError("A is not a subgroup of G")
     back = dict(zip(inside, range(len(inside))))
     try:
-        return inside, [[back[C[x]] for x in inside] for C in T.conj]
+        return [[back[C[x]] for x in inside] for C in T.conj]
     except KeyError:
         raise ValueError("A is not normal in G") from None
 
@@ -562,6 +559,23 @@ def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
     return _subgroup(G, members)
 
 
+def center(G: PermGroup) -> PermGroup:
+    """The centralizer of G in itself."""
+    return centralizer_of_subgroup(G, G)
+
+
+@group_cache
+def cosets(G: PermGroup, H: PermGroup) -> tuple[tuple[Perm, ...], ...]:
+    """The right cosets H x of a subgroup H of G, each ascending, ordered by least
+    member with H first: G's orbits under left multiplication by H's generators."""
+    T = _tables(G)
+    if any(h.images not in T.pos for h in H.generators):
+        raise ValueError("H is not a subgroup of G")
+    orbits = _orbits(len(G), [T.left(h.images) for h in H.generators])
+    require(all(len(orbit) == len(H) for orbit in orbits), "cosets do not partition the group")
+    return tuple(tuple(map(G.elements.__getitem__, sorted(orbit))) for orbit in orbits)
+
+
 @group_cache
 def conjugation_image(G: PermGroup, A: PermGroup):
     """The conjugation action of G on A's element list.
@@ -571,7 +585,7 @@ def conjugation_image(G: PermGroup, A: PermGroup):
     the permutation a |-> g a g^-1 of those labels.
     """
     # the tables act by s^-1, so s acts by their inverses
-    gen_imgs = [Perm._raw(_pack(C)).inverse() for C in _normal_action(G, A)[1]]
+    gen_imgs = [Perm._raw(_pack(C)).inverse() for C in _normal_action(G, A)]
     steps = [_rmul(f.images) for f in gen_imgs]
     # g |-> (a |-> g a g^-1) is a homomorphism: p s maps to image(p) * image(s)
     imgs = [_pack(range(len(A)))] * len(G)
@@ -616,7 +630,7 @@ def class_fusion(G: PermGroup, A: PermGroup) -> FusionType:
     """Class-fusion pattern of G acting on its normal subgroup A by conjugation."""
     # conjugating by s^-1 instead of s inverts the class permutation, which
     # swaps a class pair exactly when the one of s does
-    return _fusion(A, _normal_action(G, A)[1])
+    return _fusion(A, _normal_action(G, A))
 
 
 def fusion_type(image: PermGroup) -> FusionType:
@@ -636,22 +650,13 @@ def fusion_type(image: PermGroup) -> FusionType:
 
 def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
     """The three H with A < H < G when G/A is the Klein four-group."""
-    inside = _normal_action(G, A)[0]
+    _normal_action(G, A)
     if len(G) != 4 * len(A):
         raise ValueError("index of A in G is not 4")
-    els, aset, covered, cosets = G.elements, set(inside), set(inside), []
-    for g in range(len(G)):
-        if g in covered:
-            continue
-        left = _tables(G).left(els[g].images)
-        # (g a)^2 lies in g^2 A, so the coset representatives decide the exponent
-        if left[g] not in aset:
-            raise ValueError("quotient is not C2 x C2")
-        coset = {left[a] for a in inside}
-        covered |= coset
-        cosets.append(coset)
-    require(len(cosets) == 3, "A has other than three nontrivial cosets in G")
-    out = [_subgroup(G, aset | coset, A.generators + (els[min(coset)],)) for coset in cosets]
+    if _abelian_invariants(G, A) != (2, 2):
+        raise ValueError("quotient is not C2 x C2")
+    pos, (A_els, *others) = _tables(G).pos, cosets(G, A)
+    out = [_subgroup(G, (pos[x.images] for x in A_els + c), A.generators + (c[0],)) for c in others]
     return tuple(sorted(out, key=lambda H: H.elements))
 
 
@@ -686,25 +691,15 @@ def _divisor_chains(n: int, head: int):
 
 def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
     # Invariant factors of the abelian quotient G/H of normal H, from
-    # order-dividing counts.  The coset H x is the orbit of x under left
-    # multiplication by H's generators; the coset of the identity is 0.
-    T = _tables(G)
-    lefts = [T.left(h.images) for h in H.generators]
-    seen, cosets = set(), []
-    for x in range(len(G)):
-        if x not in seen:
-            cosets.append(_orbit((x,), lefts))
-            require(len(cosets[-1]) == len(H), "cosets do not partition the group")
-            seen |= cosets[-1]
-    n = len(cosets)
-    if n == 1:
-        return ()
+    # order-dividing counts; the trivial quotient has the empty chain.
+    parts = cosets(G, H)
+    inside = {x.images for x in parts[0]}
     orders = []
-    for coset in cosets:
+    for coset in parts:
         # the order of the coset of r: the least k with r^k in H
-        step = _rmul(G.elements[min(coset)].images)
+        step = _rmul(coset[0].images)
         acc, k = step(_pad(G.identity.images)), 1
-        while T.pos[acc] not in cosets[0]:
+        while acc not in inside:
             acc, k = step(_pad(acc)), k + 1
         orders.append(k)
     exponent = max(orders)
@@ -712,7 +707,7 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
     divisors = [k for k in range(1, exponent + 1) if exponent % k == 0]
     # counts[k] = #{q : q^k = e} = #{q : ord(q) | k}; these determine the type
     counts = {k: sum(1 for o in orders if k % o == 0) for k in divisors}
-    for chain in _divisor_chains(n, exponent):
+    for chain in _divisor_chains(len(parts), exponent):
         if chain and chain[0] != exponent:
             continue
         if all(counts[k] == prod(gcd(d, k) for d in chain) for k in divisors):

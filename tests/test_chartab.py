@@ -8,12 +8,14 @@ from math import gcd
 
 import pytest
 
-from a6k3.exact import CycloNum, galois_apply
+from a6k3.exact import CycloNum, euler_phi, galois_apply, prime_factors
 from a6k3.permgrp import Perm, VerificationError, closure, conjugacy_classes
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from a6k3.chartab import (
     _eigenvalues,
+    _is_prime,
     _nullspace,
+    _primitive_root,
     _verify_orthogonality,
     admissible_primes,
     character_table,
@@ -440,3 +442,23 @@ def test_class_inversion_must_be_a_size_preserving_involution():
     for cls in (not_involution, size_changing):
         with pytest.raises(VerificationError, match="involution"):
             _verify_orthogonality(replace(t, classes=tuple(cls)))
+
+
+def test_factorization_against_brute_force():
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+    for n in range(1, 2000):
+        assert prime_factors(n) == [p for p in primes if n % p == 0]
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert _is_prime(n) == (n in primes)
+
+    def order(g, p):
+        x, k = g % p, 1
+        while x != 1:
+            x, k = x * g % p, k + 1
+        return k
+
+    for p in primes:
+        # the least g of multiplicative order p - 1
+        assert _primitive_root(p) == next(g for g in range(1, p) if order(g, p) == p - 1)
+    with pytest.raises(ValueError):
+        prime_factors(0)

@@ -1,6 +1,9 @@
 """Lefschetz bookkeeping, the decomposition system, and the exclusion tree."""
 
+import gc
 import random
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -168,14 +171,17 @@ def test_euler_iota():
 
 
 def test_argument_3class_trace():
+    from a6k3.k3verify import picard_multiplicities
+
     table = a6_table()
+    mv = picard_multiplicities(table)
     for case in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
-        out = argument_3class_trace(case, table)
+        out = argument_3class_trace(case, table, mv)
         assert out.status == CONTRADICTION
         assert out.witnesses["trace"] == -2
         assert sum(out.witnesses["terms"]) == -2
         assert out.axioms == ("A2",)
-    out = argument_3class_trace(SignCase(-1, -1, 1), table)
+    out = argument_3class_trace(SignCase(-1, -1, 1), table, mv)
     assert out.status == NOT_APPLICABLE
 
 
@@ -190,6 +196,17 @@ def test_generic_picard_trace():
     # at the order-2 class: 1 + 1 + 1 + 1 = 4, the fixed-count bookkeeping
     pos2 = next(i for i, c in enumerate(table.classes) if c.element_order == 2)
     assert trace_on_picard(mv, {}, table, pos2) == 4
+
+
+def test_picard_multiplicities_keeps_no_table_alive():
+    from a6k3.k3verify import picard_multiplicities
+
+    table = replace(a6_table())  # a copy that nothing else holds
+    assert picard_multiplicities(table) == MultiplicityVector(1, 1, 0, 0, 1, 0)
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None
 
 
 def test_argument_nonintegral():

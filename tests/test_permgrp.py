@@ -1,9 +1,12 @@
 """Permutation group machinery against brute-force oracles."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import a6k3
 from a6k3.permgrp import (
     A6_CLASS_SIZES,
     Perm,
@@ -18,6 +21,7 @@ from a6k3.permgrp import (
     conjugacy_classes,
     conjugate_group,
     conjugation_image,
+    cosets,
     derived_subgroup,
     element_orders,
     fingerprint,
@@ -217,6 +221,13 @@ def test_index2_overgroups():
     pgl = build_pgl29()
     with pytest.raises(ValueError):
         index2_overgroups(pgl, psl)  # index 2, not 4
+    cand = build_candidate("M10_2")
+    with pytest.raises(ValueError, match="not C2 x C2"):
+        index2_overgroups(cand.group, cand.a6)  # the quotient is mu4
+    S4 = closure([Perm.from_cycles([(0, 1)], 4), Perm.from_cycles([(0, 1, 2, 3)], 4)])
+    S3 = closure([Perm.from_cycles([(0, 1)], 4), Perm.from_cycles([(0, 1, 2)], 4)])
+    with pytest.raises(ValueError, match="not normal"):
+        index2_overgroups(S4, S3)  # index 4, a point stabilizer
 
 
 def test_fingerprint_examples():
@@ -390,3 +401,23 @@ def test_subgroup_generators_close_to_the_members():
 def test_element_orders_against_perm_orders():
     for G in index_table_groups():
         assert element_orders(G) == tuple(x.order() for x in G.elements)
+
+
+def test_cosets_against_perm_arithmetic():
+    for G in index_table_groups():
+        for H in (derived_subgroup(G), center(G), closure(G.generators[:1])):
+            parts = cosets(G, H)
+            # the cosets partition G, ordered by least member, H first
+            assert parts[0] == H.elements
+            assert sorted(x for c in parts for x in c) == list(G.elements)
+            assert [c[0] for c in parts] == sorted(c[0] for c in parts)
+            for c in parts:
+                assert list(c) == sorted(c) and set(c) == {h * c[0] for h in H.elements}
+
+
+def test_image_format_stays_in_permgrp():
+    # only _pack, _pad and _rmul know how images are stored
+    src = Path(a6k3.__file__).parent
+    pattern = re.compile(r"\b_(pack|pad|rmul)\b")
+    leaks = [p.name for p in sorted(src.glob("*.py")) if p.name != "permgrp.py" and pattern.search(p.read_text())]
+    assert leaks == []
