@@ -84,7 +84,7 @@ def stage_groups() -> list[dict]:
     ]
     split = classify_overgroups()
     over = {"s6": split.s6, "pgl": split.pgl, "m10": split.m10}
-    distinct = len({H.elements for H in over.values()}) == 3
+    distinct = len({H.images for H in over.values()}) == 3
     checks.append(
         _check(
             "groups.overgroups",

@@ -7,18 +7,20 @@ refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
 A permutation's images are stored as bytes up to degree 256 and as a tuple
-above; only `_pack`, `_pad` and `_rmul` know which.  Bytes cache their hash
-and sort like tuples of ints, and a composition is one `bytes.translate`
-call.  The primitives run on indices.  `_dimino`, Dimino's algorithm
-(G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
-1991), builds every element set from composed images, and each element is
-wrapped in a `Perm` once.  Then an element is its index in
-`G.elements`: `_tables(G)` holds int tables for right multiplication and
-conjugation by each generator, and a spanning tree of the Cayley graph
-along which a table for any element takes one pass.  `_orbit` is the one
-breadth-first search over such tables (normal closures), and `_orbits` the
-one partition into orbits (conjugacy classes, cosets); the tree is built by
-its own breadth-first search.  `_fusion` is the one class-fusion routine.
+above; only `_pack`, `_pad`, `_pads`, `_rmul` and `_conjugation` know which.
+Bytes cache their hash and sort like tuples of ints, and a composition is
+one `bytes.translate` call.  A group is the ascending tuple of its images,
+`G.images`, from `_dimino`, Dimino's algorithm (G. Butler, *Fundamental
+Algorithms for Permutation Groups*, LNCS 559, 1991); `G.elements` wraps them
+in `Perm`s when first read.  Membership is a bisection, and facts about a
+subgroup A of G are C passes over images: the derived subgroup, centralizers
+(a filter of G's images) and the action of G on A (through A's index).
+`_tables(G)`, for work on every element of G by index (conjugacy classes,
+cosets, structure constants, `conjugation_image`), holds int tables for right
+multiplication and conjugation by each generator, and a spanning tree of the
+Cayley graph along which a table for any element takes one pass.  `_orbit` is
+the one breadth-first search, `_orbits` the one partition into orbits, and
+`_fusion` the one class-fusion routine; the tree has its own search.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
@@ -32,11 +34,13 @@ Bad caller input raises `ValueError`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
+from itertools import compress, repeat
 from math import gcd, lcm, prod
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, eq, itemgetter, methodcaller
 
 MAX_GROUP_ORDER = 10**6
 
@@ -223,10 +227,11 @@ class Perm:
         return f"Perm[{self.cycle_string()}]"
 
 
-# Only these three helpers know the image format.  Up to degree 256 images
-# are bytes: they hash once and compare like tuples of ints, and x * s is
-# s.translate(x padded to 256 entries), one C call.  Above, they are tuples
-# composed by itemgetter; conjugation_image acts on 360 points.
+# Only these helpers know the image format.  Up to degree 256 images are
+# bytes: they hash once and compare like tuples of ints, x * s is
+# s.translate(x padded to 256 entries) and s * x is x.translate(s padded),
+# one C call each.  Above, they are tuples composed by itemgetter;
+# conjugation_image acts on 360 points.
 # _TAILS[n]: the points n..255, which an n-point image fixes as a table
 _TAILS = [bytes(range(256))[n:] for n in range(257)]
 
@@ -242,9 +247,22 @@ def _pad(x):
     return x + _TAILS[len(x)] if type(x) is bytes else x
 
 
+def _pads(xs, degree: int):
+    """map(_pad, xs) for stored images of the given degree, one C pass."""
+    return map(add, xs, repeat(_TAILS[degree])) if degree <= 256 else xs
+
+
 def _rmul(s):
     """The map _pad(x) |-> x * s on stored images, one C call per x."""
     return s.translate if type(s) is bytes else itemgetter(*s)
+
+
+def _conjugation(s: Perm, degree: int):
+    """The map xs |-> (s^-1 x s for x in xs) on stored images, in C passes."""
+    t, right = s.inverse().images, _rmul(s.images)
+    # x |-> s^-1 * x
+    left = methodcaller("translate", _pad(t)) if type(t) is bytes else lambda x: itemgetter(*x)(t)
+    return lambda xs: map(right, _pads(map(left, xs), degree))
 
 
 def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
@@ -261,7 +279,7 @@ def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
     for x in gens:
         if x in els:
             continue
-        base = list(map(_pad, els))
+        base = list(_pads(els, degree))
         used.append(x)
         muls = [_rmul(s) for s in used]
         reps = [one]
@@ -276,11 +294,11 @@ def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
     return els, used
 
 
-def _orbit(seeds, tables) -> set:
-    """Every index reachable from seeds through the int tables."""
+def _orbit(seeds, step) -> set:
+    """Every point reachable from seeds; step(points) is the set of their images."""
     orbit = frontier = set(seeds)
     while frontier:
-        frontier = {T[x] for T in tables for x in frontier} - orbit
+        frontier = step(frontier) - orbit
         orbit |= frontier
     return orbit
 
@@ -290,7 +308,7 @@ def _orbits(n: int, tables) -> list[set]:
     seen, orbits = set(), []
     for x in range(n):
         if x not in seen:
-            orbits.append(_orbit((x,), tables))
+            orbits.append(_orbit((x,), lambda xs: {T[y] for T in tables for y in xs}))
             seen |= orbits[-1]
     return orbits
 
@@ -308,14 +326,14 @@ def group_cache(fn):
     return cached
 
 
-_images = attrgetter("images")
+_images_of = attrgetter("images")
 
 
 class PermGroup:
     """A finitely generated permutation group with its full element set."""
 
-    def __init__(self, generators, degree=None, _elements=None, point_labels=None):
-        gens = tuple(sorted(set(generators), key=_images))
+    def __init__(self, generators, degree=None, _images=None, _elements=None, point_labels=None):
+        gens = tuple(sorted(set(generators), key=_images_of))
         if degree is None:
             if not gens:
                 raise ValueError("need generators or an explicit degree")
@@ -324,18 +342,21 @@ class PermGroup:
             raise ValueError("generators act on different degrees")
         self._degree = degree
         self._gens = gens
+        self._images = _images
         self._elements = _elements
         self.point_labels = point_labels
         self._memo = {}
 
     @classmethod
     def from_elements(cls, elements, generators=None, point_labels=None) -> "PermGroup":
-        elements = tuple(sorted(set(elements), key=_images))
+        by_images = {x.images: x for x in elements}
+        imgs = tuple(sorted(by_images))
         # the identity is the least element of any set containing it
-        if not elements or elements[0] != Perm.identity(elements[0].degree):
+        if not imgs or imgs[0] != _pack(range(len(imgs[0]))):
             raise ValueError("element set lacks the identity")
+        elements = tuple(map(by_images.__getitem__, imgs))
         gens = tuple(generators) if generators is not None else elements
-        return cls(gens, degree=elements[0].degree, _elements=elements, point_labels=point_labels)
+        return cls(gens, len(imgs[0]), imgs, elements, point_labels)
 
     @property
     def degree(self) -> int:
@@ -345,41 +366,47 @@ class PermGroup:
     def generators(self) -> tuple[Perm, ...]:
         return self._gens
 
-    @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        if self._elements is not None:
-            return self._elements
-        els, _ = _dimino([g.images for g in self._gens], self._degree, MAX_GROUP_ORDER)
-        return tuple(map(Perm._raw, sorted(els)))
+    @property
+    def images(self) -> tuple:
+        """The stored images of the elements, ascending; the identity is first."""
+        if self._images is None:
+            els, _ = _dimino([g.images for g in self._gens], self._degree, MAX_GROUP_ORDER)
+            self._images = tuple(sorted(els))
+        return self._images
 
-    @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        """The elements in canonical order, wrapped when first read."""
+        if self._elements is None:
+            self._elements = tuple(map(Perm._raw, self.images))
+        return self._elements
 
     @property
     def identity(self) -> Perm:
         return Perm.identity(self._degree)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.images)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, perm):
-        return perm in self.element_set
+        # x >= imgs[0], the identity, so the index is never -1
+        imgs, x = self.images, perm.images
+        return len(x) == self._degree and imgs[bisect_right(imgs, x) - 1] == x
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self._degree == other._degree and self.element_set <= other.element_set
+        return self._degree == other._degree and all(g in other for g in self._gens)
 
     def __eq__(self, other):
         if not isinstance(other, PermGroup):
             return NotImplemented
-        return self._degree == other._degree and self.elements == other.elements
+        return self._degree == other._degree and self.images == other.images
 
     @cached_property
     def _hash(self):
-        return hash((self._degree, self.elements))
+        return hash((self._degree, self.images))
 
     def __hash__(self):
         return self._hash
@@ -397,17 +424,17 @@ def closure(generators, *, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different degrees")
     els, _ = _dimino([g.images for g in gens], degree, max_order)
-    return PermGroup(gens, degree=degree, _elements=tuple(map(Perm._raw, sorted(els))))
+    return PermGroup(gens, degree, tuple(sorted(els)))
 
 
 class _Tables:
     """The index core of G, built on first use by `_tables` and memoized on
-    G: element i is G.elements[i], the identity is 0, and tables hold indices."""
+    G: element i is G.images[i], the identity is 0, and tables hold indices."""
 
     def __init__(self, G: PermGroup):
-        imgs = [x.images for x in G.elements]
+        imgs = G.images
         self.pos = dict(zip(imgs, range(len(imgs))))
-        padded = list(map(_pad, imgs))
+        padded = list(_pads(imgs, G.degree))
         try:
             # per generator s: x -> x * s, one pass of compositions
             self.right = right = [list(map(self.pos.__getitem__, map(_rmul(s.images), padded))) for s in G.generators]
@@ -495,17 +522,18 @@ def element_orders(G: PermGroup) -> tuple[int, ...]:
     return tuple(map(orders.__getitem__, _classes(G)[1]))
 
 
-def _subgroup(G: PermGroup, indices, generators=None) -> PermGroup:
-    """The subgroup of G on the given element indices.  Without generators,
+def _subgroup(G: PermGroup, images, generators=None) -> PermGroup:
+    """The subgroup of G on the given stored images.  Without generators,
     Dimino's algorithm over the members keeps those that are not redundant,
-    and their closure must be exactly the member set."""
-    members = tuple(map(G.elements.__getitem__, sorted(indices)))
+    and their closure must be exactly the member set.  If G has wrapped its
+    elements, the subgroup shares those Perms."""
+    imgs = tuple(sorted(images))
     if generators is None:
-        imgs = [m.images for m in members]
         closed, used = _dimino(imgs, G.degree, MAX_GROUP_ORDER)
         require(closed == set(imgs), "the members are not closed under multiplication")
         generators = map(Perm._raw, used)
-    H = PermGroup(generators, degree=G.degree, _elements=members)
+    els = G._elements and tuple(map(G._elements.__getitem__, map(partial(bisect_left, G.images), imgs)))
+    H = PermGroup(generators, G.degree, imgs, els)
     require(len(G) % len(H) == 0, "Lagrange check failed")
     return H
 
@@ -513,7 +541,6 @@ def _subgroup(G: PermGroup, indices, generators=None) -> PermGroup:
 @group_cache
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Normal closure of all generator-pair commutators, verified normal."""
-    els, T = G.elements, _tables(G)
     pairs = [(g.images, g.inverse().images) for g in G.generators]
     seeds = set()
     for a, ai in pairs:
@@ -521,47 +548,44 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
             x = a
             for s in (b, ai, bi):
                 x = _rmul(s)(_pad(x))
-            seeds.add(T.pos[x])
+            seeds.add(x)
     # the normal closure is generated by the conjugates of the seeds
-    conjugates = _orbit(seeds, T.conj)
-    sub, used = _dimino([els[i].images for i in sorted(conjugates)], G.degree, MAX_GROUP_ORDER)
-    H = _subgroup(G, map(T.pos.__getitem__, sub), [els[T.pos[h]] for h in used])
+    steps = [_conjugation(s, G.degree) for s in G.generators]
+    conjugates = _orbit(seeds, lambda xs: set().union(*(step(xs) for step in steps)))
+    sub, used = _dimino(sorted(conjugates), G.degree, MAX_GROUP_ORDER)
     # s^-1 <used> s has the order of H, so conjugating used is enough
-    require(all(els[C[T.pos[h]]].images in sub for C in T.conj for h in used), "derived subgroup not normal")
-    return H
+    require(all(sub.issuperset(step(used)) for step in steps), "derived subgroup not normal")
+    return _subgroup(G, sub, map(Perm._raw, used))
 
 
 def _normal_action(G: PermGroup, A: PermGroup) -> list[list[int]]:
     """Per generator s of G the map a |-> s^-1 a s on A's element indices;
     ValueError unless A is a normal subgroup of G."""
-    T = _tables(G)
-    inside = [T.pos.get(a.images) for a in A.elements]
-    if None in inside:
+    if not all(a in G for a in A.generators):
         raise ValueError("A is not a subgroup of G")
-    back = dict(zip(inside, range(len(inside))))
+    pos = _tables(A).pos
     try:
-        return [[back[C[x]] for x in inside] for C in T.conj]
+        return [list(map(pos.__getitem__, _conjugation(s, G.degree)(A.images))) for s in G.generators]
     except KeyError:
         raise ValueError("A is not normal in G") from None
 
 
 @group_cache
 def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
-    """{g in G : ga = ag for all a in A}."""
-    T = _tables(G)
-    if any(a.images not in T.pos for a in A.elements):
+    """{g in G : ga = ag for all a in A}: G's images filtered by each
+    generator a of A in turn, keeping the x with a^-1 x a = x."""
+    if not all(a in G for a in A.generators):
         raise ValueError("A is not a subgroup of G")
-    members = range(len(G))
+    members = G.images
     for a in A.generators:
-        # x commutes with a iff x^-1 a x = a = moved[0]; (p s)^-1 a (p s) = s^-1 (p^-1 a p) s
-        moved = T.along(T.conj, T.pos[a.images])
-        members = [x for x in members if moved[x] == moved[0]]
+        members = list(compress(members, map(eq, _conjugation(a, G.degree)(members), members)))
     return _subgroup(G, members)
 
 
+@group_cache
 def center(G: PermGroup) -> PermGroup:
-    """The centralizer of G in itself."""
-    return centralizer_of_subgroup(G, G)
+    """The elements that form a conjugacy class on their own."""
+    return _subgroup(G, [G.images[c[0]] for c in _classes(G)[0] if len(c) == 1])
 
 
 @group_cache
@@ -655,9 +679,9 @@ def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
         raise ValueError("index of A in G is not 4")
     if _abelian_invariants(G, A) != (2, 2):
         raise ValueError("quotient is not C2 x C2")
-    pos, (A_els, *others) = _tables(G).pos, cosets(G, A)
-    out = [_subgroup(G, (pos[x.images] for x in A_els + c), A.generators + (c[0],)) for c in others]
-    return tuple(sorted(out, key=lambda H: H.elements))
+    A_els, *others = cosets(G, A)
+    out = [_subgroup(G, (x.images for x in A_els + c), A.generators + (c[0],)) for c in others]
+    return tuple(sorted(out, key=_images_of))
 
 
 @dataclass(frozen=True)
@@ -733,13 +757,9 @@ def conjugate_group(G: PermGroup, t: Perm) -> PermGroup:
     """The conjugate group t G t^-1 on the same points."""
     if t.degree != G.degree:
         raise ValueError("degree mismatch")
-    after, before = _rmul(t.inverse().images), _pad(t.images)
-
-    def conj(g: Perm) -> Perm:
-        return Perm._raw(_rmul(after(_pad(g.images)))(before))
-
-    els = tuple(sorted(map(conj, G.elements), key=_images))
-    return PermGroup(map(conj, G.generators), degree=G.degree, _elements=els)
+    conj = _conjugation(t.inverse(), G.degree)
+    gens = map(Perm._raw, conj(g.images for g in G.generators))
+    return PermGroup(gens, G.degree, tuple(sorted(conj(G.images))))
 
 
 def is_a6_certified(G: PermGroup) -> bool:

@@ -1,6 +1,5 @@
 """The four A6.mu4 candidates: construction, structure, identification."""
 
-import gc
 import random
 import weakref
 
@@ -9,6 +8,7 @@ import pytest
 from a6k3.permgrp import (
     Perm,
     PermGroup,
+    _Tables,
     center,
     centralizer_of_subgroup,
     closure,
@@ -209,6 +209,25 @@ def test_identify_under_relabeling():
             assert identify(relabeled_copy(cand, rng)) == kind
 
 
+def test_relabeled_identify_tabulates_only_the_a6(monkeypatch):
+    # identify reads the facts about a6 inside G off images: index tables
+    # are built for groups of order at most 360, and G is never wrapped
+    cands = [build_candidate(kind) for kind in KINDS]
+    orders, build = [], _Tables.__init__
+
+    def counting(tables, G):
+        orders.append(len(G))
+        build(tables, G)
+
+    monkeypatch.setattr(_Tables, "__init__", counting)
+    rng = random.Random(4246)
+    for cand in cands:
+        G = relabeled_copy(cand, rng)
+        assert identify(G) == cand.kind
+        assert G._elements is None
+    assert orders and max(orders) <= 360
+
+
 def test_identify_under_regenerated_generating_set():
     rng = random.Random(4243)
     for kind in KINDS:
@@ -254,8 +273,8 @@ def test_derived_data_is_freed_with_its_group():
         return weakref.ref(G)
 
     refs = [identified_copy(), tabulated_copy()]
-    # center(G) keys G's memo by G itself, a cycle only the collector frees
-    gc.collect()
+    # no memo entry refers to its own group, so reference counting alone
+    # frees each group with everything memoized on it
     assert [r() for r in refs] == [None, None]
 
 

@@ -12,7 +12,7 @@ from a6k3 import chartab, cli, exact, extbuild, k3verify, permgrp, pgl9
 from a6k3.exact import CycloNum
 from a6k3.extbuild import build_all_candidates
 from a6k3.k3verify import NikulinTable, run_exclusion
-from a6k3.permgrp import FusionType, Perm, VerificationError
+from a6k3.permgrp import FusionType, Perm, PermGroup, VerificationError
 from a6k3.pgl9 import build_psl29
 
 REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
@@ -78,6 +78,17 @@ def table_generator(monkeypatch):
     monkeypatch.setattr(permgrp._Tables, "__init__", mutated)
 
 
+def centralizer_generator(monkeypatch):
+    # the centralizer filter reads only the first generator of A
+    centralizer = permgrp.centralizer_of_subgroup
+
+    def first_only(G, A):
+        return centralizer(G, PermGroup(A.generators[:1], A.degree))
+
+    for module in (permgrp, extbuild, k3verify):
+        monkeypatch.setattr(module, "centralizer_of_subgroup", first_only)
+
+
 def phi_term(monkeypatch):
     # the cyclotomic reduction loses the highest nonzero lower term of Phi_n
     terms = exact._phi_terms
@@ -94,6 +105,7 @@ MUTANTS = {
     eigenvalue_root: {"chartab.error", "decompose.error", "exclude.error"},
     table_generator: {"groups.error", "chartab.error", "decompose.error", "exclude.error"},
     phi_term: {"chartab.error", "decompose.error", "exclude.error"},
+    centralizer_generator: {"groups.error", "exclude.error"},
 }
 
 # the functools.cache builders whose results, or the data memoized on them, a
@@ -101,6 +113,8 @@ MUTANTS = {
 # would outlive it
 REBUILT = {
     mu4_generator: (extbuild.build_candidate,),
+    # each candidate keeps the order of its conjugation image, read off a centralizer
+    centralizer_generator: (extbuild.build_candidate,),
     # the A6 tables are memoized on PSL(2,9), which is memoized on PGL(2,9);
     # the candidates take their A6 from PSL(2,9), so they are rebuilt with it
     eigenvalue_root: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),

@@ -9,6 +9,7 @@ import pytest
 import a6k3
 from a6k3.permgrp import (
     A6_CLASS_SIZES,
+    FusionType,
     Perm,
     PermGroup,
     VerificationError,
@@ -49,6 +50,19 @@ def naive_derived(G):
     class_of = {x: cls for cls in naive_classes(G) for x in cls}
     comms = {a * c for a in G.elements for c in class_of[a.inverse()]}
     return naive_closure(sorted(comms))
+
+
+def naive_fusion(G, A):
+    # independent oracle: the A-classes that conjugation by a generator of G
+    # moves; only the order-3 and order-5 classes of A6 come in pairs
+    classes = naive_classes(A)
+    moved = set()
+    for s in G.generators:
+        for cls in classes:
+            x = min(cls)
+            if s.inverse() * x * s not in cls:
+                moved.add(x.order())
+    return FusionType(swaps_3=3 in moved, swaps_5=5 in moved)
 
 
 def naive_classes(G):
@@ -375,6 +389,23 @@ def test_image_format_boundary(degree):
     for p in G.elements:
         for q in gens:
             assert p.embedded(300) * q.embedded(300) == (p * q).embedded(300)
+    # the subgroup facts are passes over images; they must agree with Perm
+    # arithmetic in both formats
+    assert set(derived_subgroup(G).elements) == naive_derived(G)
+    for A in (G, closure(gens[:1])):
+        commuting = {x for x in G.elements if all(x * a == a * x for a in A.elements)}
+        assert set(centralizer_of_subgroup(G, A).elements) == commuting
+    assert center(G) == centralizer_of_subgroup(G, G)
+    if degree >= 10:
+        # the overgroups of PSL(2,9) on the top ten points
+        def top(H):
+            return closure([g.embedded(degree, degree - 10) for g in H.generators])
+
+        psl, split = top(build_psl29()), classify_overgroups()
+        for H in (split.s6, split.pgl, split.m10):
+            H = top(H)
+            assert derived_subgroup(H) == psl
+            assert class_fusion(H, psl) == naive_fusion(H, psl)
 
 
 def test_subgroup_generators_close_to_the_members():
@@ -395,7 +426,7 @@ def test_subgroup_generators_close_to_the_members():
     # a member set that is not closed fails the closure check
     x = next(x for x in A6.elements if x.order() == 3)
     with pytest.raises(VerificationError, match="not closed"):
-        _subgroup(A6, [0, A6.elements.index(x)])
+        _subgroup(A6, [A6.identity.images, x.images])
 
 
 def test_element_orders_against_perm_orders():
