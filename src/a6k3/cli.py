@@ -332,13 +332,13 @@ def main(argv=None) -> int:
     _verbose = args.verbose
 
     report = build_report(args.command)
-    if args.format == "json":
-        payload = render_json(report)
-    else:
-        payload = render_text(args.command, report)
+    payload = render_json(report) if args.format == "json" else render_text(args.command, report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            parser.error(f"cannot write the report to {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(payload)
 

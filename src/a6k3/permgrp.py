@@ -10,13 +10,15 @@ A permutation's images are stored as bytes up to degree 256 and as a tuple
 above; only `_pack`, `_pad`, `_pads`, `_rmul` and `_conjugation` know which.
 Bytes cache their hash and sort like tuples of ints, and a composition is
 one `bytes.translate` call.  A group is the ascending tuple of its images,
-`G.images`, from `_dimino`, Dimino's algorithm (G. Butler, *Fundamental
-Algorithms for Permutation Groups*, LNCS 559, 1991); `G.elements` wraps them
-in `Perm`s when first read.  Membership is a bisection, and facts about a
-subgroup A of G are C passes over images: the derived subgroup, centralizers
-(a filter of G's images) and the action of G on A (through A's index).
+`G.images`, which every constructor is given: `closure` runs `_dimino`,
+Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
+Groups*, LNCS 559, 1991), and nothing is enumerated lazily; `G.elements` wraps
+the images in `Perm`s when first read.  Membership is a bisection, and facts
+about a subgroup A of G are C passes over images: the derived subgroup,
+centralizers (a filter of G's images), the action of G on A (through A's
+index) and the right cosets (composition passes of A's images with G's).
 `_tables(G)`, for work on every element of G by index (conjugacy classes,
-cosets, structure constants, `conjugation_image`), holds int tables for right
+structure constants, `conjugation_image`), holds int tables for right
 multiplication and conjugation by each generator, and a spanning tree of the
 Cayley graph along which a table for any element takes one pass.  `_orbit` is
 the one breadth-first search, `_orbits` the one partition into orbits, and
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from itertools import compress, repeat
 from math import gcd, lcm, prod
-from operator import add, attrgetter, eq, itemgetter, methodcaller
+from operator import add, attrgetter, eq, itemgetter
 
 MAX_GROUP_ORDER = 10**6
 
@@ -90,21 +92,19 @@ class Perm:
     """A permutation of {0, ..., degree-1}, stored as its images in the
     format of `_pack`: bytes up to degree 256, a tuple of ints above."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images)-1}: {images}")
         self.images = _pack(images)
-        self._hash = hash(self.images)
 
     @classmethod
     def _raw(cls, images) -> "Perm":
         # Internal fast path: caller guarantees images is valid and packed.
         p = object.__new__(cls)
         p.images = images
-        p._hash = hash(images)
         return p
 
     @classmethod
@@ -145,9 +145,6 @@ class Perm:
         cyc = self.cycles()
         return lcm(*(len(c) for c in cyc)) if cyc else 1
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least point, sorted."""
         seen = [False] * len(self.images)
@@ -181,30 +178,6 @@ class Perm:
                 images[p] = cyc[(i + 1) % len(cyc)]
         return cls(images)
 
-    @classmethod
-    def parse(cls, text: str, degree: int) -> "Perm":
-        """Parse 1-based cycle notation like "(1 2)(3 4 5)"."""
-        text = text.strip()
-        if text in ("", "()", "e"):
-            return cls.identity(degree)
-        if text.count("(") != text.count(")"):
-            raise ValueError(f"unbalanced cycle notation: {text!r}")
-        cycles = []
-        for chunk in text.replace(")", ")|").split("|"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError(f"bad cycle chunk: {chunk!r}")
-            body = chunk[1:-1].replace(",", " ").split()
-            pts = [int(tok) - 1 for tok in body]
-            if any(p < 0 or p >= degree for p in pts):
-                raise ValueError(f"point out of range in {chunk!r}")
-            if len(set(pts)) != len(pts):
-                raise ValueError(f"repeated point in {chunk!r}")
-            cycles.append(tuple(pts))
-        return cls.from_cycles(cycles, degree)
-
     def embedded(self, degree: int, offset: int = 0) -> "Perm":
         """The same permutation acting on a larger set, fixed elsewhere."""
         if offset + self.degree > degree:
@@ -218,7 +191,8 @@ class Perm:
         return isinstance(other, Perm) and self.images == other.images
 
     def __hash__(self):
-        return self._hash
+        # bytes cache their own hash
+        return hash(self.images)
 
     def __lt__(self, other):
         return self.images < other.images
@@ -259,10 +233,10 @@ def _rmul(s):
 
 def _conjugation(s: Perm, degree: int):
     """The map xs |-> (s^-1 x s for x in xs) on stored images, in C passes."""
-    t, right = s.inverse().images, _rmul(s.images)
-    # x |-> s^-1 * x
-    left = methodcaller("translate", _pad(t)) if type(t) is bytes else lambda x: itemgetter(*x)(t)
-    return lambda xs: map(right, _pads(map(left, xs), degree))
+    t, right = _pad(s.inverse().images), _rmul(s.images)
+    # left(xs, repeat(t)): s^-1 * x for each x in xs
+    left = partial(map, bytes.translate) if type(t) is bytes else partial(map, lambda x, t: itemgetter(*x)(t))
+    return lambda xs: map(right, _pads(left(xs, repeat(t)), degree))
 
 
 def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
@@ -332,31 +306,17 @@ _images_of = attrgetter("images")
 class PermGroup:
     """A finitely generated permutation group with its full element set."""
 
-    def __init__(self, generators, degree=None, _images=None, _elements=None, point_labels=None):
+    def __init__(self, generators, degree: int, images, _elements=None, point_labels=None):
         gens = tuple(sorted(set(generators), key=_images_of))
-        if degree is None:
-            if not gens:
-                raise ValueError("need generators or an explicit degree")
-            degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different degrees")
         self._degree = degree
         self._gens = gens
-        self._images = _images
+        # the stored images of the elements, ascending; the identity is first
+        self.images = images
         self._elements = _elements
         self.point_labels = point_labels
         self._memo = {}
-
-    @classmethod
-    def from_elements(cls, elements, generators=None, point_labels=None) -> "PermGroup":
-        by_images = {x.images: x for x in elements}
-        imgs = tuple(sorted(by_images))
-        # the identity is the least element of any set containing it
-        if not imgs or imgs[0] != _pack(range(len(imgs[0]))):
-            raise ValueError("element set lacks the identity")
-        elements = tuple(map(by_images.__getitem__, imgs))
-        gens = tuple(generators) if generators is not None else elements
-        return cls(gens, len(imgs[0]), imgs, elements, point_labels)
 
     @property
     def degree(self) -> int:
@@ -365,14 +325,6 @@ class PermGroup:
     @property
     def generators(self) -> tuple[Perm, ...]:
         return self._gens
-
-    @property
-    def images(self) -> tuple:
-        """The stored images of the elements, ascending; the identity is first."""
-        if self._images is None:
-            els, _ = _dimino([g.images for g in self._gens], self._degree, MAX_GROUP_ORDER)
-            self._images = tuple(sorted(els))
-        return self._images
 
     @property
     def elements(self) -> tuple[Perm, ...]:
@@ -561,7 +513,7 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
 def _normal_action(G: PermGroup, A: PermGroup) -> list[list[int]]:
     """Per generator s of G the map a |-> s^-1 a s on A's element indices;
     ValueError unless A is a normal subgroup of G."""
-    if not all(a in G for a in A.generators):
+    if not A.is_subgroup_of(G):
         raise ValueError("A is not a subgroup of G")
     pos = _tables(A).pos
     try:
@@ -574,7 +526,7 @@ def _normal_action(G: PermGroup, A: PermGroup) -> list[list[int]]:
 def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
     """{g in G : ga = ag for all a in A}: G's images filtered by each
     generator a of A in turn, keeping the x with a^-1 x a = x."""
-    if not all(a in G for a in A.generators):
+    if not A.is_subgroup_of(G):
         raise ValueError("A is not a subgroup of G")
     members = G.images
     for a in A.generators:
@@ -591,13 +543,18 @@ def center(G: PermGroup) -> PermGroup:
 @group_cache
 def cosets(G: PermGroup, H: PermGroup) -> tuple[tuple[Perm, ...], ...]:
     """The right cosets H x of a subgroup H of G, each ascending, ordered by least
-    member with H first: G's orbits under left multiplication by H's generators."""
-    T = _tables(G)
-    if any(h.images not in T.pos for h in H.generators):
+    member with H first: H's images times each x of G that no earlier coset holds,
+    which is then the least member of its coset."""
+    if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    orbits = _orbits(len(G), [T.left(h.images) for h in H.generators])
-    require(all(len(orbit) == len(H) for orbit in orbits), "cosets do not partition the group")
-    return tuple(tuple(map(G.elements.__getitem__, sorted(orbit))) for orbit in orbits)
+    hs, seen, parts = list(_pads(H.images, G.degree)), set(), []
+    for x in G.images:
+        if x not in seen:
+            parts.append(sorted(map(_rmul(x), hs)))
+            seen.update(parts[-1])
+    require(len(seen) == len(G) == len(parts) * len(H), "cosets do not partition the group")
+    index = partial(bisect_left, G.images)
+    return tuple(tuple(map(G.elements.__getitem__, map(index, part))) for part in parts)
 
 
 @group_cache
@@ -617,7 +574,8 @@ def conjugation_image(G: PermGroup, A: PermGroup):
         imgs[x] = steps[k](_pad(imgs[p]))
     interned = {f: Perm._raw(f) for f in imgs}
     mapping = {g: interned[f] for g, f in zip(G.elements, imgs)}
-    image = PermGroup.from_elements(interned.values(), generators=gen_imgs, point_labels=A)
+    keys = tuple(sorted(interned))
+    image = PermGroup(gen_imgs, len(A), keys, tuple(map(interned.__getitem__, keys)), point_labels=A)
     return image, mapping
 
 

@@ -90,6 +90,18 @@ def test_out_file(tmp_path, capsys):
     assert data["version"] == REPORT_VERSION
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means a failed check; a path that cannot be written is exit 2,
+    # one error line and no traceback
+    target = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--out", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"a6k3: error: cannot write the report to {target}: " in err
+    assert "Traceback" not in err and not target.exists()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

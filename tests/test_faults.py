@@ -12,7 +12,7 @@ from a6k3 import chartab, cli, exact, extbuild, k3verify, permgrp, pgl9
 from a6k3.exact import CycloNum
 from a6k3.extbuild import build_all_candidates
 from a6k3.k3verify import NikulinTable, run_exclusion
-from a6k3.permgrp import FusionType, Perm, PermGroup, VerificationError
+from a6k3.permgrp import FusionType, Perm, VerificationError
 from a6k3.pgl9 import build_psl29
 
 REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
@@ -83,7 +83,7 @@ def centralizer_generator(monkeypatch):
     centralizer = permgrp.centralizer_of_subgroup
 
     def first_only(G, A):
-        return centralizer(G, PermGroup(A.generators[:1], A.degree))
+        return centralizer(G, permgrp.closure(A.generators[:1]))
 
     for module in (permgrp, extbuild, k3verify):
         monkeypatch.setattr(module, "centralizer_of_subgroup", first_only)
