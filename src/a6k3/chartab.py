@@ -14,7 +14,6 @@ pair as one `exact.dot` with a single cyclotomic reduction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import islice
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class ClassAlgebra:
     """Conjugacy classes with the exact class-multiplication constants.
 
@@ -61,9 +59,8 @@ class ClassAlgebra:
     fixed z in C_k; the count is independent of the choice of z.
     """
 
-    group_order: int
-    classes: tuple[ConjClassData, ...]
-    constants: tuple
+    def __init__(self, group_order: int, classes: tuple[ConjClassData, ...], constants: tuple):
+        self.group_order, self.classes, self.constants = group_order, classes, constants
 
     def check_consistency(self):
         """sum_k a[i][j][k] |C_k| = |C_i| |C_j| for all i, j."""
@@ -251,15 +248,13 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
     return rows
 
 
-@dataclass(eq=False)
 class CharacterTable:
-    """Exact irreducible character values over Q(zeta_exponent)."""
+    """Exact irreducible character values over Q(zeta_exponent): rows[i][k]
+    is chi_i on classes[k], computed with the prime `prime`."""
 
-    group_order: int
-    classes: tuple[ConjClassData, ...]
-    rows: tuple[tuple[CycloNum, ...], ...]
-    exponent: int
-    prime: int
+    def __init__(self, group_order: int, classes: tuple[ConjClassData, ...], rows, exponent: int, prime: int):
+        self.group_order, self.classes, self.rows = group_order, classes, rows
+        self.exponent, self.prime = exponent, prime
 
     @property
     def degrees(self) -> tuple[int, ...]:

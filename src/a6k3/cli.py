@@ -4,7 +4,8 @@ and emits a deterministic text or JSON report.
 Exit status: 0 when every check in scope passes (for `all` and `exclude`
 this includes the verdict M10_2), 1 when a check fails, 2 on usage errors.
 A stage that raises shows up as one failing `<stage>.error` check, and the
-later stages still run.
+later stages still run; its traceback goes to stderr with -v, and only then
+is the `traceback` module imported.
 Nothing mathematical is configurable; the fixtures are frozen and only the
 presentation varies.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .chartab import (
     character_table,
@@ -278,7 +278,10 @@ def build_report(command: str) -> dict:
         try:
             checks.extend(stage())
         except Exception as exc:
-            _note(traceback.format_exc())
+            if _verbose:  # only -v reads the traceback, so only -v imports its module
+                import traceback
+
+                _note(traceback.format_exc())
             error = {"error": f"{type(exc).__name__}: {exc}"}
             checks.append(_check(f"{name}.error", f"the {name} stage runs to completion", False, error))
     verdict = None

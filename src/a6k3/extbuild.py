@@ -11,7 +11,6 @@ only isomorphism-invariant data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .permgrp import (
@@ -80,17 +79,17 @@ def mu4_cycle(total_degree: int) -> Perm:
     return Perm.from_cycles([(d, d + 1, d + 2, d + 3)], total_degree)
 
 
-@dataclass(eq=False)
 class ExtensionCandidate:
-    """One concrete group of shape A6.mu4 with its distinguished data."""
+    """One concrete group of shape A6.mu4 with its distinguished data.
 
-    kind: str
-    group: PermGroup
-    a6: PermGroup
-    gtilde: Perm
-    alpha: dict  # element -> mu4 exponent in 0..3; a homomorphism with kernel a6
-    conj_image_order: int
-    fusion: FusionType
+    alpha maps each element to its mu4 exponent in 0..3; it is a homomorphism
+    with kernel a6.
+    """
+
+    def __init__(self, kind: str, group: PermGroup, a6: PermGroup, gtilde: Perm, alpha: dict,
+                 conj_image_order: int, fusion: FusionType):
+        self.kind, self.group, self.a6, self.gtilde = kind, group, a6, gtilde
+        self.alpha, self.conj_image_order, self.fusion = alpha, conj_image_order, fusion
 
     def to_json(self) -> dict:
         return {
@@ -170,16 +169,21 @@ def build_all_candidates() -> dict[str, ExtensionCandidate]:
     return {kind: build_candidate(kind) for kind in KINDS}
 
 
-@dataclass(eq=False)
 class StructureReport:
-    """Structural facts every group of shape A6.mu4 must satisfy."""
+    """Structural facts every group of shape A6.mu4 must satisfy.
 
-    kind: str
-    injective: bool                 # (conjugation, alpha) separates elements
-    central_involution: Perm        # f with trivial conjugation action, alpha = 2
-    half_kernel_is_product: bool    # alpha^-1({0,2}) = a6 x <f>
-    outer_alpha_odd: bool           # non-inner conjugation action forces alpha = +-1
-    split_witnessed: bool           # <gtilde> has order 4 and meets a6 trivially
+    injective: (conjugation, alpha) separates elements.
+    central_involution: f with trivial conjugation action, alpha = 2.
+    half_kernel_is_product: alpha^-1({0,2}) = a6 x <f>.
+    outer_alpha_odd: a non-inner conjugation action forces alpha = +-1.
+    split_witnessed: <gtilde> has order 4 and meets a6 trivially.
+    """
+
+    def __init__(self, kind: str, injective: bool, central_involution: Perm, half_kernel_is_product: bool,
+                 outer_alpha_odd: bool, split_witnessed: bool):
+        self.kind, self.injective, self.central_involution = kind, injective, central_involution
+        self.half_kernel_is_product, self.outer_alpha_odd = half_kernel_is_product, outer_alpha_odd
+        self.split_witnessed = split_witnessed
 
     @property
     def passed(self) -> bool:

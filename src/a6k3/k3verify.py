@@ -12,17 +12,18 @@ are consumed as named axioms:
   A2: for sigma symplectic of order 3 or 5, the fixed locus of iota*sigma
       has nonnegative Euler number.
 
-No floating point participates in any verdict.
+No floating point participates in any verdict.  The fixtures, equations,
+sign cases and outcomes are immutable namedtuple records; ExclusionReport,
+the one result object, is a plain class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from math import prod
-from typing import NamedTuple
 
 from .chartab import CharacterTable, class_labels, display_value, match_reference_table
 from .exact import CycloNum
@@ -91,16 +92,21 @@ RANK_PICARD = 20            # rank S(X) for the surfaces at hand
 RANK_INVARIANT_H2 = 3       # rank of the A6-invariant part of H^2 alone
 
 
-@dataclass(frozen=True)
-class NikulinTable:
-    """Fixed-point counts of a symplectic automorphism by element order.
+class NikulinTable(
+    namedtuple(
+        "NikulinTable",
+        "counts whole_surface_euler",
+        defaults=(((2, 8), (3, 6), (4, 4), (5, 4), (6, 2), (7, 3), (8, 2)), K3_EULER_NUMBER),
+    )
+):
+    """Fixed-point counts of a symplectic automorphism by element order, as
+    (order, count) pairs, and the Euler number for the identity.
 
     Orders 6, 7 and 8 never occur in A6; they are kept for fidelity to the
     published table and flagged by unused_orders().
     """
 
-    counts: tuple = ((2, 8), (3, 6), (4, 4), (5, 4), (6, 2), (7, 3), (8, 2))
-    whole_surface_euler: int = K3_EULER_NUMBER
+    __slots__ = ()
 
     def fixed_euler(self, order: int) -> int:
         if order == 1:
@@ -118,23 +124,16 @@ class NikulinTable:
         return tuple(sorted(o for o in self.orders() if o not in used))
 
 
-class SignCase(NamedTuple):
+class SignCase(namedtuple("SignCase", "eps2 eps3 eps6")):
     """The signs of iota on the three nontrivial Picard summands."""
 
-    eps2: int
-    eps3: int
-    eps6: int
+    __slots__ = ()
 
 
-class MultiplicityVector(NamedTuple):
+class MultiplicityVector(namedtuple("MultiplicityVector", "a2 a3 a4 a5 a6 a7")):
     """Multiplicities of chi2..chi7 in the complexified Picard lattice."""
 
-    a2: int
-    a3: int
-    a4: int
-    a5: int
-    a6: int
-    a7: int
+    __slots__ = ()
 
 
 def lefschetz_invariant_rank(G: PermGroup, nikulin: NikulinTable) -> Fraction:
@@ -145,20 +144,16 @@ def lefschetz_invariant_rank(G: PermGroup, nikulin: NikulinTable) -> Fraction:
     return total / len(G)
 
 
-@dataclass(frozen=True)
-class ClassEquation:
-    """One trace condition: sum_i a_i chi_i(c) = fixed_euler - 5.
+class ClassEquation(namedtuple("ClassEquation", "label element_order fixed_euler coeffs target")):
+    """One trace condition: sum_i a_i chi_i(c) = fixed_euler - 5, with coeffs
+    chi2(c), ..., chi7(c) and the target as CycloNum.
 
     Displayed in the familiar form (fixed_euler - 4) = 1 + sum a_i chi_i(c);
     the -5 absorbs the trivial summand and the Lefschetz bookkeeping
     (two trivial cohomology summands, T(X) of rank 2 in the -1 eigenspace).
     """
 
-    label: str
-    element_order: int
-    fixed_euler: int
-    coeffs: tuple  # chi2(c), ..., chi7(c) as CycloNum
-    target: CycloNum
+    __slots__ = ()
 
     def render(self) -> str:
         names = [f"a{i}" for i in range(2, 8)]
@@ -171,9 +166,10 @@ class ClassEquation:
         return f"{self.fixed_euler - 4} = 1 + " + " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class DecompositionSystem:
-    equations: tuple
+class DecompositionSystem(namedtuple("DecompositionSystem", "equations")):
+    """One ClassEquation per conjugacy class."""
+
+    __slots__ = ()
 
 
 def decomposition_system(table: CharacterTable, nikulin: NikulinTable) -> DecompositionSystem:
@@ -202,11 +198,7 @@ def perturb_identity_equation(system: DecompositionSystem, new_rank: int) -> Dec
     eqs = list(system.equations)
     for i, eq in enumerate(eqs):
         if eq.element_order == 1:
-            eqs[i] = replace(
-                eq,
-                fixed_euler=new_rank + 4,
-                target=CycloNum.from_rational(new_rank - 1),
-            )
+            eqs[i] = eq._replace(fixed_euler=new_rank + 4, target=CycloNum.from_rational(new_rank - 1))
     return DecompositionSystem(equations=tuple(eqs))
 
 
@@ -277,14 +269,12 @@ def nonpositive_sign_cases() -> tuple[SignCase, ...]:
     return tuple(sorted(allowed))
 
 
-@dataclass(frozen=True)
-class ArgumentOutcome:
-    argument: str
-    kind: str | None
-    sign_case: SignCase | None
-    status: str
-    witnesses: dict
-    axioms: tuple[str, ...] = ()
+class ArgumentOutcome(
+    namedtuple("ArgumentOutcome", "argument kind sign_case status witnesses axioms", defaults=((),))
+):
+    """One argument's outcome for a kind (None: any kind) and a sign case."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -508,13 +498,11 @@ def argument_free_c4(euler_number: int = 2) -> ArgumentOutcome:
     )
 
 
-@dataclass(eq=False)
 class ExclusionReport:
     """Per-kind, per-sign-case outcomes of the exclusion pipeline."""
 
-    outcomes: tuple
-    sign_cases: tuple
-    notes: tuple
+    def __init__(self, outcomes: tuple, sign_cases: tuple, notes: tuple):
+        self.outcomes, self.sign_cases, self.notes = outcomes, sign_cases, notes
 
     @property
     def verdict(self) -> str | None:
@@ -567,11 +555,9 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
         )
         for case in cases:
             if case in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
-                out = argument_3class_trace(case, table, mv)
-                out = replace(out, kind=kind)
+                out = argument_3class_trace(case, table, mv)._replace(kind=kind)
             elif case == SignCase(-1, -1, -1):
-                out = argument_nonintegral(case, swap23=cand.fusion.swaps_3)
-                out = replace(out, kind=kind)
+                out = argument_nonintegral(case, swap23=cand.fusion.swaps_3)._replace(kind=kind)
             else:  # SignCase(-1, -1, 1)
                 if kind == "PGL29_2":
                     out = argument_order5_blocks(cand, table)
@@ -614,19 +600,21 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
 # -- lattice checks -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(namedtuple("GramLattice", "name gram")):
     """A lattice given by its symmetric integer Gram matrix."""
 
-    name: str
-    gram: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
+    def __new__(cls, name: str, gram: tuple):
+        n = len(gram)
+        if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix is not square")
-        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix is not symmetric")
+        return super().__new__(cls, name, gram)
+
+    # _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def rank(self) -> int:
@@ -728,13 +716,10 @@ def gram_is_even(gram) -> bool:
     return all(gram[i][i] % 2 == 0 for i in range(len(gram)))
 
 
-@dataclass(frozen=True)
-class LatticeFacts:
-    name: str
-    rank: int
-    determinant: int
-    even: bool
-    signature: tuple[int, int]
+class LatticeFacts(namedtuple("LatticeFacts", "name rank determinant even signature")):
+    """Rank, determinant, parity and (positive, negative) signature of one lattice."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -746,10 +731,10 @@ class LatticeFacts:
         }
 
 
-@dataclass(frozen=True)
-class LatticeReport:
-    entries: tuple
-    ok: bool
+class LatticeReport(namedtuple("LatticeReport", "entries ok")):
+    """The LatticeFacts of each fixed form, and whether all match the expected values."""
+
+    __slots__ = ()
 
 
 def lattice_checks() -> LatticeReport:

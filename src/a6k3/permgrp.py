@@ -32,13 +32,17 @@ fixed objects.
 One way to fail a check: a fact the package verifies and finds false raises
 `VerificationError` through `require`, which `python -O` does not strip.
 Bad caller input raises `ValueError`.
+
+One record idiom across the package: a value (`ConjClassData`, `FusionType`,
+`Fingerprint`) is a `collections.namedtuple` subclass with `__slots__ = ()`,
+equal and hashed by its fields and immutable; a computed result that holds
+groups or tables is a plain class, equal only to itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, partial, wraps
 from itertools import compress, repeat
 from math import gcd, lcm, prod
@@ -425,9 +429,9 @@ _tables = group_cache(_Tables)
 def _classes(G: PermGroup) -> tuple[list[list[int]], list[int]]:
     """The conjugacy classes as ascending index lists in canonical order
     (element order, size, least element), and the class of each index."""
-    els = G.elements
-    classes = [sorted(orbit) for orbit in _orbits(len(els), _tables(G).conj)]
-    classes.sort(key=lambda members: (els[members[0]].order(), len(members), members[0]))
+    imgs = G.images
+    classes = [sorted(orbit) for orbit in _orbits(len(imgs), _tables(G).conj)]
+    classes.sort(key=lambda members: (Perm._raw(imgs[members[0]]).order(), len(members), members[0]))
     require(sum(map(len, classes)) == len(G), "class equation violated")
     class_of = [0] * len(G)
     for k, members in enumerate(classes):
@@ -436,15 +440,11 @@ def _classes(G: PermGroup) -> tuple[list[list[int]], list[int]]:
     return classes, class_of
 
 
-@dataclass(frozen=True)
-class ConjClassData:
-    """One conjugacy class: canonical representative plus bookkeeping."""
+class ConjClassData(namedtuple("ConjClassData", "representative size element_order power_map members")):
+    """One conjugacy class: canonical representative plus bookkeeping;
+    power_map[j] is the class index of representative**j."""
 
-    representative: Perm
-    size: int
-    element_order: int
-    power_map: tuple[int, ...]  # power_map[j] = class index of representative**j
-    members: tuple[Perm, ...]
+    __slots__ = ()
 
 
 @group_cache
@@ -579,19 +579,18 @@ def conjugation_image(G: PermGroup, A: PermGroup):
     return image, mapping
 
 
-@dataclass(frozen=True)
-class FusionType:
+class FusionType(namedtuple("FusionType", "swaps_3 swaps_5")):
     """Whether an automorphism action merges the order-3 / order-5 class pairs."""
 
-    swaps_3: bool
-    swaps_5: bool
+    __slots__ = ()
 
 
 def _fusion(A: PermGroup, automorphisms) -> FusionType:
     """Which order-3 / order-5 class pairs of A the automorphisms swap.  Each
     is a sequence permuting A's element indices and must map classes onto classes."""
     classes, class_of = _classes(A)
-    pairs = {o: [k for k, c in enumerate(conjugacy_classes(A)) if c.element_order == o] for o in (3, 5)}
+    orders = [Perm._raw(A.images[members[0]]).order() for members in classes]
+    pairs = {o: [k for k, order in enumerate(orders) if order == o] for o in (3, 5)}
     if any(len(pair) != 2 for pair in pairs.values()):
         raise ValueError("acted-on group does not have two order-3 and two order-5 classes")
     swapped = set()
@@ -642,14 +641,10 @@ def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
     return tuple(sorted(out, key=_images_of))
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(namedtuple("Fingerprint", "order center_order abelianization order_histogram")):
     """Cheap isomorphism invariants used to separate groups across degrees."""
 
-    order: int
-    center_order: int
-    abelianization: tuple[int, ...]
-    order_histogram: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -725,5 +720,5 @@ def is_a6_certified(G: PermGroup) -> bool:
     return (
         len(G) == 360
         and derived_subgroup(G) == G
-        and tuple(c.size for c in conjugacy_classes(G)) == A6_CLASS_SIZES
+        and tuple(map(len, _classes(G)[0])) == A6_CLASS_SIZES
     )

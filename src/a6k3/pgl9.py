@@ -10,7 +10,7 @@ labels the middle layer by conjugacy-class fusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .permgrp import (
@@ -185,13 +185,10 @@ def build_psl29() -> PermGroup:
     return H
 
 
-@dataclass(frozen=True)
-class OvergroupSplit:
+class OvergroupSplit(namedtuple("OvergroupSplit", "s6 pgl m10")):
     """The three index-2 overgroups of PSL(2,9), labeled by class fusion."""
 
-    s6: PermGroup
-    pgl: PermGroup
-    m10: PermGroup
+    __slots__ = ()
 
 
 def _split_overgroups(gam: PermGroup, psl: PermGroup) -> OvergroupSplit:
@@ -219,11 +216,10 @@ def classify_overgroups() -> OvergroupSplit:
     return split
 
 
-@dataclass(frozen=True)
-class M10CosetFacts:
-    involutions_outside: int
-    order4_outside_one_class: bool
-    order4_count: int
+class M10CosetFacts(namedtuple("M10CosetFacts", "involutions_outside order4_outside_one_class order4_count")):
+    """Element-order facts about the nontrivial coset of PSL(2,9) in M10."""
+
+    __slots__ = ()
 
 
 def m10_order4_class_check(m10: PermGroup, psl: PermGroup) -> M10CosetFacts:

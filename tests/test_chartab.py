@@ -1,7 +1,7 @@
 """The Dixon-Schneider engine: structure constants, primes, exact tables."""
 
+import copy
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -368,6 +368,13 @@ def naive_orthogonality(table):
     return all(isinstance(row[0].is_rational(), int) and row[0].is_rational() > 0 for row in rows)
 
 
+def with_fields(table, **fields):
+    """A shallow copy of a result object with some fields replaced."""
+    new = copy.copy(table)
+    vars(new).update(fields)
+    return new
+
+
 def corrupted_entry(table, seed):
     rng = random.Random(seed)
     a, i = rng.randrange(len(table.rows)), rng.randrange(len(table.classes))
@@ -383,7 +390,7 @@ def corrupted_entry(table, seed):
     )
     rows = [list(row) for row in table.rows]
     rows[a][i] = new
-    return replace(table, rows=tuple(tuple(row) for row in rows))
+    return with_fields(table, rows=tuple(tuple(row) for row in rows))
 
 
 def test_orthogonality_check_matches_the_full_check():
@@ -417,7 +424,7 @@ def test_orthogonality_check_rejects_a_table_of_the_wrong_shape():
         (tuple(tuple(row) for row in rows), "positive integer"),
     ):
         with pytest.raises(VerificationError, match=message):
-            _verify_orthogonality(replace(t, rows=bad))
+            _verify_orthogonality(with_fields(t, rows=bad))
 
 
 def test_class_inversion_must_be_a_size_preserving_involution():
@@ -432,7 +439,7 @@ def test_class_inversion_must_be_a_size_preserving_involution():
         pm = list(c.power_map)
         for l in range(c.element_order - 1, len(pm), c.element_order):
             pm[l] = target
-        cls[k] = replace(c, power_map=tuple(pm))
+        cls[k] = c._replace(power_map=tuple(pm))
 
     not_involution = list(classes)
     with_inverse(not_involution, i, j)  # i* = j but j* = j
@@ -441,7 +448,7 @@ def test_class_inversion_must_be_a_size_preserving_involution():
     with_inverse(size_changing, j, i)  # an involution exchanging sizes
     for cls in (not_involution, size_changing):
         with pytest.raises(VerificationError, match="involution"):
-            _verify_orthogonality(replace(t, classes=tuple(cls)))
+            _verify_orthogonality(with_fields(t, classes=tuple(cls)))
 
 
 def test_factorization_against_brute_force():

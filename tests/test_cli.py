@@ -168,3 +168,48 @@ def test_cold_report_multiplies_through_the_index_tables():
     code, products = map(int, out.split())
     assert code == 0
     assert products <= 57
+
+
+UNUSED_AT_START = ("dataclasses", "inspect", "typing", "traceback")
+
+IMPORT_BUDGET = """
+import sys
+import a6k3.cli
+print(*(m for m in %r if m in sys.modules))
+""" % (UNUSED_AT_START,)
+
+# one stage raises; without -v the report says so and nothing reads a traceback
+STAGE_ERROR_WITHOUT_V = """
+import contextlib, io, sys
+from a6k3 import cli
+
+def broken():
+    raise RuntimeError("stage broke")
+
+cli.stage_decompose = broken
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["all"])
+print(code, "traceback" in sys.modules)
+print(*(line for line in out.getvalue().splitlines() if line.startswith("[FAIL]")), sep="\\n")
+"""
+
+
+def run_isolated(code):
+    # -S: no site module, so no .pth file of the host imports anything first
+    env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_import_path_skips_unused_stdlib_machinery():
+    proc = run_isolated(IMPORT_BUDGET)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_stage_error_without_verbose_imports_no_traceback():
+    proc = run_isolated(STAGE_ERROR_WITHOUT_V)
+    assert proc.stderr == ""
+    status, *fails = proc.stdout.splitlines()
+    assert status == "1 False"
+    assert fails == ["[FAIL] decompose.error: the decompose stage runs to completion"]
