@@ -3,6 +3,7 @@ and emits a deterministic text or JSON report.
 
 Exit status: 0 when every check in scope passes (for `all` and `exclude`
 this includes the verdict M10_2), 1 when a check fails, 2 on usage errors.
+The report carries a verdict only when every check in it passed.
 A stage that raises shows up as one failing `<stage>.error` check, and the
 later stages still run; its traceback goes to stderr with -v, and only then
 is the `traceback` module imported.
@@ -285,9 +286,8 @@ def build_report(command: str) -> dict:
             error = {"error": f"{type(exc).__name__}: {exc}"}
             checks.append(_check(f"{name}.error", f"the {name} stage runs to completion", False, error))
     verdict = None
-    for check in checks:
-        if check["id"] == "exclude.pipeline" and check["status"] == "pass":
-            verdict = check["witnesses"]["verdict"]
+    if all(check["status"] == "pass" for check in checks):
+        verdict = next((c["witnesses"]["verdict"] for c in checks if c["id"] == "exclude.pipeline"), None)
     return {"version": REPORT_VERSION, "checks": checks, "verdict": verdict}
 
 

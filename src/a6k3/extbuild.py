@@ -17,10 +17,10 @@ from .permgrp import (
     Perm,
     PermGroup,
     FusionType,
+    _cosets,
     centralizer_of_subgroup,
     class_fusion,
     closure,
-    cosets,
     derived_subgroup,
     element_orders,
     fingerprint,
@@ -82,11 +82,11 @@ def mu4_cycle(total_degree: int) -> Perm:
 class ExtensionCandidate:
     """One concrete group of shape A6.mu4 with its distinguished data.
 
-    alpha maps each element to its mu4 exponent in 0..3; it is a homomorphism
-    with kernel a6.
+    alpha maps each element to its mu4 exponent in 0..3, read off its tail
+    (a `TailExponents`); it is a homomorphism with kernel a6.
     """
 
-    def __init__(self, kind: str, group: PermGroup, a6: PermGroup, gtilde: Perm, alpha: dict,
+    def __init__(self, kind: str, group: PermGroup, a6: PermGroup, gtilde: Perm, alpha: TailExponents,
                  conj_image_order: int, fusion: FusionType):
         self.kind, self.group, self.a6, self.gtilde = kind, group, a6, gtilde
         self.alpha, self.conj_image_order, self.fusion = alpha, conj_image_order, fusion
@@ -103,15 +103,25 @@ class ExtensionCandidate:
         }
 
 
-def _tail_exponents(G: PermGroup, base: int) -> dict:
-    """x -> k for each x in G acting on the points base.. as the k-th power
-    of the 4-cycle there; every element must act as one."""
+class TailExponents:
+    """alpha[x] is the k with x acting on the points base.. as the k-th power
+    of the 4-cycle there: rotations maps the four tails x.images[base:] to k."""
+
+    def __init__(self, rotations: dict, base: int):
+        self.rotations, self.base = rotations, base
+
+    def __getitem__(self, x: Perm) -> int:
+        return self.rotations[x.images[self.base:]]
+
+
+def _tail_exponents(G: PermGroup, base: int) -> TailExponents:
+    """alpha of G: the exponents on the points base.., after a check in one
+    pass over G's images that every element acts there as a rotation."""
     # the k-th power sends base + j to base + (j + k) % 4; built here, not
     # from mu4_cycle, which a fault check replaces
     rotations = {Perm([*range(base), *(base + (j + k) % 4 for j in range(4))]).images[base:]: k for k in range(4)}
-    ks = [rotations.get(x.images[base:]) for x in G.elements]
-    require(None not in ks, "element does not act as a mu4 power on the tail")
-    return dict(zip(G.elements, ks))
+    require(rotations.keys() >= {x[base:] for x in G.images}, "element does not act as a mu4 power on the tail")
+    return TailExponents(rotations, base)
 
 
 @cache
@@ -132,15 +142,14 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
     elif kind == "PGL29_2":
         N_act = build_psl29()
         pgl = build_pgl29()
-        h = min(x for x, o in zip(pgl.elements, element_orders(pgl)) if o == 10)
+        h = Perm(pgl.images[element_orders(pgl).index(10)])  # the least of order 10
         g = h ** 5
         require(g.order() == 2 and g not in N_act, "h^5 is not an outer involution")
     else:  # M10_2
         N_act = build_psl29()
-        split = classify_overgroups()
-        m10 = split.m10
-        quads = sorted(x for x, o in zip(m10.elements, element_orders(m10)) if o == 4 and x not in N_act)
-        g = quads[coset_choice]
+        m10 = classify_overgroups().m10
+        quads = [x for x, o in zip(m10.images, element_orders(m10)) if o == 4 and not N_act.has_images(x)]
+        g = Perm(quads[coset_choice])
     if kind != "M10_2" and coset_choice != 0:
         raise ValueError("coset_choice only varies the M10_2 construction")
 
@@ -225,14 +234,14 @@ def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:
     )
     require(f_candidates, "no central involution with alpha = -1 found")
     f = f_candidates[0]
-    # the right cosets a6 * x, a6 first, and the parities of alpha on each
-    parts = cosets(G, a6)
+    # the right cosets a6 * x as images, a6 first, and the parities of alpha on each
+    parts = _cosets(G, a6)
     coset_of = {x: k for k, c in enumerate(parts) for x in c}
-    parities = [{alpha[x] % 2 for x in c} for c in parts]
-    even = {0, coset_of[f]}
+    parities = [{alpha.rotations[x[alpha.base:]] % 2 for x in c} for c in parts]
+    even = {0, coset_of[f.images]}
     half_is_product = (f not in a6) and all(p == ({0} if k in even else {1}) for k, p in enumerate(parities))
 
-    inner_acting = {coset_of[z] for z in cent.elements}
+    inner_acting = {coset_of[z] for z in cent.images}
     outer_ok = all(p == {1} for k, p in enumerate(parities) if k not in inner_acting)
 
     powers = [cand.gtilde ** k for k in range(1, 4)]

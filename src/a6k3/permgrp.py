@@ -15,10 +15,10 @@ Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
 Groups*, LNCS 559, 1991), and nothing is enumerated lazily; `G.elements` wraps
 the images in `Perm`s when first read.  Membership is a bisection, and facts
 about a subgroup A of G are C passes over images: the derived subgroup,
-centralizers (a filter of G's images), the action of G on A (through A's
-index) and the right cosets (composition passes of A's images with G's).
-`_tables(G)`, for work on every element of G by index (conjugacy classes,
-structure constants, `conjugation_image`), holds int tables for right
+centralizers, the action of G on A and the right cosets (`_cosets`; `cosets`
+wraps them).  `_tables(G)`, for work on every element of G by index (the
+classes with their element orders, structure constants, `conjugation_image`;
+class records only for a character table), holds int tables for right
 multiplication and conjugation by each generator, and a spanning tree of the
 Cayley graph along which a table for any element takes one pass.  `_orbit` is
 the one breadth-first search, `_orbits` the one partition into orbits, and
@@ -348,8 +348,11 @@ class PermGroup:
         return iter(self.elements)
 
     def __contains__(self, perm):
-        # x >= imgs[0], the identity, so the index is never -1
-        imgs, x = self.images, perm.images
+        return self.has_images(perm.images)
+
+    def has_images(self, x) -> bool:
+        """Membership of the permutation with stored images x, by bisection."""
+        imgs = self.images  # x >= imgs[0], the identity, so the index is never -1
         return len(x) == self._degree and imgs[bisect_right(imgs, x) - 1] == x
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
@@ -426,18 +429,19 @@ _tables = group_cache(_Tables)
 
 
 @group_cache
-def _classes(G: PermGroup) -> tuple[list[list[int]], list[int]]:
+def _classes(G: PermGroup) -> tuple[tuple[list[int], ...], list[int], tuple[int, ...]]:
     """The conjugacy classes as ascending index lists in canonical order
-    (element order, size, least element), and the class of each index."""
+    (element order, size, least element), the class of each index, and the
+    element order of each class."""
     imgs = G.images
-    classes = [sorted(orbit) for orbit in _orbits(len(imgs), _tables(G).conj)]
-    classes.sort(key=lambda members: (Perm._raw(imgs[members[0]]).order(), len(members), members[0]))
+    orbits = [sorted(orbit) for orbit in _orbits(len(imgs), _tables(G).conj)]
+    orders, _, _, classes = zip(*sorted((Perm._raw(imgs[o[0]]).order(), len(o), o[0], o) for o in orbits))
     require(sum(map(len, classes)) == len(G), "class equation violated")
     class_of = [0] * len(G)
     for k, members in enumerate(classes):
         for x in members:
             class_of[x] = k
-    return classes, class_of
+    return classes, class_of, orders
 
 
 class ConjClassData(namedtuple("ConjClassData", "representative size element_order power_map members")):
@@ -450,13 +454,12 @@ class ConjClassData(namedtuple("ConjClassData", "representative size element_ord
 @group_cache
 def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     """Conjugacy classes in canonical order (element order, size, least rep)."""
-    classes, class_of = _classes(G)
+    classes, class_of, orders = _classes(G)
     els, pos = G.elements, _tables(G).pos
-    exponent = lcm(*(els[members[0]].order() for members in classes))
+    exponent = lcm(*orders)
     out = []
-    for members in classes:
+    for members, order in zip(classes, orders):
         rep = els[members[0]]
-        order = rep.order()
         step, acc, powers = _rmul(rep.images), G.identity.images, []
         for _ in range(order):
             powers.append(class_of[pos[acc]])
@@ -470,8 +473,8 @@ def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
 def element_orders(G: PermGroup) -> tuple[int, ...]:
     """The order of each element of G, in canonical element order, read
     off its conjugacy class."""
-    orders = [c.element_order for c in conjugacy_classes(G)]
-    return tuple(map(orders.__getitem__, _classes(G)[1]))
+    _, class_of, orders = _classes(G)
+    return tuple(map(orders.__getitem__, class_of))
 
 
 def _subgroup(G: PermGroup, images, generators=None) -> PermGroup:
@@ -541,20 +544,24 @@ def center(G: PermGroup) -> PermGroup:
 
 
 @group_cache
-def cosets(G: PermGroup, H: PermGroup) -> tuple[tuple[Perm, ...], ...]:
-    """The right cosets H x of a subgroup H of G, each ascending, ordered by least
-    member with H first: H's images times each x of G that no earlier coset holds,
-    which is then the least member of its coset."""
+def _cosets(G: PermGroup, H: PermGroup) -> tuple[tuple, ...]:
+    """The right cosets H x of a subgroup H of G as ascending tuples of stored
+    images, ordered by least member with H first: H's images times each x of G
+    that no earlier coset holds, which is then the least member of its coset."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     hs, seen, parts = list(_pads(H.images, G.degree)), set(), []
     for x in G.images:
         if x not in seen:
-            parts.append(sorted(map(_rmul(x), hs)))
+            parts.append(tuple(sorted(map(_rmul(x), hs))))
             seen.update(parts[-1])
     require(len(seen) == len(G) == len(parts) * len(H), "cosets do not partition the group")
-    index = partial(bisect_left, G.images)
-    return tuple(tuple(map(G.elements.__getitem__, map(index, part))) for part in parts)
+    return tuple(parts)
+
+
+def cosets(G: PermGroup, H: PermGroup) -> tuple[tuple[Perm, ...], ...]:
+    """The right cosets of `_cosets`, their members wrapped in Perms."""
+    return tuple(tuple(map(Perm._raw, part)) for part in _cosets(G, H))
 
 
 @group_cache
@@ -588,8 +595,7 @@ class FusionType(namedtuple("FusionType", "swaps_3 swaps_5")):
 def _fusion(A: PermGroup, automorphisms) -> FusionType:
     """Which order-3 / order-5 class pairs of A the automorphisms swap.  Each
     is a sequence permuting A's element indices and must map classes onto classes."""
-    classes, class_of = _classes(A)
-    orders = [Perm._raw(A.images[members[0]]).order() for members in classes]
+    classes, class_of, orders = _classes(A)
     pairs = {o: [k for k, order in enumerate(orders) if order == o] for o in (3, 5)}
     if any(len(pair) != 2 for pair in pairs.values()):
         raise ValueError("acted-on group does not have two order-3 and two order-5 classes")
@@ -636,8 +642,8 @@ def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
         raise ValueError("index of A in G is not 4")
     if _abelian_invariants(G, A) != (2, 2):
         raise ValueError("quotient is not C2 x C2")
-    A_els, *others = cosets(G, A)
-    out = [_subgroup(G, (x.images for x in A_els + c), A.generators + (c[0],)) for c in others]
+    A_imgs, *others = _cosets(G, A)
+    out = [_subgroup(G, A_imgs + c, A.generators + (Perm._raw(c[0]),)) for c in others]
     return tuple(sorted(out, key=_images_of))
 
 
@@ -669,13 +675,12 @@ def _divisor_chains(n: int, head: int):
 def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
     # Invariant factors of the abelian quotient G/H of normal H, from
     # order-dividing counts; the trivial quotient has the empty chain.
-    parts = cosets(G, H)
-    inside = {x.images for x in parts[0]}
+    parts = _cosets(G, H)
+    inside = set(parts[0])
     orders = []
-    for coset in parts:
+    for r in map(itemgetter(0), parts):
         # the order of the coset of r: the least k with r^k in H
-        step = _rmul(coset[0].images)
-        acc, k = step(_pad(G.identity.images)), 1
+        step, acc, k = _rmul(r), r, 1
         while acc not in inside:
             acc, k = step(_pad(acc)), k + 1
         orders.append(k)
@@ -695,14 +700,11 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
 @group_cache
 def fingerprint(G: PermGroup) -> Fingerprint:
     """Order, center order, abelianization and element-order histogram."""
-    hist = Counter()
-    for c in conjugacy_classes(G):
-        hist[c.element_order] += c.size
     return Fingerprint(
         order=len(G),
         center_order=len(center(G)),
         abelianization=_abelian_invariants(G, derived_subgroup(G)),
-        order_histogram=tuple(sorted(hist.items())),
+        order_histogram=tuple(sorted(Counter(element_orders(G)).items())),
     )
 
 

@@ -16,9 +16,9 @@ from functools import cache
 from .permgrp import (
     Perm,
     PermGroup,
+    _classes,
     class_fusion,
     closure,
-    conjugacy_classes,
     derived_subgroup,
     element_orders,
     index2_overgroups,
@@ -226,12 +226,11 @@ def m10_order4_class_check(m10: PermGroup, psl: PermGroup) -> M10CosetFacts:
     """Element-order facts about the nontrivial coset of PSL(2,9) in M10."""
     if not psl.is_subgroup_of(m10) or len(m10) != 2 * len(psl):
         raise ValueError("psl must have index 2 in m10")
-    coset = [(x, o) for x, o in zip(m10.elements, element_orders(m10)) if x not in psl]
-    involutions = sum(1 for x, o in coset if o == 2)
-    quads = [x for x, o in coset if o == 4]
-    one_class = any(set(c.members) == set(quads) for c in conjugacy_classes(m10))
+    # element indices of the coset; classes are ascending index lists
+    coset = [(i, o) for i, (x, o) in enumerate(zip(m10.images, element_orders(m10))) if not psl.has_images(x)]
+    quads = [i for i, o in coset if o == 4]
     return M10CosetFacts(
-        involutions_outside=involutions,
-        order4_outside_one_class=one_class,
+        involutions_outside=sum(o == 2 for i, o in coset),
+        order4_outside_one_class=quads in _classes(m10)[0],
         order4_count=len(quads),
     )

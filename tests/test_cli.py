@@ -141,33 +141,43 @@ def test_verbose_goes_to_stderr(capsys):
     json.loads(captured.out)  # stdout stays parseable
 
 
-COUNT_PERM_PRODUCTS = """
+COUNT_PERM_WORK = """
 import contextlib, io
 from a6k3 import cli, permgrp
 
-mul, count = permgrp.Perm.__mul__, [0]
+Perm, counts = permgrp.Perm, {"products": 0, "hashes": 0, "wraps": 0, "class_records": 0}
 
-def counting(p, q):
-    count[0] += 1
-    return mul(p, q)
+def counting(name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+    return counted
 
-permgrp.Perm.__mul__ = counting
+Perm.__mul__ = counting("products", Perm.__mul__)
+Perm.__hash__ = counting("hashes", Perm.__hash__)
+Perm._raw = classmethod(counting("wraps", Perm._raw.__func__))
+permgrp.ConjClassData.__new__ = counting("class_records", permgrp.ConjClassData.__new__)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["all", "--format", "json"])
-print(code, count[0])
+print(code, *counts.values())
 """
 
 
 def test_cold_report_multiplies_through_the_index_tables():
     # group work runs on int tables and composed images, not on Perm
-    # products; what is left is __pow__ and single-element checks
+    # products; what is left is __pow__ and single-element checks.  Perms
+    # are wrapped and hashed only where a caller or the report reads one,
+    # and class records are built only for PSL(2,9), whose character table
+    # and Lefschetz sum read them: its 7 classes
     env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent))
     out = subprocess.run(
-        [sys.executable, "-c", COUNT_PERM_PRODUCTS], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", COUNT_PERM_WORK], capture_output=True, text=True, env=env, check=True
     ).stdout
-    code, products = map(int, out.split())
+    code, products, hashes, wraps, class_records = map(int, out.split())
     assert code == 0
     assert products <= 57
+    assert hashes <= 2000 and wraps <= 2000
+    assert class_records == 7
 
 
 UNUSED_AT_START = ("dataclasses", "inspect", "typing", "traceback")

@@ -135,6 +135,17 @@ def test_alpha_is_a_homomorphism_with_kernel_a6():
             assert alpha[x * a] == alpha[x]
 
 
+def test_alpha_is_the_exponent_of_the_tail():
+    # oracle: the power of the 4-cycle that agrees with x on the tail points
+    for kind in KINDS:
+        cand = build_candidate(kind)
+        base = cand.a6.degree - 4
+        powers = [mu4_cycle(cand.a6.degree) ** k for k in range(4)]
+        for x in cand.group.elements:
+            (k,) = [k for k, p in enumerate(powers) if p.images[base:] == x.images[base:]]
+            assert cand.alpha[x] == k
+
+
 def test_quotient_is_cyclic_of_order_4():
     for kind in KINDS:
         cand = build_candidate(kind)

@@ -185,13 +185,34 @@ def test_stage_error_keeps_later_stages(monkeypatch, capsys):
     error = next(c for c in report["checks"] if c["id"] == "decompose.error")
     assert error["status"] == "fail"
     assert error["witnesses"] == {"error": "VerificationError: stage check failed"}
-    # the exclusion stage still ran, but a failed stage forfeits exit 0
-    assert report["verdict"] == "M10_2"
+    # the exclusion stage still ran, but a failed stage forfeits the verdict
+    assert report["verdict"] is None
     assert cli.main(["decompose", "--format", "json", "-v"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["checks"][0]["id"] == "decompose.error"
     # the traceback goes to stderr, with the progress notes
     assert "Traceback" in captured.err
+
+
+def test_failed_check_voids_the_verdict(monkeypatch, capsys):
+    # one groups-stage and one lattice-stage require fail; the exclusion
+    # still finds M10_2, but no verdict stands over a failed check
+    forced = ("no central involution with alpha = -1 found", "an integer Gram matrix has a non-integral determinant")
+
+    def require(condition, message):
+        permgrp.require(condition and message not in forced, message)
+
+    for module in (extbuild, k3verify):
+        monkeypatch.setattr(module, "require", require)
+    assert cli.main(["all", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    assert {i for i, s in status.items() if s == "fail"} == {"groups.error", "lattice.error"}
+    assert status["exclude.pipeline"] == "pass" and report["verdict"] is None
+    assert cli.main(["all"]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] groups.error" in text and "[FAIL] lattice.error" in text
+    assert "VERDICT" not in text
 
 
 def test_exclusion_reads_its_nikulin_table():

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -423,6 +424,13 @@ def test_subgroup_generators_close_to_the_members():
 def test_element_orders_against_perm_orders():
     for G in index_table_groups():
         assert element_orders(G) == tuple(x.order() for x in G.elements)
+    # the fingerprint reads orders and the center off the class partition;
+    # check it on the four candidates, M10 and PGammaL(2,9) against
+    # per-element orders and the brute-force set of commuting elements
+    for G in (*(build_candidate(kind).group for kind in KINDS), classify_overgroups().m10, build_pgammal29()):
+        fp = fingerprint(G)
+        assert fp.order_histogram == tuple(sorted(Counter(x.order() for x in G.elements).items()))
+        assert fp.center_order == sum(all(x * s == s * x for s in G.generators) for x in G.elements)
 
 
 def assert_cosets_match_perm_arithmetic(G, H):
