@@ -5,10 +5,12 @@ split of the class-sum matrices over a prime field F_p with p = 1 mod the
 group exponent and p > 2*ceil(sqrt(|G|)), eigenvalues the roots of the
 characteristic polynomial, ascending, degree recovery from the second
 orthogonality relation, and a lift of each value on a class of order o to
-Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  The
-row orthogonality relations of the square table, which imply the column
-relations, are re-verified exactly before a table is returned, each row
-pair as one `exact.dot` with a single cyclotomic reduction.
+Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  Null
+spaces and eigenspace bases come from `exact._gauss_jordan`, the package's
+one elimination, here over F_p.  The row orthogonality relations of the
+square table, which imply the column relations, are re-verified exactly
+before a table is returned, each row pair as one `exact.dot` with a single
+cyclotomic reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cache, reduce
 from itertools import islice
 from math import isqrt, lcm
 
-from .exact import CycloNum, dot, prime_factors
+from .exact import CycloNum, _gauss_jordan, dot, prime_factors
 from .permgrp import (
     ConjClassData,
     PermGroup,
@@ -40,7 +42,6 @@ __all__ = [
     "CharacterTable",
     "structure_constants",
     "group_exponent",
-    "dixon_prime",
     "admissible_primes",
     "character_table",
     "match_reference_table",
@@ -48,7 +49,6 @@ __all__ = [
     "class_labels",
     "render_table_text",
     "display_value",
-    "table_to_json",
 ]
 
 
@@ -119,42 +119,13 @@ def admissible_primes(G: PermGroup):
             yield p
 
 
-def dixon_prime(G: PermGroup) -> int:
-    """The smallest admissible prime for G."""
-    return next(admissible_primes(G))
-
-
 # -- linear algebra over F_p -------------------------------------------------
 
 
-def _rref(rows, p):
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if rows[r][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rows[:rank], pivots
-
-
 def _nullspace(matrix, p):
-    # basis of {x : matrix @ x = 0 mod p}, x as lists
+    # basis of {x : matrix @ x = 0 mod p}, x as lists; entries in [0, p)
     n = len(matrix[0])
-    rows, pivots = _rref(matrix, p)
+    rows, pivots = _gauss_jordan(matrix, p)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -230,7 +201,7 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
                             for c in range(r):
                                 v[c] = (v[c] + ca * B[a][c]) % p
                     vecs.append(v)
-                sub, _ = _rref(vecs, p)
+                sub, _ = _gauss_jordan(vecs, p)
                 new_spaces.append(sub)
                 found += len(sub)
                 if found == len(B):
@@ -467,14 +438,3 @@ def render_table_text(table: CharacterTable) -> str:
         lines.append(name.ljust(name_w) + "  " + "  ".join(v.rjust(w) for v, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def table_to_json(table: CharacterTable) -> dict:
-    return {
-        "group_order": table.group_order,
-        "exponent": table.exponent,
-        "classes": [
-            {"label": lbl, "element_order": c.element_order, "size": c.size}
-            for lbl, c in zip(class_labels(table.classes), table.classes)
-        ],
-        "rows": [[v.to_json() for v in row] for row in table.rows],
-    }

@@ -16,6 +16,10 @@ convolution: it accumulates a whole sum of products in one dense list,
 skipping zero coefficients, and reduces it once; a product of two values is
 a `dot` of one term.  `_reduce` subtracts only the nonzero terms of Phi_n,
 6 of the 32 lower coefficients of Phi_120.
+
+`_gauss_jordan` is the package's one elimination, over F_p or over Q: the
+character tables split their class algebras with it mod p, and `restrict`
+solves for coordinates in a subfield with it over Q.
 """
 
 from __future__ import annotations
@@ -182,9 +186,14 @@ class CycloNum:
         if n == self.order:
             return self
         basis = [CycloNum.zeta(n, i).embed(self.order).coeffs for i in range(_degree(n))]
-        sol = _solve_columns(basis, self.coeffs)
-        if sol is None:
+        # row-reduce [basis columns | coeffs]; a pivot in the last column
+        # means the coefficients lie outside the span of the basis
+        rows, pivots = _gauss_jordan(zip(*basis, self.coeffs), 0)
+        if pivots and pivots[-1] == len(basis):
             raise ValueError(f"value does not lie in Q(zeta_{n})")
+        sol = [0] * len(basis)
+        for row, col in zip(rows, pivots):
+            sol[col] = row[-1]
         return CycloNum(n, sol)
 
     def _common(self, other: "CycloNum"):
@@ -298,11 +307,6 @@ class CycloNum:
             "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CycloNum":
-        coeffs = [Fraction(num, den) for num, den in data["coeffs"]]
-        return cls(data["order"], coeffs)
-
     def __repr__(self):
         return f"CycloNum({self.order}, {self.render_text()!r})"
 
@@ -336,36 +340,37 @@ def dot(order: int, weights, xs, ys) -> CycloNum:
     return CycloNum(order, _reduce(order, dense))
 
 
-def _solve_columns(columns, rhs):
-    # Solve sum_j x_j * columns[j] = rhs over the rationals; None when unsolvable.
-    nrows = len(rhs)
-    ncols = len(columns)
-    mat = [[columns[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
+def _gauss_jordan(rows, p: int):
+    """The nonzero rows of the reduced row-echelon form of `rows` and their
+    pivot columns, over F_p, or over Q when p == 0.
+
+    Over F_p the entries are ints in [0, p), so that a zero test is a truth
+    test over either field; over Q they are ints or Fractions.  The sweep
+    stops once every row holds a pivot.
+    """
+    rows = [list(row) for row in rows]
     pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if mat[r][col] != 0), None)
-        if pivot is None:
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = Fraction(1, mat[row][col])  # exact; int / int would give a float
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
+        if p:
+            inv = pow(rows[piv][col], p - 2, p)
+            row = [v * inv % p for v in rows[piv]]
+        else:
+            inv = Fraction(1, rows[piv][col])  # exact; int / int would give a float
+            row = [v * inv for v in rows[piv]]
+        rows[piv], rows[rank] = rows[rank], row
+        for r, other in enumerate(rows):
+            f = other[col]
+            if f and r != rank:
+                pairs = zip(other, row)
+                rows[r] = [(a - f * b) % p for a, b in pairs] if p else [a - f * b for a, b in pairs]
         pivots.append(col)
-        row += 1
-        if row == nrows:
+        if len(pivots) == len(rows):
             break
-    # inconsistent rows mean rhs is outside the span
-    for r in range(row, nrows):
-        if mat[r][ncols] != 0:
-            return None
-    sol = [0] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = mat[r][ncols]
-    return tuple(sol)
+    return rows[: len(pivots)], pivots
 
 
 def galois_apply(a: CycloNum, k: int) -> CycloNum:

@@ -46,9 +46,6 @@ __all__ = [
     "NO_CONTRADICTION",
     "NOT_APPLICABLE",
     "K3_EULER_NUMBER",
-    "RANK_H2",
-    "RANK_TRANSCENDENTAL",
-    "RANK_PICARD",
     "RANK_INVARIANT_H2",
     "lefschetz_invariant_rank",
     "decomposition_system",
@@ -86,9 +83,6 @@ AXIOMS = {
 
 # Published K3 data consumed as fixtures, not computed here.
 K3_EULER_NUMBER = 24        # Euler number of a K3 surface
-RANK_H2 = 22                # second cohomology rank
-RANK_TRANSCENDENTAL = 2     # rank T(X) for the surfaces at hand
-RANK_PICARD = 20            # rank S(X) for the surfaces at hand
 RANK_INVARIANT_H2 = 3       # rank of the A6-invariant part of H^2 alone
 
 
@@ -428,9 +422,9 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     gtilde, a6 = candidate.gtilde, candidate.a6
     # the centralizer of <gtilde> is read from the candidate's index tables
     commuting = centralizer_of_subgroup(candidate.group, closure([gtilde]))
-    sigmas = [x for x, o in zip(a6.elements, element_orders(a6)) if o == 5 and x in commuting]
-    require(sigmas, "no order-5 element commuting with gtilde")
-    sigma = min(sigmas)
+    # a6.images ascend, so the first match is the least such element
+    sigma = next((Perm(x) for x, o in zip(a6.images, element_orders(a6)) if o == 5 and commuting.has_images(x)), None)
+    require(sigma is not None, "no order-5 element commuting with gtilde")
 
     # axiom A1 forces an empty iota fixed locus in this sign case, hence an
     # empty gtilde fixed locus: 0 = 2 + 1 + (9 - 2s) pins the block split

@@ -15,10 +15,10 @@ Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
 Groups*, LNCS 559, 1991), and nothing is enumerated lazily; `G.elements` wraps
 the images in `Perm`s when first read.  Membership is a bisection, and facts
 about a subgroup A of G are C passes over images: the derived subgroup,
-centralizers, the action of G on A and the right cosets (`_cosets`; `cosets`
-wraps them).  `_tables(G)`, for work on every element of G by index (the
-classes with their element orders, structure constants, `conjugation_image`;
-class records only for a character table), holds int tables for right
+centralizers, the action of G on A and the right cosets (`_cosets`).
+`_tables(G)`, for work on every element of G by index (the classes with
+their element orders, structure constants, `conjugation_image`; class
+records only for a character table), holds int tables for right
 multiplication and conjugation by each generator, and a spanning tree of the
 Cayley graph along which a table for any element takes one pass.  `_orbit` is
 the one breadth-first search, `_orbits` the one partition into orbits, and
@@ -66,7 +66,6 @@ __all__ = [
     "center",
     "derived_subgroup",
     "centralizer_of_subgroup",
-    "cosets",
     "conjugation_image",
     "class_fusion",
     "fusion_type",
@@ -557,11 +556,6 @@ def _cosets(G: PermGroup, H: PermGroup) -> tuple[tuple, ...]:
             seen.update(parts[-1])
     require(len(seen) == len(G) == len(parts) * len(H), "cosets do not partition the group")
     return tuple(parts)
-
-
-def cosets(G: PermGroup, H: PermGroup) -> tuple[tuple[Perm, ...], ...]:
-    """The right cosets of `_cosets`, their members wrapped in Perms."""
-    return tuple(tuple(map(Perm._raw, part)) for part in _cosets(G, H))
 
 
 @group_cache

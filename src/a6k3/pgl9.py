@@ -28,7 +28,6 @@ from .permgrp import (
 
 __all__ = [
     "F9",
-    "proj_points",
     "moebius_perm",
     "frobenius_perm",
     "build_pgl29",
@@ -113,13 +112,6 @@ def f9_elements() -> tuple[F9, ...]:
 
 # Projective points indexed 0..9: index 0 is [1:0], index 1 + k is [x_k : 1].
 INFINITY = 0
-
-
-@cache
-def proj_points() -> tuple[str, ...]:
-    names = ["[1:0]"]
-    names += [f"[{x.a}+{x.b}i:1]" for x in f9_elements()]
-    return tuple(names)
 
 
 def _point_of(x: F9, y: F9) -> int:

@@ -20,12 +20,10 @@ from a6k3.chartab import (
     admissible_primes,
     character_table,
     class_labels,
-    dixon_prime,
     match_reference_table,
     reference_a6_rows,
     render_table_text,
     structure_constants,
-    table_to_json,
 )
 from a6k3.extbuild import alternating6
 
@@ -94,10 +92,10 @@ def test_structure_constants_independent_of_z():
 
 
 def test_dixon_prime_examples():
-    assert dixon_prime(alternating6()) == 61
+    assert next(admissible_primes(alternating6())) == 61
     C2 = closure([Perm.from_cycles([(0, 1)], 2)])
-    assert dixon_prime(C2) == 5
-    assert dixon_prime(c4()) == 5
+    assert next(admissible_primes(C2)) == 5
+    assert next(admissible_primes(c4())) == 5
     assert list(islice(admissible_primes(alternating6()), 2)) == [61, 181]
 
 
@@ -237,10 +235,11 @@ def test_rendering_and_json():
     t = character_table(build_psl29())
     text = render_table_text(t)
     assert "1A" in text and "5B" in text and "chi7" in text
-    data = table_to_json(t)
-    assert data["group_order"] == 360
-    assert len(data["rows"]) == 7
-    assert data["classes"][0] == {"label": "1A", "element_order": 1, "size": 1}
+    assert t.group_order == 360
+    assert len(t.rows) == 7
+    first = t.classes[0]
+    assert (class_labels(t.classes)[0], first.element_order, first.size) == ("1A", 1, 1)
+    assert t.rows[0][0].to_json() == {"order": 60, "coeffs": [[1, 1]] + [[0, 1]] * 15}
 
 
 def test_random_small_groups_have_valid_tables():

@@ -176,7 +176,7 @@ def test_cold_report_multiplies_through_the_index_tables():
     code, products, hashes, wraps, class_records = map(int, out.split())
     assert code == 0
     assert products <= 57
-    assert hashes <= 2000 and wraps <= 2000
+    assert hashes <= 2000 and wraps <= 800
     assert class_records == 7
 
 

@@ -92,7 +92,7 @@ def test_galois_rejects_non_coprime():
 
 def test_embedding_round_trip():
     rng = random.Random(2024)
-    for order, bigger in ((4, 12), (5, 60), (12, 60), (4, 60)):
+    for order, bigger in ((4, 12), (5, 60), (12, 60), (4, 60), (8, 120), (15, 120), (24, 120)):
         for _ in range(10):
             a = random_cyclo(rng, order)
             up = a.embed(bigger)
@@ -103,6 +103,8 @@ def test_embedding_round_trip():
         CycloNum.zeta(5).embed(12)
     with pytest.raises(ValueError):
         CycloNum.zeta(12).restrict(4)  # zeta12 does not lie in Q(zeta4)
+    with pytest.raises(ValueError):
+        CycloNum.zeta(120).restrict(60)  # nor zeta120 in Q(zeta60)
 
 
 def test_cross_order_equality():
@@ -174,7 +176,7 @@ def test_rendering_and_json():
     assert CycloNum.zero(5).render_text() == "0"
     data = v.to_json()
     assert data["order"] == 5
-    assert CycloNum.from_json(data) == v
+    assert CycloNum(data["order"], [Fraction(*c) for c in data["coeffs"]]) == v
 
 
 def test_coefficient_invariants():

@@ -22,7 +22,6 @@ from a6k3.pgl9 import (
     classify_overgroups,
     f9_elements,
     moebius_perm,
-    proj_points,
     _split_overgroups,
 )
 
@@ -63,11 +62,6 @@ def test_frobenius_is_an_order2_field_automorphism():
     for x in els:
         assert x.frobenius().frobenius() == x
     assert any(x.frobenius() != x for x in els)
-
-
-def test_projective_line_has_10_points():
-    assert len(proj_points()) == 10
-    assert proj_points()[0] == "[1:0]"
 
 
 def test_moebius_action_is_faithful():
