@@ -27,7 +27,7 @@ from .permgrp import (
     PermGroup,
     VerificationError,
     _classes,
-    _tables,
+    _left_products,
     conjugacy_classes,
     group_cache,
     require,
@@ -80,12 +80,13 @@ def structure_constants(G: PermGroup) -> ClassAlgebra:
     classes = conjugacy_classes(G)
     r = len(classes)
     class_of = _classes(G)[1]
-    inv_class = _inverse_class_map(classes)
+    # the class of the inverse of each element, looked up by its images
+    inv_class = dict(zip(G.images, map(_inverse_class_map(classes).__getitem__, class_of)))
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k, ck in enumerate(classes):
         # x*y = z has the unique solution y = x^-1 z, and y^-1 = z^-1 x
-        left = _tables(G).left(ck.representative.inverse().images)
-        pairs = Counter(zip(class_of, map(inv_class.__getitem__, map(class_of.__getitem__, left))))
+        left = _left_products(G, ck.representative.inverse())
+        pairs = Counter(zip(class_of, map(inv_class.__getitem__, left)))
         for (i, j), count in pairs.items():
             a[i][j][k] = count
     alg = ClassAlgebra(
@@ -170,19 +171,18 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
     central-character rows (identity-class entry 1).
     """
     r = len(alg.classes)
-    # bases are kept in reduced row-echelon form so that the coordinates of a
-    # member vector can be read off at the pivot columns
-    spaces = [[[1 if c == k else 0 for c in range(r)] for k in range(r)]]
+    # bases are kept in reduced row-echelon form, each with its pivot columns,
+    # so that the coordinates of a member vector can be read off at those
+    spaces = [([[1 if c == k else 0 for c in range(r)] for k in range(r)], list(range(r)))]
     for i in range(1, r):
-        if all(len(B) == 1 for B in spaces):
+        if all(len(B) == 1 for B, _ in spaces):
             break
         M = alg.constants[i]  # (M)[j][k] = a[i][j][k]; acts as w |-> M w
         new_spaces = []
-        for B in spaces:
+        for B, pivots in spaces:
             if len(B) == 1:
-                new_spaces.append(B)
+                new_spaces.append((B, pivots))
                 continue
-            pivots = [next(c for c in range(r) if row[c] % p) for row in B]
             imgs = []
             for vec in B:
                 img = [sum(M[c][k] * vec[k] for k in range(r)) % p for c in range(r)]
@@ -201,16 +201,16 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
                             for c in range(r):
                                 v[c] = (v[c] + ca * B[a][c]) % p
                     vecs.append(v)
-                sub, _ = _gauss_jordan(vecs, p)
-                new_spaces.append(sub)
+                sub, sub_pivots = _gauss_jordan(vecs, p)
+                new_spaces.append((sub, sub_pivots))
                 found += len(sub)
                 if found == len(B):
                     break
             require(found == len(B), f"class matrix {i} is not diagonalizable mod {p}")
         spaces = new_spaces
-    require(all(len(B) == 1 for B in spaces), f"common eigenspaces not one-dimensional mod {p}")
+    require(all(len(B) == 1 for B, _ in spaces), f"common eigenspaces not one-dimensional mod {p}")
     rows = []
-    for B in spaces:
+    for B, _ in spaces:
         w = B[0]
         lead = w[0]  # identity-class coordinate; the true value there is 1
         require(lead % p != 0, "eigenvector vanishes on the identity class")

@@ -253,21 +253,6 @@ class CycloNum:
 
     __hash__ = None  # cross-order equality makes a consistent hash unavailable
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    # -- Galois action -----------------------------------------------------
-
-    def galois(self, k: int) -> "CycloNum":
-        """Image under zeta |-> zeta**k; k must be coprime to the order."""
-        n = self.order
-        if gcd(k, n) != 1:
-            raise ValueError(f"{k} is not coprime to the order {n}")
-        dense = [0] * n
-        for i, c in enumerate(self.coeffs):
-            dense[(i * k) % n] += c
-        return CycloNum(n, _reduce(n, dense))
-
     # -- queries and rendering ---------------------------------------------
 
     def is_rational(self):
@@ -300,12 +285,6 @@ class CycloNum:
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
-        }
 
     def __repr__(self):
         return f"CycloNum({self.order}, {self.render_text()!r})"
@@ -375,4 +354,10 @@ def _gauss_jordan(rows, p: int):
 
 def galois_apply(a: CycloNum, k: int) -> CycloNum:
     """Apply the field automorphism zeta |-> zeta**k (k coprime to the order)."""
-    return a.galois(k)
+    n = a.order
+    if gcd(k, n) != 1:
+        raise ValueError(f"{k} is not coprime to the order {n}")
+    dense = [0] * n
+    for i, c in enumerate(a.coeffs):
+        dense[(i * k) % n] += c
+    return CycloNum(n, _reduce(n, dense))

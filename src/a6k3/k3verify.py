@@ -420,7 +420,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     if candidate.kind != "PGL29_2":
         raise ValueError("argument applies to the PGL29_2 candidate only")
     gtilde, a6 = candidate.gtilde, candidate.a6
-    # the centralizer of <gtilde> is read from the candidate's index tables
+    # the centralizer of <gtilde> filters the candidate's images
     commuting = centralizer_of_subgroup(candidate.group, closure([gtilde]))
     # a6.images ascend, so the first match is the least such element
     sigma = next((Perm(x) for x, o in zip(a6.images, element_orders(a6)) if o == 5 and commuting.has_images(x)), None)

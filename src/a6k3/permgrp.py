@@ -7,22 +7,21 @@ refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
 A permutation's images are stored as bytes up to degree 256 and as a tuple
-above; only `_pack`, `_pad`, `_pads`, `_rmul` and `_conjugation` know which.
-Bytes cache their hash and sort like tuples of ints, and a composition is
-one `bytes.translate` call.  A group is the ascending tuple of its images,
-`G.images`, which every constructor is given: `closure` runs `_dimino`,
-Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
-Groups*, LNCS 559, 1991), and nothing is enumerated lazily; `G.elements` wraps
-the images in `Perm`s when first read.  Membership is a bisection, and facts
-about a subgroup A of G are C passes over images: the derived subgroup,
-centralizers, the action of G on A and the right cosets (`_cosets`).
-`_tables(G)`, for work on every element of G by index (the classes with
-their element orders, structure constants, `conjugation_image`; class
-records only for a character table), holds int tables for right
-multiplication and conjugation by each generator, and a spanning tree of the
-Cayley graph along which a table for any element takes one pass.  `_orbit` is
-the one breadth-first search, `_orbits` the one partition into orbits, and
-`_fusion` the one class-fusion routine; the tree has its own search.
+above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul` and `_conjugation`
+know which.  Bytes cache their hash and sort like tuples of ints, and a
+composition is one `bytes.translate` call.  A group is the ascending tuple of
+its images, `G.images`, which every constructor is given: `closure` runs
+`_dimino`, Dimino's algorithm (G. Butler, *Fundamental Algorithms for
+Permutation Groups*, LNCS 559, 1991), and nothing is enumerated lazily;
+`G.elements` wraps the images in `Perm`s when first read.  Membership is a
+bisection, and facts about a subgroup A of G are C passes over images: the
+derived subgroup, centralizers, the right cosets (`_cosets`) and
+`_normal_action`, the one conjugation action of G on A's element indices,
+which `_index(A)` numbers.  The classes of G are the orbits of
+`_normal_action(G, G)`.  `_orbit` is the one breadth-first search,
+`_orbits` the one partition into orbits, and `_fusion` the one class-fusion
+routine; only `conjugation_image` walks the Cayley graph of G, from the
+identity.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
@@ -206,9 +205,9 @@ class Perm:
 
 # Only these helpers know the image format.  Up to degree 256 images are
 # bytes: they hash once and compare like tuples of ints, x * s is
-# s.translate(x padded to 256 entries) and s * x is x.translate(s padded),
-# one C call each.  Above, they are tuples composed by itemgetter;
-# conjugation_image acts on 360 points.
+# s.translate(x padded to 256 entries) (`_rmul`) and s * x is
+# x.translate(s padded) (`_lmul`), one C call each.  Above, they are tuples
+# composed by itemgetter; conjugation_image acts on 360 points.
 # _TAILS[n]: the points n..255, which an n-point image fixes as a table
 _TAILS = [bytes(range(256))[n:] for n in range(257)]
 
@@ -234,12 +233,18 @@ def _rmul(s):
     return s.translate if type(s) is bytes else itemgetter(*s)
 
 
+def _lmul(a):
+    """The map xs |-> (a * x for x in xs) on stored images, one C call per x."""
+    t = _pad(a)
+    if type(t) is bytes:
+        return lambda xs: map(bytes.translate, xs, repeat(t))
+    return lambda xs: (itemgetter(*x)(t) for x in xs)
+
+
 def _conjugation(s: Perm, degree: int):
     """The map xs |-> (s^-1 x s for x in xs) on stored images, in C passes."""
-    t, right = _pad(s.inverse().images), _rmul(s.images)
-    # left(xs, repeat(t)): s^-1 * x for each x in xs
-    left = partial(map, bytes.translate) if type(t) is bytes else partial(map, lambda x, t: itemgetter(*x)(t))
-    return lambda xs: map(right, _pads(left(xs, repeat(t)), degree))
+    left, right = _lmul(s.inverse().images), _rmul(s.images)
+    return lambda xs: map(right, _pads(left(xs), degree))
 
 
 def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
@@ -385,46 +390,15 @@ def closure(generators, *, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
     return PermGroup(gens, degree, tuple(sorted(els)))
 
 
-class _Tables:
-    """The index core of G, built on first use by `_tables` and memoized on
-    G: element i is G.images[i], the identity is 0, and tables hold indices."""
-
-    def __init__(self, G: PermGroup):
-        imgs = G.images
-        self.pos = dict(zip(imgs, range(len(imgs))))
-        padded = list(_pads(imgs, G.degree))
-        try:
-            # per generator s: x -> x * s, one pass of compositions
-            self.right = right = [list(map(self.pos.__getitem__, map(_rmul(s.images), padded))) for s in G.generators]
-        except KeyError:
-            raise VerificationError("the elements are not closed under the generators") from None
-        # a spanning tree of the Cayley graph: x = p * (generator k), parents first
-        self.tree = tree = []
-        order, seen = [0], {0}
-        for p in order:
-            for k, R in enumerate(right):
-                if (x := R[p]) not in seen:
-                    seen.add(x)
-                    order.append(x)
-                    tree.append((x, p, k))
-        if len(order) != len(imgs):
-            raise ValueError("the generators of G do not generate its elements")
-        # per generator s: x -> s^-1 x s
-        self.conj = [[R[y] for y in self.left(s.inverse().images)] for s, R in zip(G.generators, right)]
-
-    def along(self, tables, start: int) -> list[int]:
-        """The map f with f(1) = start and f(p * s_k) = tables[k][f(p)]."""
-        out = [start] * (len(self.tree) + 1)
-        for x, p, k in self.tree:
-            out[x] = tables[k][out[p]]
-        return out
-
-    def left(self, a) -> list[int]:
-        """x -> a * x, for a given by its images: a p s = (a p) s."""
-        return self.along(self.right, self.pos[a])
+@group_cache
+def _index(G: PermGroup) -> dict:
+    """G's stored images -> their indices in canonical order; the identity is 0."""
+    return dict(zip(G.images, range(len(G))))
 
 
-_tables = group_cache(_Tables)
+def _left_products(G: PermGroup, a: Perm):
+    """The stored images of a * x for each x of G, in canonical order."""
+    return _lmul(a.images)(G.images)
 
 
 @group_cache
@@ -433,7 +407,7 @@ def _classes(G: PermGroup) -> tuple[tuple[list[int], ...], list[int], tuple[int,
     (element order, size, least element), the class of each index, and the
     element order of each class."""
     imgs = G.images
-    orbits = [sorted(orbit) for orbit in _orbits(len(imgs), _tables(G).conj)]
+    orbits = [sorted(orbit) for orbit in _orbits(len(imgs), _normal_action(G, G))]
     orders, _, _, classes = zip(*sorted((Perm._raw(imgs[o[0]]).order(), len(o), o[0], o) for o in orbits))
     require(sum(map(len, classes)) == len(G), "class equation violated")
     class_of = [0] * len(G)
@@ -454,7 +428,7 @@ class ConjClassData(namedtuple("ConjClassData", "representative size element_ord
 def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     """Conjugacy classes in canonical order (element order, size, least rep)."""
     classes, class_of, orders = _classes(G)
-    els, pos = G.elements, _tables(G).pos
+    els, pos = G.elements, _index(G)
     exponent = lcm(*orders)
     out = []
     for members, order in zip(classes, orders):
@@ -476,18 +450,17 @@ def element_orders(G: PermGroup) -> tuple[int, ...]:
     return tuple(map(orders.__getitem__, class_of))
 
 
-def _subgroup(G: PermGroup, images, generators=None) -> PermGroup:
-    """The subgroup of G on the given stored images.  Without generators,
-    Dimino's algorithm over the members keeps those that are not redundant,
-    and their closure must be exactly the member set.  If G has wrapped its
+def _subgroup(G: PermGroup, images=None, seeds=None) -> PermGroup:
+    """The subgroup of G generated by the seeds or, without seeds, on the
+    given stored images.  Dimino's algorithm over the seeds, or over the
+    ascending images, keeps those that are not redundant as generators;
+    given images must be exactly their closure.  If G has wrapped its
     elements, the subgroup shares those Perms."""
-    imgs = tuple(sorted(images))
-    if generators is None:
-        closed, used = _dimino(imgs, G.degree, MAX_GROUP_ORDER)
-        require(closed == set(imgs), "the members are not closed under multiplication")
-        generators = map(Perm._raw, used)
+    closed, used = _dimino(sorted(images) if seeds is None else seeds, G.degree, MAX_GROUP_ORDER)
+    require(images is None or closed == set(images), "the members are not the closure of the generators")
+    imgs = tuple(sorted(closed))
     els = G._elements and tuple(map(G._elements.__getitem__, map(partial(bisect_left, G.images), imgs)))
-    H = PermGroup(generators, G.degree, imgs, els)
+    H = PermGroup(map(Perm._raw, used), G.degree, imgs, els)
     require(len(G) % len(H) == 0, "Lagrange check failed")
     return H
 
@@ -506,10 +479,11 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     # the normal closure is generated by the conjugates of the seeds
     steps = [_conjugation(s, G.degree) for s in G.generators]
     conjugates = _orbit(seeds, lambda xs: set().union(*(step(xs) for step in steps)))
-    sub, used = _dimino(sorted(conjugates), G.degree, MAX_GROUP_ORDER)
-    # s^-1 <used> s has the order of H, so conjugating used is enough
-    require(all(sub.issuperset(step(used)) for step in steps), "derived subgroup not normal")
-    return _subgroup(G, sub, map(Perm._raw, used))
+    H = _subgroup(G, seeds=sorted(conjugates))
+    # s^-1 H s has the order of H, so conjugating its generators is enough
+    gens = [h.images for h in H.generators]
+    require(all(H.has_images(y) for step in steps for y in step(gens)), "derived subgroup not normal")
+    return H
 
 
 def _normal_action(G: PermGroup, A: PermGroup) -> list[list[int]]:
@@ -517,7 +491,7 @@ def _normal_action(G: PermGroup, A: PermGroup) -> list[list[int]]:
     ValueError unless A is a normal subgroup of G."""
     if not A.is_subgroup_of(G):
         raise ValueError("A is not a subgroup of G")
-    pos = _tables(A).pos
+    pos = _index(A)
     try:
         return [list(map(pos.__getitem__, _conjugation(s, G.degree)(A.images))) for s in G.generators]
     except KeyError:
@@ -566,15 +540,22 @@ def conjugation_image(G: PermGroup, A: PermGroup):
     are A's canonically ordered elements, and mapping sends each g in G to
     the permutation a |-> g a g^-1 of those labels.
     """
-    # the tables act by s^-1, so s acts by their inverses
+    # the action tables conjugate by s^-1, so s acts by their inverses
     gen_imgs = [Perm._raw(_pack(C)).inverse() for C in _normal_action(G, A)]
-    steps = [_rmul(f.images) for f in gen_imgs]
-    # g |-> (a |-> g a g^-1) is a homomorphism: p s maps to image(p) * image(s)
-    imgs = [_pack(range(len(A)))] * len(G)
-    for x, p, k in _tables(G).tree:
-        imgs[x] = steps[k](_pad(imgs[p]))
-    interned = {f: Perm._raw(f) for f in imgs}
-    mapping = {g: interned[f] for g, f in zip(G.elements, imgs)}
+    steps = [(_rmul(s.images), _rmul(f.images)) for s, f in zip(G.generators, gen_imgs)]
+    # g |-> (a |-> g a g^-1) is a homomorphism: x s maps to image(x) * image(s),
+    # so a breadth-first search from the identity reaches every image
+    queue = [G.images[0]]
+    found = {queue[0]: _pack(range(len(A)))}
+    for x in queue:
+        x_pad, f_pad = _pad(x), _pad(found[x])
+        for right, act in steps:
+            if (y := right(x_pad)) not in found:
+                found[y] = act(f_pad)
+                queue.append(y)
+    require(len(found) == len(G), "the generators of G do not generate its elements")
+    interned = {f: Perm._raw(f) for f in found.values()}
+    mapping = {g: interned[found[g.images]] for g in G.elements}
     keys = tuple(sorted(interned))
     image = PermGroup(gen_imgs, len(A), keys, tuple(map(interned.__getitem__, keys)), point_labels=A)
     return image, mapping
@@ -624,7 +605,7 @@ def fusion_type(image: PermGroup) -> FusionType:
     if not isinstance(A, PermGroup):
         raise ValueError("image does not carry its acted-on group")
     # precondition: the inner automorphisms (by the inverse generators) lie in the image
-    if any(Perm._raw(_pack(C)) not in image for C in _tables(A).conj):
+    if any(Perm._raw(_pack(C)) not in image for C in _normal_action(A, A)):
         raise ValueError("image does not contain the inner automorphisms")
     return _fusion(A, [sigma.images for sigma in image.generators])
 
@@ -637,7 +618,7 @@ def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
     if _abelian_invariants(G, A) != (2, 2):
         raise ValueError("quotient is not C2 x C2")
     A_imgs, *others = _cosets(G, A)
-    out = [_subgroup(G, A_imgs + c, A.generators + (Perm._raw(c[0]),)) for c in others]
+    out = [_subgroup(G, A_imgs + c, [a.images for a in A.generators] + [c[0]]) for c in others]
     return tuple(sorted(out, key=_images_of))
 
 

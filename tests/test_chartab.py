@@ -239,7 +239,8 @@ def test_rendering_and_json():
     assert len(t.rows) == 7
     first = t.classes[0]
     assert (class_labels(t.classes)[0], first.element_order, first.size) == ("1A", 1, 1)
-    assert t.rows[0][0].to_json() == {"order": 60, "coeffs": [[1, 1]] + [[0, 1]] * 15}
+    v = t.rows[0][0]
+    assert (v.order, v.coeffs) == (60, (1,) + (0,) * 15)
 
 
 def test_random_small_groups_have_valid_tables():
@@ -382,7 +383,7 @@ def corrupted_entry(table, seed):
         [
             v + 1,
             -v,
-            v.galois(table.exponent - 1),  # complex conjugate
+            galois_apply(v, table.exponent - 1),  # complex conjugate
             v * CycloNum.zeta(table.exponent, rng.randrange(1, table.exponent)),
             table.rows[a][rng.randrange(len(table.classes))],  # another entry of the row
         ]

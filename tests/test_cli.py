@@ -164,7 +164,7 @@ print(code, *counts.values())
 
 
 def test_cold_report_multiplies_through_the_index_tables():
-    # group work runs on int tables and composed images, not on Perm
+    # group work runs on index lists and composed images, not on Perm
     # products; what is left is __pow__ and single-element checks.  Perms
     # are wrapped and hashed only where a caller or the report reads one,
     # and class records are built only for PSL(2,9), whose character table

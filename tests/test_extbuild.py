@@ -5,10 +5,10 @@ import weakref
 
 import pytest
 
+from a6k3 import permgrp
 from a6k3.permgrp import (
     Perm,
     PermGroup,
-    _Tables,
     center,
     centralizer_of_subgroup,
     closure,
@@ -221,16 +221,16 @@ def test_identify_under_relabeling():
 
 
 def test_relabeled_identify_tabulates_only_the_a6(monkeypatch):
-    # identify reads the facts about a6 inside G off images: index tables
-    # are built for groups of order at most 360, and G is never wrapped
+    # identify reads the facts about a6 inside G off images: only groups of
+    # order at most 360 are numbered by index, and G is never wrapped
     cands = [build_candidate(kind) for kind in KINDS]
-    orders, build = [], _Tables.__init__
+    orders, index = [], permgrp._index
 
-    def counting(tables, G):
+    def counting(G):
         orders.append(len(G))
-        build(tables, G)
+        return index(G)
 
-    monkeypatch.setattr(_Tables, "__init__", counting)
+    monkeypatch.setattr(permgrp, "_index", counting)
     rng = random.Random(4246)
     for cand in cands:
         G = relabeled_copy(cand, rng)

@@ -63,19 +63,19 @@ def eigenvalue_root(monkeypatch):
 
 
 def table_generator(monkeypatch):
-    # the index tables multiply by s^-1 where they should multiply by s, for
-    # the first generator s of each group that is not an involution
-    build, rmul = permgrp._Tables.__init__, permgrp._rmul
+    # the conjugation action multiplies by s^-1 where it should multiply by s,
+    # for the first generator s of G that is not an involution
+    action, rmul = permgrp._normal_action, permgrp._rmul
 
-    def mutated(tables, G):
+    def mutated(G, A):
         first = next((s.images for s in G.generators if s != s.inverse()), None)
         permgrp._rmul = lambda s: rmul(Perm(s).inverse().images if s == first else s)
         try:
-            build(tables, G)
+            return action(G, A)
         finally:
             permgrp._rmul = rmul
 
-    monkeypatch.setattr(permgrp._Tables, "__init__", mutated)
+    monkeypatch.setattr(permgrp, "_normal_action", mutated)
 
 
 def centralizer_generator(monkeypatch):
@@ -118,7 +118,8 @@ REBUILT = {
     # the A6 tables are memoized on PSL(2,9), which is memoized on PGL(2,9);
     # the candidates take their A6 from PSL(2,9), so they are rebuilt with it
     eigenvalue_root: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
-    # the index tables are memoized on every group the builders hold
+    # the classes and class fusions, read off the conjugation action, are
+    # memoized on every group the builders hold
     table_generator: (
         pgl9.build_pgl29,
         pgl9.build_pgammal29,

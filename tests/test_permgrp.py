@@ -15,8 +15,10 @@ from a6k3.permgrp import (
     Perm,
     VerificationError,
     _cosets,
+    _index,
+    _left_products,
+    _normal_action,
     _subgroup,
-    _tables,
     center,
     centralizer_of_subgroup,
     class_fusion,
@@ -176,6 +178,23 @@ def test_conjugation_image_kernel_is_centralizer():
     assert len(image) == len(gam) // len(kernel)
 
 
+def test_conjugation_image_maps_each_element_to_its_conjugation():
+    # mapping[g] sends the label of a to the label of g a g^-1: for every g on
+    # A's generators, and on every label for every 37th g.  The M10 candidate
+    # has generators that are not involutions, so a walk that steps by the
+    # inverse of a generator's image goes wrong
+    cand = build_candidate("M10_2")
+    G, A = cand.group, cand.a6
+    assert any(s != s.inverse() for s in G.generators)
+    image, mapping = conjugation_image(G, A)
+    label = {a: i for i, a in enumerate(A.elements)}
+    for k, g in enumerate(G.elements):
+        gi = g.inverse()
+        for a in A.elements if k % 37 == 0 else A.generators:
+            assert mapping[g](label[a]) == label[g * a * gi]
+    assert set(mapping.values()) == set(image.elements)
+
+
 def test_conjugation_image_requires_normal():
     A6 = alternating6()
     C3 = closure([Perm.from_cycles([(0, 1, 2)], 6)])
@@ -324,23 +343,16 @@ def index_table_groups():
 
 def assert_tables_match_perm_arithmetic(G):
     els = G.elements
-    T = _tables(G)
     # the index order is the canonical order, with the identity first
     assert list(els) == sorted(els) and els[0] == G.identity
-    assert T.pos == {x.images: i for i, x in enumerate(els)}
-    for s, right, conj in zip(G.generators, T.right, T.conj):
-        assert [els[i] for i in right] == [x * s for x in els]
+    assert _index(G) == {x.images: i for i, x in enumerate(els)}
+    action = _normal_action(G, G)
+    assert len(action) == len(G.generators)
+    for s, conj in zip(G.generators, action):
         assert [els[i] for i in conj] == [s.inverse() * x * s for x in els]
-    # the tree reaches every other element once, from an earlier parent
-    reached = {0}
-    for x, p, k in T.tree:
-        assert p in reached and x not in reached
-        assert els[x] == els[p] * G.generators[k]
-        reached.add(x)
-    assert len(reached) == len(G)
-    # tables built along the tree: left multiplication by any element
+    # left multiplication by any element, one pass over the images
     for a in (els[-1], els[len(els) // 2]) + G.generators:
-        assert [els[i] for i in T.left(a.images)] == [a * x for x in els]
+        assert list(map(Perm, _left_products(G, a))) == [a * x for x in els]
 
 
 def test_index_tables_against_perm_arithmetic():
@@ -417,8 +429,22 @@ def test_subgroup_generators_close_to_the_members():
     assert len(groups[0].generators) < 9
     # a member set that is not closed fails the closure check
     x = next(x for x in A6.elements if x.order() == 3)
-    with pytest.raises(VerificationError, match="not closed"):
+    with pytest.raises(VerificationError, match="not the closure"):
         _subgroup(A6, [A6.identity.images, x.images])
+
+
+def test_subgroup_generators_must_generate_the_members():
+    # given generators are checked at construction: a 3-cycle does not
+    # generate A6, and A6 is not the closure of any generator with one missing
+    A6 = alternating6()
+    x = next(x for x in A6.elements if x.order() == 3)
+    with pytest.raises(VerificationError, match="not the closure"):
+        _subgroup(A6, A6.images, [x.images])
+    gens = [g.images for g in A6.generators]
+    with pytest.raises(VerificationError, match="not the closure"):
+        _subgroup(A6, A6.images, gens[1:])
+    assert _subgroup(A6, A6.images, gens) == A6
+    assert _subgroup(A6, seeds=gens) == A6
 
 
 def test_element_orders_against_perm_orders():
@@ -451,23 +477,23 @@ def test_cosets_against_perm_arithmetic():
 
 def test_cosets_build_no_index_tables(monkeypatch):
     # the cosets are composition passes over images: neither G nor H is
-    # tabulated by index
+    # numbered by index
     cand = build_candidate("M10_2")
     G, A = closure(cand.group.generators), closure(cand.a6.generators)
-    built, build = [], permgrp._Tables.__init__
+    indexed, index = [], permgrp._index
 
-    def recording(tables, G):
-        built.append(len(G))
-        build(tables, G)
+    def recording(G):
+        indexed.append(len(G))
+        return index(G)
 
-    monkeypatch.setattr(permgrp._Tables, "__init__", recording)
+    monkeypatch.setattr(permgrp, "_index", recording)
     assert len(_cosets(G, A)) == 4
-    assert built == []
+    assert indexed == []
 
 
 def test_image_format_stays_in_permgrp():
-    # only _pack, _pad, _pads, _rmul and _conjugation know how images are stored
+    # only _pack, _pad, _pads, _rmul, _lmul and _conjugation know how images are stored
     src = Path(a6k3.__file__).parent
-    pattern = re.compile(r"\b_(pack|pad|pads|rmul|conjugation)\b")
+    pattern = re.compile(r"\b_(pack|pad|pads|rmul|lmul|conjugation)\b")
     leaks = [p.name for p in sorted(src.glob("*.py")) if p.name != "permgrp.py" and pattern.search(p.read_text())]
     assert leaks == []
