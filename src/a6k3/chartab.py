@@ -172,7 +172,7 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
     """
     r = len(alg.classes)
     # bases are kept in reduced row-echelon form, each with its pivot columns,
-    # so that the coordinates of a member vector can be read off at those
+    # so that the coordinates of a member vector can be read off at them
     spaces = [([[1 if c == k else 0 for c in range(r)] for k in range(r)], list(range(r)))]
     for i in range(1, r):
         if all(len(B) == 1 for B, _ in spaces):
