@@ -10,7 +10,8 @@ spaces and eigenspace bases come from `exact._gauss_jordan`, the package's
 one elimination, here over F_p.  The row orthogonality relations of the
 square table, which imply the column relations, are re-verified exactly
 before a table is returned, each row pair as one `exact.dot` with a single
-cyclotomic reduction.
+cyclotomic reduction.  Classes are named by `class_labels`; this module
+renders nothing, and the text form of a table is written by `cli`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ __all__ = [
     "match_reference_table",
     "reference_a6_rows",
     "class_labels",
-    "render_table_text",
-    "display_value",
 ]
 
 
@@ -397,7 +396,7 @@ def match_reference_table(table: CharacterTable) -> bool:
     return False
 
 
-# -- rendering ----------------------------------------------------------------
+# -- class names --------------------------------------------------------------
 
 
 def class_labels(classes) -> tuple[str, ...]:
@@ -409,32 +408,3 @@ def class_labels(classes) -> tuple[str, ...]:
         counts[c.element_order] = k + 1
         labels.append(f"{c.element_order}{chr(ord('A') + k)}")
     return tuple(labels)
-
-
-def display_value(v: CycloNum) -> str:
-    """Compact text form: rationals verbatim, otherwise the value rewritten
-    in the smallest convenient cyclotomic field."""
-    r = v.is_rational()
-    if r is not None:
-        return str(r)
-    for n in (4, 5, 8, 12):
-        if v.order % n == 0:
-            try:
-                return v.restrict(n).render_text()
-            except ValueError:
-                continue
-    return v.render_text()
-
-
-def render_table_text(table: CharacterTable) -> str:
-    labels = class_labels(table.classes)
-    body = [[display_value(v) for v in row] for row in table.rows]
-    names = [f"chi{i+1}" for i in range(len(table.rows))]
-    widths = [max(len(labels[j]), *(len(body[i][j]) for i in range(len(body)))) for j in range(len(labels))]
-    name_w = max(len(n) for n in names)
-    lines = [" " * name_w + "  " + "  ".join(l.rjust(w) for l, w in zip(labels, widths))]
-    lines.append(" " * name_w + "  " + "  ".join("-" * w for w in widths))
-    for name, row in zip(names, body):
-        lines.append(name.ljust(name_w) + "  " + "  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
-

@@ -9,6 +9,11 @@ later stages still run; its traceback goes to stderr with -v, and only then
 is the `traceback` module imported.
 Nothing mathematical is configurable; the fixtures are frozen and only the
 presentation varies.
+
+This module alone knows the report's format.  The records of the other
+modules carry data and nothing else: a namedtuple record enters the JSON
+through `_asdict()`, its tuples written as lists, and the text forms of a
+character table, a cyclotomic value and a trace condition are written here.
 """
 
 from __future__ import annotations
@@ -17,12 +22,8 @@ import argparse
 import json
 import sys
 
-from .chartab import (
-    character_table,
-    class_labels,
-    match_reference_table,
-    render_table_text,
-)
+from .chartab import CharacterTable, character_table, class_labels, match_reference_table
+from .exact import CycloNum
 from .extbuild import (
     build_all_candidates,
     pairwise_nonisomorphic,
@@ -31,6 +32,7 @@ from .extbuild import (
 from .k3verify import (
     AXIOMS,
     CONTRADICTION,
+    ClassEquation,
     MultiplicityVector,
     NikulinTable,
     RANK_INVARIANT_H2,
@@ -137,7 +139,10 @@ def stage_groups() -> list[dict]:
             "ext.structure",
             "each candidate splits over A6, embeds via (conjugation, alpha), and carries the central involution (1, -1)",
             all(r.passed for r in reports.values()),
-            {kind: r.to_json() for kind, r in reports.items()},
+            {
+                kind: {**r._asdict(), "central_involution": r.central_involution.cycle_string(), "passed": r.passed}
+                for kind, r in reports.items()
+            },
         )
     )
     return checks
@@ -202,7 +207,7 @@ def stage_decompose() -> list[dict]:
             sols == expected and control == (),
             {
                 "solutions": [list(s) for s in sols],
-                "equations": [eq.render() for eq in system.equations],
+                "equations": [_equation_text(eq) for eq in system.equations],
                 "perturbed_control_solutions": len(control),
             },
         )
@@ -240,7 +245,7 @@ def stage_exclude() -> list[dict]:
             report.verdict == "M10_2",
             {
                 "verdict": report.verdict,
-                "outcomes": report.to_json()["outcomes"],
+                "outcomes": [o._asdict() for o in report.outcomes],
                 "notes": list(report.notes),
                 "axioms": AXIOMS,
             },
@@ -266,7 +271,7 @@ def stage_lattice() -> list[dict]:
             "lattice.forms",
             "U, E8, U^3+E8^2 and diag(6,6) have the stated rank, determinant, parity and signature",
             report.ok,
-            {"entries": [e.to_json() for e in report.entries]},
+            {"entries": [e._asdict() for e in report.entries]},
         )
     ]
 
@@ -289,6 +294,45 @@ def build_report(command: str) -> dict:
     if all(check["status"] == "pass" for check in checks):
         verdict = next((c["witnesses"]["verdict"] for c in checks if c["id"] == "exclude.pipeline"), None)
     return {"version": REPORT_VERSION, "checks": checks, "verdict": verdict}
+
+
+def display_value(v: CycloNum) -> str:
+    """Compact text form: rationals verbatim, otherwise the value rewritten
+    in the smallest convenient cyclotomic field."""
+    r = v.is_rational()
+    if r is not None:
+        return str(r)
+    for n in (4, 5, 8, 12):
+        if v.order % n == 0:
+            try:
+                return v.restrict(n).render_text()
+            except ValueError:
+                continue
+    return v.render_text()
+
+
+def render_table_text(table: CharacterTable) -> str:
+    labels = class_labels(table.classes)
+    body = [[display_value(v) for v in row] for row in table.rows]
+    names = [f"chi{i+1}" for i in range(len(table.rows))]
+    widths = [max(len(labels[j]), *(len(body[i][j]) for i in range(len(body)))) for j in range(len(labels))]
+    name_w = max(len(n) for n in names)
+    lines = [" " * name_w + "  " + "  ".join(l.rjust(w) for l, w in zip(labels, widths))]
+    lines.append(" " * name_w + "  " + "  ".join("-" * w for w in widths))
+    for name, row in zip(names, body):
+        lines.append(name.ljust(name_w) + "  " + "  ".join(v.rjust(w) for v, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _equation_text(eq: ClassEquation) -> str:
+    names = [f"a{i}" for i in range(2, 8)]
+    parts = []
+    for c, n in zip(eq.coeffs, names):
+        text = display_value(c)
+        if " " in text or text.startswith("-"):
+            text = f"({text})"
+        parts.append(f"{text}*{n}")
+    return f"{eq.fixed_euler - 4} = 1 + " + " + ".join(parts)
 
 
 def render_text(command: str, report: dict) -> str:

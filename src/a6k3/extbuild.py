@@ -11,6 +11,7 @@ only isomorphism-invariant data.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 
 from .permgrp import (
@@ -91,17 +92,6 @@ class ExtensionCandidate:
         self.kind, self.group, self.a6, self.gtilde = kind, group, a6, gtilde
         self.alpha, self.conj_image_order, self.fusion = alpha, conj_image_order, fusion
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.group.degree,
-            "generators": [g.cycle_string() for g in self.group.generators],
-            "gtilde": self.gtilde.cycle_string(),
-            "conj_image_order": self.conj_image_order,
-            "fusion": {"swaps_3": self.fusion.swaps_3, "swaps_5": self.fusion.swaps_5},
-            "fingerprint": fingerprint(self.group).to_json(),
-        }
-
 
 class TailExponents:
     """alpha[x] is the k with x acting on the points base.. as the k-th power
@@ -178,7 +168,12 @@ def build_all_candidates() -> dict[str, ExtensionCandidate]:
     return {kind: build_candidate(kind) for kind in KINDS}
 
 
-class StructureReport:
+class StructureReport(
+    namedtuple(
+        "StructureReport",
+        "kind injective central_involution half_kernel_is_product outer_alpha_odd split_witnessed",
+    )
+):
     """Structural facts every group of shape A6.mu4 must satisfy.
 
     injective: (conjugation, alpha) separates elements.
@@ -188,11 +183,7 @@ class StructureReport:
     split_witnessed: <gtilde> has order 4 and meets a6 trivially.
     """
 
-    def __init__(self, kind: str, injective: bool, central_involution: Perm, half_kernel_is_product: bool,
-                 outer_alpha_odd: bool, split_witnessed: bool):
-        self.kind, self.injective, self.central_involution = kind, injective, central_involution
-        self.half_kernel_is_product, self.outer_alpha_odd = half_kernel_is_product, outer_alpha_odd
-        self.split_witnessed = split_witnessed
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -202,17 +193,6 @@ class StructureReport:
             and self.outer_alpha_odd
             and self.split_witnessed
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "injective": self.injective,
-            "central_involution": self.central_involution.cycle_string(),
-            "half_kernel_is_product": self.half_kernel_is_product,
-            "outer_alpha_odd": self.outer_alpha_odd,
-            "split_witnessed": self.split_witnessed,
-            "passed": self.passed,
-        }
 
 
 def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:

@@ -13,8 +13,9 @@ are consumed as named axioms:
       has nonnegative Euler number.
 
 No floating point participates in any verdict.  The fixtures, equations,
-sign cases and outcomes are immutable namedtuple records; ExclusionReport,
-the one result object, is a plain class.
+sign cases, outcomes and the ExclusionReport that collects them are
+immutable namedtuple records; the report's JSON and text are written by
+`cli` alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache
 from itertools import permutations, product
 from math import prod
 
-from .chartab import CharacterTable, class_labels, display_value, match_reference_table
+from .chartab import CharacterTable, class_labels, match_reference_table
 from .exact import CycloNum
 from .extbuild import KINDS, ExtensionCandidate, identify
 from .permgrp import Perm, PermGroup, centralizer_of_subgroup, closure, conjugacy_classes, element_orders, require
@@ -38,7 +39,6 @@ __all__ = [
     "DecompositionSystem",
     "ArgumentOutcome",
     "ExclusionReport",
-    "GramLattice",
     "LatticeFacts",
     "LatticeReport",
     "AXIOMS",
@@ -142,22 +142,12 @@ class ClassEquation(namedtuple("ClassEquation", "label element_order fixed_euler
     """One trace condition: sum_i a_i chi_i(c) = fixed_euler - 5, with coeffs
     chi2(c), ..., chi7(c) and the target as CycloNum.
 
-    Displayed in the familiar form (fixed_euler - 4) = 1 + sum a_i chi_i(c);
+    `cli` displays it as (fixed_euler - 4) = 1 + sum a_i chi_i(c);
     the -5 absorbs the trivial summand and the Lefschetz bookkeeping
     (two trivial cohomology summands, T(X) of rank 2 in the -1 eigenspace).
     """
 
     __slots__ = ()
-
-    def render(self) -> str:
-        names = [f"a{i}" for i in range(2, 8)]
-        parts = []
-        for c, n in zip(self.coeffs, names):
-            text = display_value(c)
-            if " " in text or text.startswith("-"):
-                text = f"({text})"
-            parts.append(f"{text}*{n}")
-        return f"{self.fixed_euler - 4} = 1 + " + " + ".join(parts)
 
 
 class DecompositionSystem(namedtuple("DecompositionSystem", "equations")):
@@ -264,21 +254,11 @@ def nonpositive_sign_cases() -> tuple[SignCase, ...]:
 
 
 class ArgumentOutcome(
-    namedtuple("ArgumentOutcome", "argument kind sign_case status witnesses axioms", defaults=((),))
+    namedtuple("ArgumentOutcome", "argument kind sign_case status witnesses axioms_used", defaults=((),))
 ):
     """One argument's outcome for a kind (None: any kind) and a sign case."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "argument": self.argument,
-            "kind": self.kind,
-            "sign_case": list(self.sign_case) if self.sign_case else None,
-            "status": self.status,
-            "witnesses": self.witnesses,
-            "axioms_used": list(self.axioms),
-        }
 
 
 def _degree_rows(table: CharacterTable):
@@ -326,7 +306,7 @@ def argument_3class_trace(
         case,
         status,
         {"class": label, "trace": value, "terms": parts},
-        axioms=("A2",),
+        axioms_used=("A2",),
     )
 
 
@@ -407,7 +387,7 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
             "eligible_permutations": eligible,
             "permutations_scanned": 720,
         },
-        axioms=("A1",),
+        axioms_used=("A1",),
     )
 
 
@@ -476,7 +456,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
             "achievable_totals": list(totals),
             "required_total": required_total,
         },
-        axioms=("A1",),
+        axioms_used=("A1",),
     )
 
 
@@ -492,11 +472,10 @@ def argument_free_c4(euler_number: int = 2) -> ArgumentOutcome:
     )
 
 
-class ExclusionReport:
+class ExclusionReport(namedtuple("ExclusionReport", "outcomes sign_cases notes")):
     """Per-kind, per-sign-case outcomes of the exclusion pipeline."""
 
-    def __init__(self, outcomes: tuple, sign_cases: tuple, notes: tuple):
-        self.outcomes, self.sign_cases, self.notes = outcomes, sign_cases, notes
+    __slots__ = ()
 
     @property
     def verdict(self) -> str | None:
@@ -508,14 +487,6 @@ class ExclusionReport:
         cases = nonpositive_sign_cases()
         have = {(o.kind, o.sign_case) for o in self.outcomes}
         return all((k, c) in have for k in kinds for c in cases)
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "sign_cases": [list(c) for c in self.sign_cases],
-            "outcomes": [o.to_json() for o in self.outcomes],
-            "notes": list(self.notes),
-        }
 
 
 def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> ExclusionReport:
@@ -594,27 +565,6 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
 # -- lattice checks -------------------------------------------------------------
 
 
-class GramLattice(namedtuple("GramLattice", "name gram")):
-    """A lattice given by its symmetric integer Gram matrix."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, gram: tuple):
-        n = len(gram)
-        if any(len(row) != n for row in gram):
-            raise ValueError("Gram matrix is not square")
-        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
-            raise ValueError("Gram matrix is not symmetric")
-        return super().__new__(cls, name, gram)
-
-    # _replace builds through _make, which would skip the checks
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-
 def gram_hyperbolic() -> tuple:
     """The rank-2 even unimodular form of signature (1,1)."""
     return ((0, 1), (1, 0))
@@ -663,6 +613,7 @@ def _diagonal(gram) -> list[Fraction]:
     pivots have gram's signature.
     """
     n = len(gram)
+    require(all(len(row) == n for row in gram), "matrix not square")
     m = [[Fraction(v) for v in row] for row in gram]
     require(all(m[i][j] == m[j][i] for i in range(n) for j in range(n)), "matrix not symmetric")
     for i in range(n):
@@ -715,15 +666,6 @@ class LatticeFacts(namedtuple("LatticeFacts", "name rank determinant even signat
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "rank": self.rank,
-            "determinant": self.determinant,
-            "even": self.even,
-            "signature": list(self.signature),
-        }
-
 
 class LatticeReport(namedtuple("LatticeReport", "entries ok")):
     """The LatticeFacts of each fixed form, and whether all match the expected values."""
@@ -740,26 +682,26 @@ def lattice_checks() -> LatticeReport:
         "T(F)": (2, 36, True, (2, 0)),
     }
     lattices = (
-        GramLattice("U", gram_hyperbolic()),
-        GramLattice("E8", gram_e8()),
-        GramLattice("U^3 + E8^2", gram_k3()),
-        GramLattice("T(F)", gram_transcendental()),
+        ("U", gram_hyperbolic()),
+        ("E8", gram_e8()),
+        ("U^3 + E8^2", gram_k3()),
+        ("T(F)", gram_transcendental()),
     )
     entries = []
     ok = True
-    for lattice in lattices:
+    for name, gram in lattices:
         # one elimination gives both the determinant and the signature
-        diag = _diagonal(lattice.gram)
+        diag = _diagonal(gram)
         det = _determinant(diag)
         require(det.denominator == 1, "an integer Gram matrix has a non-integral determinant")
         facts = LatticeFacts(
-            name=lattice.name,
-            rank=lattice.rank,
+            name=name,
+            rank=len(gram),
             determinant=int(det),
-            even=gram_is_even(lattice.gram),
+            even=gram_is_even(gram),
             signature=_signature(diag),
         )
-        want = expected[lattice.name]
+        want = expected[name]
         if (facts.rank, facts.determinant, facts.even, facts.signature) != want:
             ok = False
         entries.append(facts)

@@ -35,7 +35,8 @@ Bad caller input raises `ValueError`.
 One record idiom across the package: a value (`ConjClassData`, `FusionType`,
 `Fingerprint`) is a `collections.namedtuple` subclass with `__slots__ = ()`,
 equal and hashed by its fields and immutable; a computed result that holds
-groups or tables is a plain class, equal only to itself.
+groups or tables is a plain class, equal only to itself.  No record
+serializes itself: `cli` alone writes the report.
 """
 
 from __future__ import annotations
@@ -626,14 +627,6 @@ class Fingerprint(namedtuple("Fingerprint", "order center_order abelianization o
     """Cheap isomorphism invariants used to separate groups across degrees."""
 
     __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "center_order": self.center_order,
-            "abelianization": list(self.abelianization),
-            "order_histogram": {str(o): n for o, n in self.order_histogram},
-        }
 
 
 def _divisor_chains(n: int, head: int):

@@ -22,9 +22,9 @@ from a6k3.chartab import (
     class_labels,
     match_reference_table,
     reference_a6_rows,
-    render_table_text,
     structure_constants,
 )
+from a6k3.cli import render_table_text
 from a6k3.extbuild import alternating6
 
 

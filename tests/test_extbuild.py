@@ -294,11 +294,3 @@ def test_mu4_cycle():
     assert c.order() == 4
     assert c.cycle_string() == "(7 8 9 10)"
 
-
-def test_candidate_json():
-    data = build_candidate("M10_2").to_json()
-    assert data["kind"] == "M10_2"
-    assert data["degree"] == 14
-    assert data["fusion"] == {"swaps_3": True, "swaps_5": True}
-    assert data["fingerprint"]["order"] == 1440
-    assert all(isinstance(s, str) for s in data["generators"])

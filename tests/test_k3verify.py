@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from a6k3 import cli
 from a6k3.exact import CycloNum
 from a6k3.permgrp import Perm, VerificationError, closure
 from a6k3.pgl9 import build_psl29
@@ -20,7 +22,6 @@ from a6k3.k3verify import (
     CONTRADICTION,
     NO_CONTRADICTION,
     NOT_APPLICABLE,
-    GramLattice,
     MultiplicityVector,
     NikulinTable,
     SignCase,
@@ -180,7 +181,7 @@ def test_argument_3class_trace():
         assert out.status == CONTRADICTION
         assert out.witnesses["trace"] == -2
         assert sum(out.witnesses["terms"]) == -2
-        assert out.axioms == ("A2",)
+        assert out.axioms_used == ("A2",)
     out = argument_3class_trace(SignCase(-1, -1, 1), table, mv)
     assert out.status == NOT_APPLICABLE
 
@@ -227,7 +228,7 @@ def test_argument_pigeonhole():
         assert out.status == CONTRADICTION
         assert out.witnesses["min_fixed_points_of_square"] == 2
         assert out.witnesses["permutations_scanned"] == 720
-        assert out.axioms == ("A1",)
+        assert out.axioms_used == ("A1",)
     with pytest.raises(ValueError):
         argument_pigeonhole("PGL29_2", cands["PGL29_2"])
 
@@ -306,24 +307,29 @@ def test_run_exclusion():
 
 
 def test_run_exclusion_json_shape():
-    cands = build_all_candidates()
-    report = run_exclusion(cands.values(), a6_table(), NikulinTable())
-    data = report.to_json()
-    assert data["verdict"] == "M10_2"
+    # the exclusion as the report writes it: each outcome record as it stands
+    report = json.loads(cli.render_json(cli.build_report("exclude")))
+    data = next(c for c in report["checks"] if c["id"] == "exclude.pipeline")["witnesses"]
+    assert report["verdict"] == data["verdict"] == "M10_2"
     assert len(data["outcomes"]) == 16
-    assert {"argument", "kind", "sign_case", "status", "witnesses", "axioms_used"} <= set(
-        data["outcomes"][0]
-    )
+    for outcome in data["outcomes"]:
+        assert list(outcome) == ["argument", "kind", "sign_case", "status", "witnesses", "axioms_used"]
+        assert outcome["sign_case"] in [list(c) for c in nonpositive_sign_cases()]
+        assert isinstance(outcome["axioms_used"], list)
     assert len(data["notes"]) == 2
 
 
 def test_gram_lattice_type():
-    L = GramLattice("U", gram_hyperbolic())
-    assert L.rank == 2
-    with pytest.raises(ValueError):
-        GramLattice("bad", ((0, 1), (2, 0)))
-    with pytest.raises(ValueError):
-        GramLattice("bad", ((0, 1),))
+    # a Gram matrix is square and symmetric, or it has no determinant or signature
+    cases = (
+        (((0, 1),), "not square"),
+        (((0, 1, 2), (1, 0, 0)), "not square"),
+        (((0, 1), (2, 0)), "not symmetric"),
+    )
+    for bad, message in cases:
+        for invariant in (gram_determinant, gram_signature):
+            with pytest.raises(VerificationError, match=message):
+                invariant(bad)
 
 
 def test_lattice_invariants_exact():

@@ -1,5 +1,6 @@
 """No test-only public API: every name a module exports is read by the
-package itself, by the benchmark harness, or by the acceptance suite."""
+package itself, by the benchmark harness, or by the acceptance suite.  And
+one module knows the report's format: `cli` alone writes JSON or text."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,27 @@ def test_every_export_has_a_reader_outside_the_unit_tests():
         if (module, name) not in used and name not in outside
     ]
     assert unread == []
+
+
+RENDERERS = {"render_table_text", "display_value", "_equation_text"}
+
+
+def test_the_report_format_lives_in_cli():
+    # the records carry data; no record serializes itself, and no module but
+    # cli imports json or renders text
+    misplaced, in_cli = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                if path.stem == "cli":
+                    in_cli.add(node.name)
+                elif node.name in RENDERERS:
+                    misplaced.append(f"{path.stem}.{node.name}")
+                if node.name == "to_json":
+                    misplaced.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Import) and path.stem != "cli":
+                misplaced += [f"{path.stem} imports {a.name}" for a in node.names if a.name == "json"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "json" and path.stem != "cli":
+                misplaced.append(f"{path.stem} imports from json")
+    assert misplaced == []
+    assert RENDERERS <= in_cli

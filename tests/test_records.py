@@ -1,6 +1,7 @@
 """The two record idioms: value records are namedtuple subclasses that compare
-and hash by value and cannot be changed; result objects are plain classes
-that compare by identity and can be weakly referenced."""
+and hash by value and cannot be changed; result objects, which hold groups
+or tables, are plain classes that compare by identity and can be weakly
+referenced."""
 
 import copy
 import weakref
@@ -11,13 +12,11 @@ from a6k3.chartab import character_table, structure_constants
 from a6k3.extbuild import build_all_candidates, build_candidate, verify_extension_structure
 from a6k3.k3verify import (
     ArgumentOutcome,
-    GramLattice,
     MultiplicityVector,
     NikulinTable,
     SignCase,
     argument_free_c4,
     decomposition_system,
-    gram_hyperbolic,
     lattice_checks,
     run_exclusion,
 )
@@ -42,25 +41,23 @@ def value_records():
         system,
         # witnesses is a dict, which has no hash; a tuple of its items has one
         outcome._replace(witnesses=tuple(outcome.witnesses.items())),
-        GramLattice("U", gram_hyperbolic()),
         report.entries[0],
         report,
         SignCase(-1, -1, 1),
         MultiplicityVector(1, 1, 0, 0, 1, 0),
+        verify_extension_structure(build_candidate("M10_2")),
+        run_exclusion(build_all_candidates().values(), character_table(psl), NikulinTable()),
     ]
 
 
 def result_objects():
     psl = build_psl29()
-    table = character_table(psl)
-    cand = build_candidate("M10_2")
-    report = run_exclusion(build_all_candidates().values(), table, NikulinTable())
-    return [structure_constants(psl), table, cand, verify_extension_structure(cand), report]
+    return [structure_constants(psl), character_table(psl), build_candidate("M10_2")]
 
 
 def test_value_records_compare_by_value_and_are_immutable():
     records = value_records()
-    assert len({type(r) for r in records}) == 14
+    assert len({type(r) for r in records}) == 15
     hashed = 0
     for record in records:
         twin = type(record)(**record._asdict())
@@ -78,13 +75,14 @@ def test_value_records_compare_by_value_and_are_immutable():
             setattr(record, record._fields[0], None)
         with pytest.raises(AttributeError):
             record.note = "not a field"
-    # all but ClassEquation and DecompositionSystem
+    # all but ClassEquation and DecompositionSystem, which hold CycloNums, and
+    # ExclusionReport, whose outcomes hold witness dicts
     assert hashed == 12
 
 
 def test_result_objects_compare_by_identity_and_allow_weakrefs():
     objects = result_objects()
-    assert len({type(r) for r in objects}) == 5
+    assert len({type(r) for r in objects}) == 3
     for obj in objects:
         twin = type(obj)(**vars(obj))
         assert vars(twin).keys() == vars(obj).keys()
@@ -101,14 +99,5 @@ def test_nikulin_table_defaults():
     assert NikulinTable() == NikulinTable(counts=counts, whole_surface_euler=24)
     assert NikulinTable(whole_surface_euler=25).counts == counts
     assert NikulinTable(counts=counts[:1]).whole_surface_euler == 24
-    assert ArgumentOutcome("a", None, None, "s", {}).axioms == ()
+    assert ArgumentOutcome("a", None, None, "s", {}).axioms_used == ()
 
-
-def test_gram_lattice_checks_survive_replace():
-    U = GramLattice("U", gram_hyperbolic())
-    assert U._replace(name="H") == GramLattice("H", gram_hyperbolic())
-    for bad, message in ((((0, 1), (2, 0)), "not symmetric"), (((0, 1),), "not square")):
-        with pytest.raises(ValueError, match=message):
-            GramLattice("bad", bad)
-        with pytest.raises(ValueError, match=message):
-            U._replace(gram=bad)

@@ -1,13 +1,17 @@
-"""One way to fail a check: `require` raises VerificationError, under -O too."""
+"""One way to fail a check: `require` raises VerificationError, under -O too,
+and every `require` the report reaches fails it cleanly."""
 
 import ast
 import hashlib
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import a6k3
+from a6k3 import cli, permgrp
 
 SRC = Path(a6k3.__file__).parent
 REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
@@ -71,3 +75,68 @@ def test_orthogonality_check_survives_optimize():
 def test_report_digest_under_optimize():
     out = run_optimized("-m", "a6k3.cli", "all", "--format", "json")
     assert hashlib.md5(out.encode()).hexdigest() == REPORT_DIGEST
+
+
+# the functions holding a require that no stage of the report calls
+UNREACHED = {"conjugation_image"}
+
+
+def require_sites():
+    """(file name, line) of each require call in the package, with the name
+    of the top-level function or class around it."""
+    sites = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require":
+                    sites[path.name, node.lineno] = getattr(top, "name", None)
+    return sites
+
+
+def test_every_reached_require_fails_the_report_cleanly(capsys, monkeypatch):
+    # one unforced run records the stages that reach each site; then each
+    # site is forced to fail in turn, from cold builders, and the stages that
+    # reach it run together with `exclude`, the stage the verdict is read from
+    modules = [importlib.import_module(f"a6k3.{p.stem}") for p in sorted(SRC.glob("*.py"))]
+    builders = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")}
+    sites = require_sites()
+    original = permgrp.require
+    reached, forced, stage = {}, None, None
+
+    def require(condition, message):
+        caller = sys._getframe(1)
+        site = (Path(caller.f_code.co_filename).name, caller.f_lineno)
+        if stage:
+            reached.setdefault(site, set()).add(stage)
+        original(condition and site != forced, message)
+
+    def clear():
+        for fn in builders:
+            fn.cache_clear()
+
+    for module in modules:
+        if "require" in vars(module):
+            monkeypatch.setattr(module, "require", require)
+    stages = cli.STAGES
+    clear()
+    for stage in stages:
+        assert all(c["status"] == "pass" for c in getattr(cli, "stage_" + stage)())
+    stage = None
+    capsys.readouterr()  # the stages print progress notes after a -v run
+    assert reached.keys() <= sites.keys()
+    assert {sites[s] for s in sites.keys() - reached.keys()} <= UNREACHED
+
+    unclean = []
+    for site, by in sorted(reached.items()):
+        monkeypatch.setattr(cli, "STAGES", tuple(s for s in stages if s in by or s == "exclude"))
+        clear()
+        forced = site
+        code = cli.main(["all", "--format", "json"])
+        forced = None
+        clear()
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        failed = [c["id"] for c in report["checks"] if c["status"] == "fail"]
+        if code != 1 or not failed or err or report["verdict"] is not None:
+            unclean.append((site, code, failed, err, report["verdict"]))
+    assert unclean == []
