@@ -377,8 +377,10 @@ def main(argv=None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true", help="progress on stderr")
     args = parser.parse_args(argv)
     _verbose = args.verbose
-
-    report = build_report(args.command)
+    try:
+        report = build_report(args.command)
+    finally:
+        _verbose = False
     payload = render_json(report) if args.format == "json" else render_text(args.command, report)
     if args.out:
         try:

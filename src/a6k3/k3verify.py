@@ -472,7 +472,7 @@ def argument_free_c4(euler_number: int = 2) -> ArgumentOutcome:
     )
 
 
-class ExclusionReport(namedtuple("ExclusionReport", "outcomes sign_cases notes")):
+class ExclusionReport(namedtuple("ExclusionReport", "outcomes notes")):
     """Per-kind, per-sign-case outcomes of the exclusion pipeline."""
 
     __slots__ = ()
@@ -549,7 +549,6 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
 
     report = ExclusionReport(
         outcomes=tuple(outcomes),
-        sign_cases=cases,
         notes=(
             "invariant cohomology accounting: rank 5 over the full cohomology "
             "= 3 (invariant part of H^2) + 2 (the degree-0 and degree-4 summands)",

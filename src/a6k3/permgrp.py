@@ -18,8 +18,8 @@ bisection, and facts about a subgroup A of G are C passes over images: the
 derived subgroup, centralizers, the right cosets (`_cosets`) and
 `_normal_action`, the one conjugation action of G on A's element indices,
 which `_index(A)` numbers.  The classes of G are the orbits of
-`_normal_action(G, G)`.  `_orbit` is the one breadth-first search,
-`_orbits` the one partition into orbits, and `_fusion` the one class-fusion
+`_normal_action(G, G)`.  `_dimino` is the one closure, plain or normal;
+`_orbits` the one orbit partition, and `_fusion` the one class-fusion
 routine; only `conjugation_image` walks the Cayley graph of G, from the
 identity.
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial, reduce, wraps
 from itertools import compress, repeat
 from math import gcd, lcm, prod
 from operator import add, attrgetter, eq, itemgetter
@@ -248,42 +248,39 @@ def _conjugation(s: Perm, degree: int):
     return lambda xs: map(right, _pads(left(xs), degree))
 
 
-def _dimino(gens, degree: int, max_order: int) -> tuple[set, list]:
-    """The stored images of <gens>, and the generators that were not redundant.
+def _dimino(seeds, degree: int, max_order: int, conjugations=()) -> tuple[set, list]:
+    """The stored images of <seeds>, and the seeds that were not redundant.
 
     Dimino's algorithm: adding x to the closed set <used> makes a union of
     right cosets <used> * r.  A representative times a generator lies in a
     known coset or starts a new one, so each new element costs one
-    composition.
+    composition.  Given conjugations, the maps of `_conjugation` for the
+    generators of a group G, it returns the normal closure of <seeds> in G:
+    when the seeds run out, the conjugates of the new generators that escape
+    the closed set are the next seeds, until none escapes.
     """
     one = _pack(range(degree))
     els = {one}
     used = []
-    for x in gens:
-        if x in els:
-            continue
-        base = list(_pads(els, degree))
-        used.append(x)
-        muls = [_rmul(s) for s in used]
-        reps = [one]
-        for r in reps:
-            r = _pad(r)
-            for mul in muls:
-                if (y := mul(r)) not in els:
-                    els.update(map(_rmul(y), base))
-                    if len(els) > max_order:
-                        raise ValueError(f"closure exceeds the order guard {max_order}")
-                    reps.append(y)
+    while seeds:
+        new = len(used)
+        for x in seeds:
+            if x in els:
+                continue
+            base = list(_pads(els, degree))
+            used.append(x)
+            muls = [_rmul(s) for s in used]
+            reps = [one]
+            for r in reps:
+                r = _pad(r)
+                for mul in muls:
+                    if (y := mul(r)) not in els:
+                        els.update(map(_rmul(y), base))
+                        if len(els) > max_order:
+                            raise ValueError(f"closure exceeds the order guard {max_order}")
+                        reps.append(y)
+        seeds = [y for step in conjugations for y in step(used[new:]) if y not in els]
     return els, used
-
-
-def _orbit(seeds, step) -> set:
-    """Every point reachable from seeds; step(points) is the set of their images."""
-    orbit = frontier = set(seeds)
-    while frontier:
-        frontier = step(frontier) - orbit
-        orbit |= frontier
-    return orbit
 
 
 def _orbits(n: int, tables) -> list[set]:
@@ -291,8 +288,12 @@ def _orbits(n: int, tables) -> list[set]:
     seen, orbits = set(), []
     for x in range(n):
         if x not in seen:
-            orbits.append(_orbit((x,), lambda xs: {T[y] for T in tables for y in xs}))
-            seen |= orbits[-1]
+            orbit = frontier = {x}
+            while frontier:
+                frontier = {T[y] for T in tables for y in frontier} - orbit
+                orbit |= frontier
+            orbits.append(orbit)
+            seen |= orbit
     return orbits
 
 
@@ -451,13 +452,14 @@ def element_orders(G: PermGroup) -> tuple[int, ...]:
     return tuple(map(orders.__getitem__, class_of))
 
 
-def _subgroup(G: PermGroup, images=None, seeds=None) -> PermGroup:
+def _subgroup(G: PermGroup, images=None, seeds=None, conjugations=()) -> PermGroup:
     """The subgroup of G generated by the seeds or, without seeds, on the
     given stored images.  Dimino's algorithm over the seeds, or over the
     ascending images, keeps those that are not redundant as generators;
-    given images must be exactly their closure.  If G has wrapped its
-    elements, the subgroup shares those Perms."""
-    closed, used = _dimino(sorted(images) if seeds is None else seeds, G.degree, MAX_GROUP_ORDER)
+    given images must be exactly their closure.  With conjugations (see
+    `_dimino`) it is the normal closure of the seeds.  If G has wrapped
+    its elements, the subgroup shares those Perms."""
+    closed, used = _dimino(sorted(images) if seeds is None else seeds, G.degree, MAX_GROUP_ORDER, conjugations)
     require(images is None or closed == set(images), "the members are not the closure of the generators")
     imgs = tuple(sorted(closed))
     els = G._elements and tuple(map(G._elements.__getitem__, map(partial(bisect_left, G.images), imgs)))
@@ -470,17 +472,10 @@ def _subgroup(G: PermGroup, images=None, seeds=None) -> PermGroup:
 def derived_subgroup(G: PermGroup) -> PermGroup:
     """Normal closure of all generator-pair commutators, verified normal."""
     pairs = [(g.images, g.inverse().images) for g in G.generators]
-    seeds = set()
-    for a, ai in pairs:
-        for b, bi in pairs:
-            x = a
-            for s in (b, ai, bi):
-                x = _rmul(s)(_pad(x))
-            seeds.add(x)
-    # the normal closure is generated by the conjugates of the seeds
+    # the commutators a * b * a^-1 * b^-1 of generator pairs
+    seeds = {reduce(lambda x, s: _rmul(s)(_pad(x)), (a, b, ai, bi)) for a, ai in pairs for b, bi in pairs}
     steps = [_conjugation(s, G.degree) for s in G.generators]
-    conjugates = _orbit(seeds, lambda xs: set().union(*(step(xs) for step in steps)))
-    H = _subgroup(G, seeds=sorted(conjugates))
+    H = _subgroup(G, seeds=sorted(seeds), conjugations=steps)
     # s^-1 H s has the order of H, so conjugating its generators is enough
     gens = [h.images for h in H.generators]
     require(all(H.has_images(y) for step in steps for y in step(gens)), "derived subgroup not normal")

@@ -141,6 +141,14 @@ def test_verbose_goes_to_stderr(capsys):
     json.loads(captured.out)  # stdout stays parseable
 
 
+def test_verbose_holds_for_one_call(capsys):
+    # -v is not left behind as process state: a later report is quiet
+    assert main(["lattice", "-v"]) == 0
+    capsys.readouterr()
+    build_report("groups")
+    assert capsys.readouterr().err == ""
+
+
 COUNT_PERM_WORK = """
 import contextlib, io
 from a6k3 import cli, permgrp

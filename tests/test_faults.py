@@ -89,6 +89,17 @@ def centralizer_generator(monkeypatch):
         monkeypatch.setattr(module, "centralizer_of_subgroup", first_only)
 
 
+def normal_closure(monkeypatch):
+    # Dimino's algorithm ignores its conjugation maps, so the derived subgroup
+    # is the closure of the generator commutators, not their normal closure
+    dimino = permgrp._dimino
+
+    def closure_only(seeds, degree, max_order, conjugations=()):
+        return dimino(seeds, degree, max_order)
+
+    monkeypatch.setattr(permgrp, "_dimino", closure_only)
+
+
 def phi_term(monkeypatch):
     # the cyclotomic reduction loses the highest nonzero lower term of Phi_n
     terms = exact._phi_terms
@@ -106,6 +117,7 @@ MUTANTS = {
     table_generator: {"groups.error", "chartab.error", "decompose.error", "exclude.error"},
     phi_term: {"chartab.error", "decompose.error", "exclude.error"},
     centralizer_generator: {"groups.error", "exclude.error"},
+    normal_closure: {"groups.error", "exclude.error"},
 }
 
 # the functools.cache builders whose results, or the data memoized on them, a
@@ -128,6 +140,9 @@ REBUILT = {
         extbuild.alternating6,
         extbuild.build_candidate,
     ),
+    # the derived subgroups are memoized on PGL(2,9), A6 and the candidates,
+    # and the embedded A6 of a candidate on PSL(2,9) or A6
+    normal_closure: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.alternating6, extbuild.build_candidate),
     # the tables are memoized on the tower groups, as for eigenvalue_root; on a
     # warm cache only the golden comparison sees the mutant, not the
     # orthogonality check.  The golden rows are reduced too, and built under

@@ -160,6 +160,24 @@ def test_derived_subgroup():
     assert len(D) == 3
 
 
+def test_derived_subgroup_is_the_closure_of_all_commutators():
+    # brute force over all pairs of elements; in S4, A4 and S5 the generator
+    # commutators close to a subgroup that is not normal, so the derived
+    # subgroup needs the normal-closure step of _dimino
+    S4 = [Perm.from_cycles([(0, 1)], 4), Perm.from_cycles([(0, 1, 2, 3)], 4)]
+    A4 = [Perm.from_cycles([(0, 1, 2)], 4), Perm.from_cycles([(1, 2, 3)], 4)]
+    D8 = [Perm.from_cycles([(0, 1, 2, 3)], 4), Perm.from_cycles([(0, 2)], 4)]
+    S5 = [Perm.from_cycles([(0, 1)], 5), Perm.from_cycles([(0, 1, 2, 3, 4)], 5)]
+    grown = []
+    for gens in (S4, A4, D8, S5):
+        G = closure(gens)
+        commutators = {x.inverse() * y.inverse() * x * y for x in G for y in G}
+        assert set(derived_subgroup(G).images) == {c.images for c in naive_closure(sorted(commutators))}
+        seeds = naive_closure(sorted({a.inverse() * b.inverse() * a * b for a in gens for b in gens}))
+        grown.append(any(s.inverse() * c * s not in seeds for s in gens for c in seeds))
+    assert grown == [True, True, False, True]
+
+
 def test_centralizer():
     A6 = alternating6()
     triv = closure([Perm.identity(6)])
