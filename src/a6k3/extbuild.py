@@ -5,8 +5,9 @@ N in {A6, S6, PGL(2,9), M10} of A6 inside Aut(A6): the group is generated
 by A6 x {1} together with gtilde = (g, zeta4), with g as dictated by the
 choice of N.  mu4 is realized as a 4-cycle on four fresh points appended
 after N's points, so the candidates act on 6 + 4 = 10 or 10 + 4 = 14
-points.  identify() recovers the construction from the bare group using
-only isomorphism-invariant data.
+points.  Nothing else reads these positions: `assemble_candidate` derives
+a candidate's data from its group, a6 and gtilde in any presentation, and
+identify() recovers the kind from the bare group by invariants alone.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "StructureReport",
     "alternating6",
     "mu4_cycle",
+    "assemble_candidate",
     "build_candidate",
     "build_all_candidates",
     "verify_extension_structure",
@@ -83,44 +85,56 @@ def mu4_cycle(total_degree: int) -> Perm:
 class ExtensionCandidate:
     """One concrete group of shape A6.mu4 with its distinguished data.
 
-    alpha maps each element to its mu4 exponent in 0..3, read off its tail
-    (a `TailExponents`); it is a homomorphism with kernel a6.
+    alpha maps each element to the k with it in the a6-coset of gtilde^k (a
+    `CosetExponents`): a homomorphism onto mu4 with kernel a6.
     """
 
-    def __init__(self, kind: str, group: PermGroup, a6: PermGroup, gtilde: Perm, alpha: TailExponents,
+    def __init__(self, kind: str, group: PermGroup, a6: PermGroup, gtilde: Perm, alpha: CosetExponents,
                  conj_image_order: int, fusion: FusionType):
         self.kind, self.group, self.a6, self.gtilde = kind, group, a6, gtilde
         self.alpha, self.conj_image_order, self.fusion = alpha, conj_image_order, fusion
 
 
-class TailExponents:
-    """alpha[x] is the k with x acting on the points base.. as the k-th power
-    of the 4-cycle there: rotations maps the four tails x.images[base:] to k."""
+class CosetExponents:
+    """alpha[x] is the k with the Perm x in cosets[k], the a6-coset of
+    gtilde^k as ascending stored images."""
 
-    def __init__(self, rotations: dict, base: int):
-        self.rotations, self.base = rotations, base
+    def __init__(self, cosets: tuple[tuple, ...]):
+        self.cosets = cosets
+        self._exponent = {x: k for k, c in enumerate(cosets) for x in c}
 
     def __getitem__(self, x: Perm) -> int:
-        return self.rotations[x.images[self.base:]]
+        return self._exponent[x.images]
 
 
-def _tail_exponents(G: PermGroup, base: int) -> TailExponents:
-    """alpha of G: the exponents on the points base.., after a check in one
-    pass over G's images that every element acts there as a rotation."""
-    # the k-th power sends base + j to base + (j + k) % 4; built here, not
-    # from mu4_cycle, which a fault check replaces
-    rotations = {Perm([*range(base), *(base + (j + k) % 4 for j in range(4))]).images[base:]: k for k in range(4)}
-    require(rotations.keys() >= {x[base:] for x in G.images}, "element does not act as a mu4 power on the tail")
-    return TailExponents(rotations, base)
+def _coset_exponents(group: PermGroup, a6: PermGroup, gtilde: Perm) -> CosetExponents:
+    """alpha of the group: its a6-cosets renumbered by gtilde's powers, after
+    a check that gtilde's coset generates group/a6 as a cyclic group of order 4."""
+    by_position = CosetExponents(_cosets(group, a6))  # a6 itself is coset 0
+    square = gtilde * gtilde
+    # the positions of the cosets of gtilde^0, ..., gtilde^3
+    positions = [0] + [by_position[p] for p in (gtilde, square, square * gtilde)]
+    require(sorted(positions) == list(range(len(by_position.cosets))) == [0, 1, 2, 3],
+            "gtilde's coset does not generate the quotient by a6 as mu4")
+    return CosetExponents(tuple(by_position.cosets[i] for i in positions))
+
+
+def assemble_candidate(kind: str, group: PermGroup, a6: PermGroup, gtilde: Perm) -> ExtensionCandidate:
+    """The candidate of the given kind on group, in any presentation: a6 must
+    be its derived subgroup, and alpha, the order of the conjugation image
+    and the class fusion are read off group, a6 and gtilde."""
+    require(len(group) == 1440, f"{kind} has order {len(group)}, not 1440")
+    require(derived_subgroup(group) == a6, f"the derived subgroup of {kind} is not its a6")
+    # the conjugation kernel is the centralizer
+    image_order = len(group) // len(centralizer_of_subgroup(group, a6))
+    alpha = _coset_exponents(group, a6, gtilde)
+    return ExtensionCandidate(kind, group, a6, gtilde, alpha, image_order, class_fusion(group, a6))
 
 
 @cache
-def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
-    """Build one of the four candidates.
-
-    coset_choice selects among the canonical order-4 coset elements for
-    M10_2 (0 = least); the resulting group is the same up to isomorphism.
-    """
+def build_candidate(kind: str) -> ExtensionCandidate:
+    """Build one of the four candidates in its canonical presentation, with
+    zeta4 on the four points after its base group's."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "A6_4":
@@ -138,30 +152,12 @@ def build_candidate(kind: str, coset_choice: int = 0) -> ExtensionCandidate:
     else:  # M10_2
         N_act = build_psl29()
         m10 = classify_overgroups().m10
-        quads = [x for x, o in zip(m10.images, element_orders(m10)) if o == 4 and not N_act.has_images(x)]
-        g = Perm(quads[coset_choice])
-    if kind != "M10_2" and coset_choice != 0:
-        raise ValueError("coset_choice only varies the M10_2 construction")
+        # the least element of order 4 in M10's coset outside PSL(2,9)
+        g = next(Perm(x) for x, o in zip(m10.images, element_orders(m10)) if o == 4 and not N_act.has_images(x))
 
     a6 = _embedded_a6(N_act)
-    total = a6.degree
-    gtilde = g.embedded(total) * mu4_cycle(total)
-    group = closure(a6.generators + (gtilde,))
-    require(len(group) == 1440, f"{kind} has order {len(group)}, not 1440")
-    require(derived_subgroup(group) == a6, f"the derived subgroup of {kind} is not the embedded A6")
-
-    alpha = _tail_exponents(group, N_act.degree)
-    require(alpha[gtilde] == 1, "gtilde does not map to zeta4")
-    return ExtensionCandidate(
-        kind=kind,
-        group=group,
-        a6=a6,
-        gtilde=gtilde,
-        alpha=alpha,
-        # the conjugation kernel is the centralizer
-        conj_image_order=len(group) // len(centralizer_of_subgroup(group, a6)),
-        fusion=class_fusion(group, a6),
-    )
+    gtilde = g.embedded(a6.degree) * mu4_cycle(a6.degree)
+    return assemble_candidate(kind, closure(a6.generators + (gtilde,)), a6, gtilde)
 
 
 def build_all_candidates() -> dict[str, ExtensionCandidate]:
@@ -200,9 +196,7 @@ def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:
     G = cand.group
     if len(G) != 1440:
         raise ValueError(f"candidate group must have order 1440, got {len(G)}")
-    a6 = cand.a6
-    alpha = cand.alpha
-    ident = G.identity
+    a6, alpha, ident = cand.a6, cand.alpha, G.identity
 
     cent = centralizer_of_subgroup(G, a6)
     # (conjugation, alpha) is injective iff its kernel Cent_G(a6) & ker(alpha)
@@ -214,18 +208,17 @@ def verify_extension_structure(cand: ExtensionCandidate) -> StructureReport:
     )
     require(f_candidates, "no central involution with alpha = -1 found")
     f = f_candidates[0]
-    # the right cosets a6 * x as images, a6 first, and the parities of alpha on each
-    parts = _cosets(G, a6)
-    coset_of = {x: k for k, c in enumerate(parts) for x in c}
-    parities = [{alpha.rotations[x[alpha.base:]] % 2 for x in c} for c in parts]
-    even = {0, coset_of[f.images]}
-    half_is_product = (f not in a6) and all(p == ({0} if k in even else {1}) for k, p in enumerate(parities))
+    # alpha is constant on the a6-cosets, so alpha^-1({0, 2}) is a6 and the
+    # coset of f: a6 x <f>, as f is central of order 2, once f is outside a6
+    half_is_product = f not in a6
 
-    inner_acting = {coset_of[z] for z in cent.images}
-    outer_ok = all(p == {1} for k, p in enumerate(parities) if k not in inner_acting)
+    # the cosets of a6 * Cent_G(a6), whose elements act by inner automorphisms
+    inner_acting = {alpha[z] for z in cent.elements}
+    outer_ok = all(k % 2 for k in range(len(alpha.cosets)) if k not in inner_acting)
 
-    powers = [cand.gtilde ** k for k in range(1, 4)]
-    split = cand.gtilde.order() == 4 and all(p not in a6 for p in powers)
+    gtilde = cand.gtilde
+    square = gtilde * gtilde
+    split = gtilde.order() == 4 and all(p not in a6 for p in (gtilde, square, square * gtilde))
 
     return StructureReport(
         kind=cand.kind,

@@ -360,6 +360,17 @@ def _min_fixed_of_square() -> tuple[int, int]:
     return best, eligible
 
 
+def _least_commuting(candidate: ExtensionCandidate, order: int) -> Perm:
+    """The least element of the given order in candidate.a6 that commutes with gtilde."""
+    a6 = candidate.a6
+    # the centralizer of <gtilde> filters the candidate's images
+    commuting = centralizer_of_subgroup(candidate.group, closure([candidate.gtilde]))
+    # a6.images ascend, so the first match is the least such element
+    x = next((Perm(x) for x, o in zip(a6.images, element_orders(a6)) if o == order and commuting.has_images(x)), None)
+    require(x is not None, f"no order-{order} element commuting with gtilde")
+    return x
+
+
 def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOutcome:
     """In the (-1,-1,+1) case the fixed locus of iota must be empty (A1),
     yet gtilde permutes the six fixed points of an order-3 element it
@@ -368,11 +379,7 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
     name = "pigeonhole"
     if kind not in ("A6_4", "S6_2") or candidate.kind != kind:
         raise ValueError("argument applies to the A6_4 and S6_2 candidates only")
-    if candidate.group.degree != 10:
-        raise ValueError("candidate does not act on 6 + 4 points")
-    tau = Perm.from_cycles([(3, 4, 5)], candidate.group.degree)
-    require(tau in candidate.a6, "the 3-cycle tau is missing from the distinguished A6")
-    require(tau * candidate.gtilde == candidate.gtilde * tau, "tau does not commute with gtilde")
+    tau = _least_commuting(candidate, 3)
     min_fixed, eligible = _min_fixed_of_square()
     status = CONTRADICTION if min_fixed > 0 else NO_CONTRADICTION
     return ArgumentOutcome(
@@ -399,12 +406,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     name = "order5_blocks"
     if candidate.kind != "PGL29_2":
         raise ValueError("argument applies to the PGL29_2 candidate only")
-    gtilde, a6 = candidate.gtilde, candidate.a6
-    # the centralizer of <gtilde> filters the candidate's images
-    commuting = centralizer_of_subgroup(candidate.group, closure([gtilde]))
-    # a6.images ascend, so the first match is the least such element
-    sigma = next((Perm(x) for x, o in zip(a6.images, element_orders(a6)) if o == 5 and commuting.has_images(x)), None)
-    require(sigma is not None, "no order-5 element commuting with gtilde")
+    sigma = _least_commuting(candidate, 5)
 
     # axiom A1 forces an empty iota fixed locus in this sign case, hence an
     # empty gtilde fixed locus: 0 = 2 + 1 + (9 - 2s) pins the block split
@@ -553,7 +555,7 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
             "invariant cohomology accounting: rank 5 over the full cohomology "
             "= 3 (invariant part of H^2) + 2 (the degree-0 and degree-4 summands)",
             "fixed-point counts for element orders "
-            + ", ".join(str(o) for o in nikulin.unused_orders({1, 2, 3, 4, 5}))
+            + ", ".join(str(o) for o in nikulin.unused_orders({c.element_order for c in table.classes}))
             + " are unused by A6 and kept for fidelity",
         ),
     )

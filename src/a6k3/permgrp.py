@@ -158,10 +158,12 @@ class Perm:
             cyc = [start]
             seen[start] = True
             p = self.images[start]
-            while p != start:
+            # a cycle has at most degree points; images that are no permutation may never close it
+            while p != start and len(cyc) < len(seen):
                 cyc.append(p)
                 seen[p] = True
                 p = self.images[p]
+            require(p == start, "the images do not form a permutation")
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return tuple(out)
@@ -642,10 +644,11 @@ def _abelian_invariants(G: PermGroup, H: PermGroup) -> tuple[int, ...]:
     inside = set(parts[0])
     orders = []
     for r in map(itemgetter(0), parts):
-        # the order of the coset of r: the least k with r^k in H
+        # the order of the coset of r: the least k with r^k in H, at most the index
         step, acc, k = _rmul(r), r, 1
-        while acc not in inside:
+        while acc not in inside and k < len(parts):
             acc, k = step(_pad(acc)), k + 1
+        require(acc in inside, "a coset's order exceeds the index")
         orders.append(k)
     exponent = max(orders)
     require(lcm(*orders) == exponent, "quotient is not abelian")

@@ -9,12 +9,14 @@ from a6k3 import permgrp
 from a6k3.permgrp import (
     Perm,
     PermGroup,
+    VerificationError,
     center,
     centralizer_of_subgroup,
     closure,
     conjugate_group,
     conjugation_image,
     derived_subgroup,
+    element_orders,
     fingerprint,
     fusion_type,
     is_a6_certified,
@@ -23,6 +25,7 @@ from a6k3.extbuild import (
     KINDS,
     ExtensionCandidate,
     alternating6,
+    assemble_candidate,
     build_all_candidates,
     build_candidate,
     identify,
@@ -45,7 +48,6 @@ def relabeled_copy(cand: ExtensionCandidate, rng: random.Random) -> PermGroup:
 def test_candidates_share_their_base_groups_a6():
     assert build_candidate("A6_4").a6 is build_candidate("S6_2").a6
     assert build_candidate("PGL29_2").a6 is build_candidate("M10_2").a6
-    assert build_candidate("M10_2", coset_choice=7).a6 is build_candidate("M10_2").a6
 
 
 def test_every_kind_has_order_1440():
@@ -260,14 +262,29 @@ def test_identify_rejects_wrong_order():
 
 
 def test_m10_variant_with_other_coset_element():
+    # another order-4 element of M10 outside PSL(2,9) gives an isomorphic candidate
     base = build_candidate("M10_2")
-    variant = build_candidate("M10_2", coset_choice=7)
+    m10, psl = classify_overgroups().m10, build_psl29()
+    quads = [x for x, o in zip(m10.elements, element_orders(m10)) if o == 4 and x not in psl]
+    a6 = base.a6
+    gtilde = quads[7].embedded(a6.degree) * mu4_cycle(a6.degree)
+    variant = assemble_candidate("M10_2", closure(a6.generators + (gtilde,)), a6, gtilde)
     assert variant.gtilde != base.gtilde
     assert fingerprint(variant.group) == fingerprint(base.group)
     assert fingerprint(variant.group) is not fingerprint(base.group)
     assert identify(variant) == "M10_2"
-    with pytest.raises(ValueError):
-        build_candidate("S6_2", coset_choice=1)
+    assert verify_extension_structure(variant).passed
+
+
+def test_alpha_needs_gtilde_to_generate_the_quotient():
+    # gtilde^2 generates only the index-2 subgroup of G/a6
+    cand = build_candidate("S6_2")
+    square = cand.gtilde * cand.gtilde
+    with pytest.raises(VerificationError, match="does not generate the quotient"):
+        assemble_candidate("S6_2", cand.group, cand.a6, square)
+    # gtilde^-1 generates it too, and alpha counts its powers
+    inverse = assemble_candidate("S6_2", cand.group, cand.a6, cand.gtilde.inverse())
+    assert all(inverse.alpha[x] == -cand.alpha[x] % 4 for x in cand.group.elements)
 
 
 def test_derived_data_is_freed_with_its_group():

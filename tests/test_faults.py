@@ -41,12 +41,22 @@ def golden_entry(monkeypatch):
 
 
 def mu4_generator(monkeypatch):
-    # a 4-cycle on the tail points, but not the one representing zeta4
-    def wrong_cycle(total_degree):
+    # an involution on the tail points instead of the 4-cycle representing
+    # zeta4; another 4-cycle there would give a relabeled but valid candidate
+    def involution(total_degree):
         d = total_degree - 4
-        return Perm.from_cycles([(d, d + 2, d + 1, d + 3)], total_degree)
+        return Perm.from_cycles([(d, d + 1), (d + 2, d + 3)], total_degree)
 
-    monkeypatch.setattr(extbuild, "mu4_cycle", wrong_cycle)
+    monkeypatch.setattr(extbuild, "mu4_cycle", involution)
+
+
+def coset_position(monkeypatch):
+    # alpha numbers the a6-cosets by their position, least member first,
+    # instead of by the powers of gtilde
+    def by_position(G, a6, gtilde):
+        return extbuild.CosetExponents(permgrp._cosets(G, a6))
+
+    monkeypatch.setattr(extbuild, "_coset_exponents", by_position)
 
 
 def fusion_label(monkeypatch):
@@ -112,6 +122,7 @@ MUTANTS = {
     k3_euler: {"lefschetz.rank", "decompose.solve", "exclude.error"},
     golden_entry: {"chartab.a6", "decompose.error", "exclude.error"},
     mu4_generator: {"groups.error", "exclude.error"},
+    coset_position: {"groups.error"},
     fusion_label: {"ext.candidates", "exclude.error"},
     eigenvalue_root: {"chartab.error", "decompose.error", "exclude.error"},
     table_generator: {"groups.error", "chartab.error", "decompose.error", "exclude.error"},
@@ -125,6 +136,7 @@ MUTANTS = {
 # would outlive it
 REBUILT = {
     mu4_generator: (extbuild.build_candidate,),
+    coset_position: (extbuild.build_candidate,),
     # each candidate keeps the order of its conjugation image, read off a centralizer
     centralizer_generator: (extbuild.build_candidate,),
     # the A6 tables are memoized on PSL(2,9), which is memoized on PGL(2,9);
@@ -159,9 +171,12 @@ def applied(mutate):
         for fn in builders:
             fn.cache_clear()
         mutate(monkeypatch)
-        yield
-    for fn in builders:
-        fn.cache_clear()
+        try:
+            yield
+        finally:
+            # a failing test must not leave what the mutant built cached
+            for fn in builders:
+                fn.cache_clear()
 
 
 @pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)

@@ -13,10 +13,16 @@ import pytest
 
 from a6k3 import cli
 from a6k3.exact import CycloNum
-from a6k3.permgrp import Perm, VerificationError, closure
+from a6k3.permgrp import Perm, VerificationError, closure, conjugate_group
 from a6k3.pgl9 import build_psl29
 from a6k3.chartab import character_table
-from a6k3.extbuild import build_all_candidates, build_candidate
+from a6k3.extbuild import (
+    assemble_candidate,
+    build_all_candidates,
+    build_candidate,
+    identify,
+    verify_extension_structure,
+)
 from a6k3.k3verify import (
     AXIOMS,
     CONTRADICTION,
@@ -304,6 +310,36 @@ def test_run_exclusion():
     )
     assert pig.witnesses["min_fixed_points_of_square"] == 2
     assert set(AXIOMS) == {"A1", "A2"}
+
+
+def test_exclusion_under_relabeling():
+    # the exclusion reads structure, not positions: each candidate conjugated
+    # on all its points and rebuilt from its group, a6 and gtilde gives the
+    # canonical outcomes, up to the cycle strings of the witnesses tau and sigma
+    table, nikulin = a6_table(), NikulinTable()
+    cands = build_all_candidates()
+
+    def invariant(outcomes):
+        kept = lambda witnesses: {k: v for k, v in witnesses.items() if k not in ("tau", "sigma")}
+        return [o._replace(witnesses=kept(o.witnesses)) for o in outcomes]
+
+    canonical = invariant(run_exclusion(cands.values(), table, nikulin).outcomes)
+    for seed in range(3):
+        rng = random.Random(seed)
+        moved = []
+        for kind, cand in cands.items():
+            imgs = list(range(cand.group.degree))
+            rng.shuffle(imgs)
+            t = Perm(imgs)
+            gtilde = t * cand.gtilde * t.inverse()
+            assert gtilde != cand.gtilde
+            new = assemble_candidate(kind, conjugate_group(cand.group, t), conjugate_group(cand.a6, t), gtilde)
+            assert verify_extension_structure(new).passed
+            assert identify(new) == kind
+            moved.append(new)
+        report = run_exclusion(moved, table, nikulin)
+        assert report.verdict == "M10_2"
+        assert invariant(report.outcomes) == canonical
 
 
 def test_run_exclusion_json_shape():

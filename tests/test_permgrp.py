@@ -13,7 +13,9 @@ from a6k3.permgrp import (
     A6_CLASS_SIZES,
     FusionType,
     Perm,
+    PermGroup,
     VerificationError,
+    _abelian_invariants,
     _cosets,
     _index,
     _left_products,
@@ -514,3 +516,16 @@ def test_image_format_stays_in_permgrp():
     pattern = re.compile(r"\b_(pack|pad|pads|rmul|lmul|conjugation)\b")
     leaks = [p.name for p in sorted(src.glob("*.py")) if p.name != "permgrp.py" and pattern.search(p.read_text())]
     assert leaks == []
+
+
+def test_walks_over_corrupted_images_are_bounded():
+    # images that are no permutation: the walk from 2 enters the cycle of
+    # points 0 and 1 and never returns to 2
+    bad = bytes([1, 0, 0])
+    with pytest.raises(VerificationError, match="do not form a permutation"):
+        Perm._raw(bad).cycles()
+    # a "group" holding that map: its powers never reach the trivial coset,
+    # so the walk stops at the index
+    one = bytes([0, 1, 2])
+    with pytest.raises(VerificationError, match="exceeds the index"):
+        _abelian_invariants(PermGroup((), 3, (one, bad)), PermGroup((), 3, (one,)))
