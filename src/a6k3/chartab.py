@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import islice
 from math import isqrt, lcm
 
@@ -149,7 +149,11 @@ def _eigenvalues(S, p):
             toeplitz.append(-sum(S[k][x] * col[x] for x in range(k)) % p)
             col = [sum(S[x][y] * col[y] for y in range(k)) % p for x in range(k)]
         coeffs = [sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1)) % p for i in range(k + 2)]
-    return [lam for lam in range(p) if reduce(lambda acc, c: (acc * lam + c) % p, coeffs) == 0]
+    # Horner's rule at every point of F_p at once, one pass per coefficient
+    values = [1] * p
+    for c in coeffs[1:]:
+        values = [(v * x + c) % p for v, x in zip(values, range(p))]
+    return [x for x, v in zip(range(p), values) if v == 0]
 
 
 def _primitive_root(p: int) -> int:
@@ -368,7 +372,20 @@ def reference_a6_rows() -> tuple[tuple[CycloNum, ...], ...]:
 
 def _row_multiset_key(rows, common_order):
     normalized = [tuple(v.embed(common_order) for v in row) for row in rows]
-    return sorted(tuple(v.sort_key() for v in row) for row in normalized)
+    return tuple(sorted(tuple(v.sort_key() for v in row) for row in normalized))
+
+
+@cache
+def _golden_key(common_order: int, swap3: bool, swap5: bool):
+    # the key of the golden table with its order-3 and/or order-5 columns swapped
+    cols = [0, 1, 2, 3, 4, 5, 6]
+    if swap3:
+        cols[2], cols[3] = cols[3], cols[2]
+    if swap5:
+        cols[5], cols[6] = cols[6], cols[5]
+    # row order is irrelevant under the multiset comparison, so the induced
+    # row swaps need no separate handling
+    return _row_multiset_key([tuple(row[c] for c in cols) for row in reference_a6_rows()], common_order)
 
 
 def match_reference_table(table: CharacterTable) -> bool:
@@ -378,22 +395,9 @@ def match_reference_table(table: CharacterTable) -> bool:
     shape = tuple((c.element_order, c.size) for c in table.classes)
     if shape != REFERENCE_A6_CLASS_SHAPE:
         return False
-    ref = reference_a6_rows()
     common = lcm(table.exponent, 5)
     got = _row_multiset_key(table.rows, common)
-    for swap3 in (False, True):
-        for swap5 in (False, True):
-            cols = [0, 1, 2, 3, 4, 5, 6]
-            if swap3:
-                cols[2], cols[3] = cols[3], cols[2]
-            if swap5:
-                cols[5], cols[6] = cols[6], cols[5]
-            variant = [tuple(row[c] for c in cols) for row in ref]
-            # row order is irrelevant under the multiset comparison, so the
-            # induced row swaps need no separate handling
-            if _row_multiset_key(variant, common) == got:
-                return True
-    return False
+    return any(_golden_key(common, swap3, swap5) == got for swap3 in (False, True) for swap5 in (False, True))
 
 
 # -- class names --------------------------------------------------------------

@@ -24,7 +24,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import prod
+from math import factorial, lcm, prod
+from operator import itemgetter, mul
 
 from .chartab import CharacterTable, class_labels, match_reference_table
 from .exact import CycloNum
@@ -193,23 +194,24 @@ def solve_decomposition(system: DecompositionSystem) -> tuple[MultiplicityVector
     the search space is finite and fully enumerated.
     """
     ident = next(eq for eq in system.equations if eq.element_order == 1)
-    degrees = [int(c.is_rational()) for c in ident.coeffs]
-    bound = int(ident.target.is_rational())
-    others = [eq for eq in system.equations if eq.element_order != 1]
+    degrees, bound = [c.is_rational() for c in ident.coeffs], ident.target.is_rational()
+    require(all(d is not None and d.denominator == 1 and d > 0 for d in degrees), "a degree is not a positive integer")
+    require(bound is not None and bound.denominator == 1 and bound >= 0, "the target is not a nonnegative integer")
+    # each equation embedded once into a common field, as one nonzero row per
+    # power-basis coordinate: the coefficients of a_2..a_7, then the target
+    field = lcm(*(v.order for eq in system.equations for v in (*eq.coeffs, eq.target)))
+    rows = [r for eq in system.equations for r in zip(*(v.embed(field).coeffs for v in (*eq.coeffs, eq.target)))]
+    rows = [r for r in rows if any(r)]
+    # the degree hyperplane in lexicographic order: each prefix within its
+    # remaining budget, then the last multiplicity solved
+    partial = [((), bound)]
+    for d in degrees[:-1]:
+        partial = [(vec + (a,), rem - a * d) for vec, rem in partial for a in range(rem // d + 1)]
     solutions = []
-    for vec in product(*(range(bound // d + 1) for d in degrees)):
-        if sum(a * d for a, d in zip(vec, degrees)) != bound:
-            continue
-        ok = True
-        for eq in others:
-            total = CycloNum.zero(1)
-            for a, c in zip(vec, eq.coeffs):
-                if a:
-                    total = total + a * c
-            if total != eq.target:
-                ok = False
-                break
-        if ok:
+    for vec, rem in partial:
+        vec += (rem // degrees[-1],)
+        # map stops at the shorter vec, so each sum leaves out the target
+        if rem % degrees[-1] == 0 and all(sum(map(mul, vec, r)) == r[-1] for r in rows):
             solutions.append(MultiplicityVector(*vec))
     return tuple(solutions)
 
@@ -343,21 +345,21 @@ def argument_nonintegral(case: SignCase, swap23: bool) -> ArgumentOutcome:
 
 
 @cache
-def _min_fixed_of_square() -> tuple[int, int]:
-    # scan all 720 permutations of 6 points; among those with p^4 = id,
-    # the least number of fixed points of p^2
-    best = None
-    eligible = 0
-    for images in permutations(range(6)):
-        sq = tuple(images[images[i]] for i in range(6))
-        fourth = tuple(sq[sq[i]] for i in range(6))
-        if fourth != (0, 1, 2, 3, 4, 5):
+def _min_fixed_of_square() -> tuple[int, int, int]:
+    # scan the permutations of 6 points: the least number of fixed points of
+    # p^2 among those with p^4 = id, how many those are and how many scanned
+    identity = tuple(range(6))
+    best, eligible, scanned = None, 0, 0
+    for images in permutations(identity):
+        scanned += 1
+        sq = itemgetter(*images)(images)
+        if itemgetter(*sq)(sq) != identity:
             continue
         eligible += 1
-        fixed = sum(1 for i in range(6) if sq[i] == i)
+        fixed = sum(1 for i in identity if sq[i] == i)
         if best is None or fixed < best:
             best = fixed
-    return best, eligible
+    return best, eligible, scanned
 
 
 def _least_commuting(candidate: ExtensionCandidate, order: int) -> Perm:
@@ -380,7 +382,8 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
     if kind not in ("A6_4", "S6_2") or candidate.kind != kind:
         raise ValueError("argument applies to the A6_4 and S6_2 candidates only")
     tau = _least_commuting(candidate, 3)
-    min_fixed, eligible = _min_fixed_of_square()
+    min_fixed, eligible, scanned = _min_fixed_of_square()
+    require(scanned == factorial(6), "the pigeonhole scan missed a permutation of 6 points")
     status = CONTRADICTION if min_fixed > 0 else NO_CONTRADICTION
     return ArgumentOutcome(
         name,
@@ -392,7 +395,7 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
             "commutes_with_gtilde": True,
             "min_fixed_points_of_square": min_fixed,
             "eligible_permutations": eligible,
-            "permutations_scanned": 720,
+            "permutations_scanned": scanned,
         },
         axioms_used=("A1",),
     )
@@ -615,8 +618,8 @@ def _diagonal(gram) -> list[Fraction]:
     """
     n = len(gram)
     require(all(len(row) == n for row in gram), "matrix not square")
-    m = [[Fraction(v) for v in row] for row in gram]
-    require(all(m[i][j] == m[j][i] for i in range(n) for j in range(n)), "matrix not symmetric")
+    require(all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i)), "matrix not symmetric")
+    m = [list(row) for row in gram]
     for i in range(n):
         if m[i][i] == 0:
             j = next((c for c in range(i + 1, n) if m[i][c] != 0), None)
@@ -631,13 +634,15 @@ def _diagonal(gram) -> list[Fraction]:
                         m[r][i] += sign * m[r][j]
                     break
             require(m[i][i] != 0, "a zero pivot was not repaired")
-        d = m[i][i]
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] / d
-                for c in range(n):
-                    m[r][c] -= f * m[i][c]
-    return [m[i][i] for i in range(n)]
+        row, d = m[i], m[i][i]
+        # the rows above are done, so the pivot row is zero left of i
+        nonzero = [c for c in range(i, n) if row[c]]
+        for other in m[i + 1 :]:
+            if other[i]:
+                f = Fraction(other[i], d)
+                for c in nonzero:
+                    other[c] -= f * row[c]
+    return [Fraction(m[i][i]) for i in range(n)]
 
 
 def _determinant(diag) -> Fraction:

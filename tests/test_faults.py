@@ -135,6 +135,9 @@ MUTANTS = {
 # mutant's patch changes; a warm cache would hide the mutant, and a stale one
 # would outlive it
 REBUILT = {
+    # the golden rows are read through the row-multiset key of each column
+    # swap, built once per field
+    golden_entry: (chartab._golden_key,),
     mu4_generator: (extbuild.build_candidate,),
     coset_position: (extbuild.build_candidate,),
     # each candidate keeps the order of its conjugation image, read off a centralizer
@@ -157,9 +160,15 @@ REBUILT = {
     normal_closure: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.alternating6, extbuild.build_candidate),
     # the tables are memoized on the tower groups, as for eigenvalue_root; on a
     # warm cache only the golden comparison sees the mutant, not the
-    # orthogonality check.  The golden rows are reduced too, and built under
-    # the mutant they would outlive it
-    phi_term: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate, chartab.reference_a6_rows),
+    # orthogonality check.  The golden rows and their keys are reduced too,
+    # and built under the mutant they would outlive it
+    phi_term: (
+        pgl9.build_pgl29,
+        pgl9.build_psl29,
+        extbuild.build_candidate,
+        chartab.reference_a6_rows,
+        chartab._golden_key,
+    ),
 }
 
 
@@ -256,7 +265,7 @@ def test_exclusion_reads_its_nikulin_table():
 
 def test_unexcluded_kind_voids_the_verdict(monkeypatch):
     # a square permutation without fixed points breaks the pigeonhole argument
-    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (0, 1))
+    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (0, 1, 720))
     table = chartab.character_table(build_psl29())
     report = run_exclusion(build_all_candidates().values(), table, NikulinTable())
     assert report.verdict is None

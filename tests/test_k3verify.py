@@ -6,12 +6,12 @@ import json
 import random
 import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from a6k3 import cli
+from a6k3 import cli, k3verify
 from a6k3.exact import CycloNum
 from a6k3.permgrp import Perm, VerificationError, closure, conjugate_group
 from a6k3.pgl9 import build_psl29
@@ -31,6 +31,7 @@ from a6k3.k3verify import (
     MultiplicityVector,
     NikulinTable,
     SignCase,
+    _diagonal,
     all_sign_cases,
     argument_3class_trace,
     argument_free_c4,
@@ -162,6 +163,67 @@ def test_solve_decomposition_negative_control():
     assert solve_decomposition(perturb_identity_equation(system, 21)) == ()
 
 
+def product_search(system):
+    # the box search that solve_decomposition replaced: every vector of the
+    # product of the per-degree ranges, filtered by the identity equation,
+    # then checked equation by equation in CycloNum arithmetic
+    ident = next(eq for eq in system.equations if eq.element_order == 1)
+    degrees = [int(c.is_rational()) for c in ident.coeffs]
+    bound = int(ident.target.is_rational())
+    solutions = []
+    for vec in product(*(range(bound // d + 1) for d in degrees)):
+        if sum(a * d for a, d in zip(vec, degrees)) != bound:
+            continue
+        if all(sum((a * c for a, c in zip(vec, eq.coeffs)), CycloNum.zero()) == eq.target for eq in system.equations):
+            solutions.append(MultiplicityVector(*vec))
+    return tuple(solutions)
+
+
+def test_solve_decomposition_against_product_search():
+    system = decomposition_system(a6_table(), NikulinTable())
+    found = 0
+    for r in range(41):
+        perturbed = perturb_identity_equation(system, r)
+        if r == 0:
+            # the target -1 is a negative bound, which the box search
+            # answered with no solutions and the hyperplane search refuses
+            assert product_search(perturbed) == ()
+            with pytest.raises(VerificationError, match="nonnegative"):
+                solve_decomposition(perturbed)
+            continue
+        sols = solve_decomposition(perturbed)
+        assert sols == product_search(perturbed)
+        found += bool(sols)
+    assert found == 1  # r = 20, the K3 system itself
+    # systems solved by a seeded vector: every target is its sum a_i chi_i(c),
+    # irrational on the order-5 classes when a4 != a5
+    rng = random.Random(5407)
+    for _ in range(10):
+        vec = [rng.randrange(2) for _ in range(6)]
+        equations = tuple(
+            eq._replace(target=sum((a * c for a, c in zip(vec, eq.coeffs)), CycloNum.zero()))
+            for eq in system.equations
+        )
+        sols = solve_decomposition(system._replace(equations=equations))
+        assert MultiplicityVector(*vec) in sols
+        assert sols == product_search(system._replace(equations=equations))
+
+
+def test_solve_decomposition_rejects_bad_identity_equation():
+    system = decomposition_system(a6_table(), NikulinTable())
+    pos = next(i for i, eq in enumerate(system.equations) if eq.element_order == 1)
+    ident = system.equations[pos]
+    q = CycloNum.from_rational
+    bad_degrees = (q(Fraction(5, 2)), q(0), CycloNum.zeta(5))
+    bad_targets = (q(Fraction(19, 2)), q(-1), CycloNum.zeta(5))
+    variants = [ident._replace(coeffs=(d,) + ident.coeffs[1:]) for d in bad_degrees]
+    variants += [ident._replace(target=t) for t in bad_targets]
+    for eq in variants:
+        equations = system.equations[:pos] + (eq,) + system.equations[pos + 1 :]
+        with pytest.raises(VerificationError):
+            solve_decomposition(system._replace(equations=equations))
+
+
 def test_euler_iota():
     assert euler_iota(SignCase(1, 1, 1)) == 20
     assert euler_iota(SignCase(-1, -1, 1)) == 0
@@ -237,6 +299,13 @@ def test_argument_pigeonhole():
         assert out.axioms_used == ("A1",)
     with pytest.raises(ValueError):
         argument_pigeonhole("PGL29_2", cands["PGL29_2"])
+
+
+def test_pigeonhole_requires_a_full_scan(monkeypatch):
+    # the scan reports what it counted; a short count fails the argument
+    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (2, 1, 719))
+    with pytest.raises(VerificationError, match="pigeonhole scan"):
+        argument_pigeonhole("A6_4", build_all_candidates()["A6_4"])
 
 
 def test_pigeonhole_against_independent_scan():
@@ -419,6 +488,53 @@ def test_lattice_signatures_against_float_oracle():
         neg = int(np.sum(eig < -1e-9))
         assert gram_signature(gram) == (pos, neg)
         assert abs(gram_determinant(gram) - np.linalg.det(np.array(gram, dtype=float))) < 1e-6
+
+
+def dense_pivots(gram):
+    # the dense symmetric elimination that _diagonal replaced: Fractions
+    # throughout, every column of every row below the pivot updated
+    n = len(gram)
+    m = [[Fraction(v) for v in row] for row in gram]
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((c for c in range(i + 1, n) if m[i][c] != 0), None)
+            if j is None:
+                continue
+            for sign in (1, -1):
+                if 2 * sign * m[i][j] + m[j][j] != 0:
+                    for c in range(n):
+                        m[i][c] += sign * m[j][c]
+                    for r in range(n):
+                        m[r][i] += sign * m[r][j]
+                    break
+        for r in range(i + 1, n):
+            if m[r][i] != 0:
+                f = m[r][i] / m[i][i]
+                for c in range(n):
+                    m[r][c] -= f * m[i][c]
+    return [m[i][i] for i in range(n)]
+
+
+def test_diagonal_against_dense_elimination():
+    rng = random.Random(6051)
+    samples = []
+    for k in range(40):
+        gram = [list(row) for row in random_symmetric(rng, rng.randint(2, 8))]
+        n = len(gram)
+        if k % 4 == 1:  # a zero diagonal: every pivot needs a repair or is a zero row
+            for i in range(n):
+                gram[i][i] = 0
+        elif k % 4 == 2:  # a zero row and column
+            z = rng.randrange(n)
+            for i in range(n):
+                gram[z][i] = gram[i][z] = 0
+        samples.append(tuple(tuple(row) for row in gram))
+    fixed = (gram_hyperbolic(), gram_e8(), gram_k3(), gram_transcendental())
+    for gram in fixed + tuple(samples):
+        assert _diagonal(gram) == dense_pivots(gram)
+    # the sample reaches the repair and the zero-row branch
+    assert any(0 in dense_pivots(g) for g in samples)
+    assert any(g[0][0] == 0 and dense_pivots(g)[0] != 0 for g in samples)
 
 
 def test_lattice_checks_report():
