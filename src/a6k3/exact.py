@@ -18,8 +18,10 @@ a `dot` of one term.  `_reduce` subtracts only the nonzero terms of Phi_n,
 6 of the 32 lower coefficients of Phi_120.
 
 `_gauss_jordan` is the package's one elimination, over F_p or over Q: the
-character tables split their class algebras with it mod p, and `restrict`
-solves for coordinates in a subfield with it over Q.
+character tables split their class algebras with it mod p, and over Q it
+builds `_coordinates`, the verified map onto the coordinates of a subfield,
+once per pair of orders; `restrict` applies that map and requires that the
+result, embedded back, is the value it was given.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from math import gcd, lcm
+
+from .permgrp import require
 
 __all__ = [
     "CycloNum",
@@ -185,16 +189,12 @@ class CycloNum:
             raise ValueError(f"{n} does not divide order {self.order}")
         if n == self.order:
             return self
-        basis = [CycloNum.zeta(n, i).embed(self.order).coeffs for i in range(_degree(n))]
-        # row-reduce [basis columns | coeffs]; a pivot in the last column
-        # means the coefficients lie outside the span of the basis
-        rows, pivots = _gauss_jordan(zip(*basis, self.coeffs), 0)
-        if pivots and pivots[-1] == len(basis):
+        value = CycloNum(n, _apply(_coordinates(n, self.order), self.coeffs))
+        # the map is a left inverse of the embedding: a value outside
+        # Q(zeta_n) does not come back
+        if value.embed(self.order).coeffs != self.coeffs:
             raise ValueError(f"value does not lie in Q(zeta_{n})")
-        sol = [0] * len(basis)
-        for row, col in zip(rows, pivots):
-            sol[col] = row[-1]
-        return CycloNum(n, sol)
+        return value
 
     def _common(self, other: "CycloNum"):
         m = lcm(self.order, other.order)
@@ -350,6 +350,32 @@ def _gauss_jordan(rows, p: int):
         if len(pivots) == len(rows):
             break
     return rows[: len(pivots)], pivots
+
+
+def _apply(rows, coeffs) -> list:
+    # the sparse rows, each of (column, entry) pairs, times the vector coeffs
+    return [sum(c * coeffs[j] for j, c in row) for row in rows]
+
+
+@cache
+def _coordinates(n: int, order: int) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+    """Sparse rows, (column, entry) pairs, of a left inverse L of B, the
+    embedding of Q(zeta_n) into Q(zeta_order) on power coordinates: L maps
+    the coordinates of a value of Q(zeta_n), embedded, back to its own.
+    Built once per pair of orders, and required to satisfy L B = I."""
+    basis = [CycloNum.zeta(n, i).embed(order).coeffs for i in range(_degree(n))]
+    k = len(basis)
+    # the pivot columns of B's transpose pick k coordinates on which B is
+    # invertible; [B there | I] row-reduces to [I | its inverse]
+    _, picked = _gauss_jordan(basis, 0)
+    square = ([*(b[j] for b in basis), *(int(i == r) for r in range(k))] for i, j in enumerate(picked))
+    rows, _ = _gauss_jordan(square, 0)
+    left = tuple(
+        tuple((j, int(c) if c.denominator == 1 else c) for j, c in zip(picked, row[k:]) if c) for row in rows
+    )
+    ones = [[int(i == j) for j in range(k)] for i in range(k)]
+    require([_apply(left, b) for b in basis] == ones, f"no left inverse of Q(zeta_{n}) in Q(zeta_{order})")
+    return left
 
 
 def galois_apply(a: CycloNum, k: int) -> CycloNum:

@@ -30,7 +30,15 @@ from operator import itemgetter, mul
 from .chartab import CharacterTable, class_labels, match_reference_table
 from .exact import CycloNum
 from .extbuild import KINDS, ExtensionCandidate, identify
-from .permgrp import Perm, PermGroup, centralizer_of_subgroup, closure, conjugacy_classes, element_orders, require
+from .permgrp import (
+    Perm,
+    PermGroup,
+    centralizer_of_subgroup,
+    commuting_images,
+    conjugacy_classes,
+    element_orders,
+    require,
+)
 
 __all__ = [
     "NikulinTable",
@@ -365,10 +373,9 @@ def _min_fixed_of_square() -> tuple[int, int, int]:
 def _least_commuting(candidate: ExtensionCandidate, order: int) -> Perm:
     """The least element of the given order in candidate.a6 that commutes with gtilde."""
     a6 = candidate.a6
-    # the centralizer of <gtilde> filters the candidate's images
-    commuting = centralizer_of_subgroup(candidate.group, closure([candidate.gtilde]))
+    commuting = set(commuting_images(a6, candidate.gtilde))
     # a6.images ascend, so the first match is the least such element
-    x = next((Perm(x) for x, o in zip(a6.images, element_orders(a6)) if o == order and commuting.has_images(x)), None)
+    x = next((Perm(x) for x, o in zip(a6.images, element_orders(a6)) if o == order and x in commuting), None)
     require(x is not None, f"no order-{order} element commuting with gtilde")
     return x
 
@@ -515,8 +522,15 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
 
     cases = nonpositive_sign_cases()
     mv = picard_multiplicities(table, nikulin)
+    excluded = ("A6_4", "S6_2", "PGL29_2")
+    # the trace argument reads only the sign case, the integrality argument
+    # only the order-3 fusion: each runs once for all kinds that share them
+    mixed = [c for c in cases if c in (SignCase(-1, 1, -1), SignCase(1, -1, -1))]
+    traces = {c: argument_3class_trace(c, table, mv) for c in mixed}
+    swaps = {by_kind[k].fusion.swaps_3 for k in excluded}
+    euler = {s: argument_nonintegral(SignCase(-1, -1, -1), swap23=s) for s in swaps}
     outcomes = []
-    for kind in ("A6_4", "S6_2", "PGL29_2"):
+    for kind in excluded:
         cand = by_kind[kind]
         iota = cand.gtilde * cand.gtilde
         require(
@@ -524,10 +538,10 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
             f"premise failure: gtilde^2 is not central over A6 for {kind}",
         )
         for case in cases:
-            if case in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
-                out = argument_3class_trace(case, table, mv)._replace(kind=kind)
+            if case in traces:
+                out = traces[case]._replace(kind=kind)
             elif case == SignCase(-1, -1, -1):
-                out = argument_nonintegral(case, swap23=cand.fusion.swaps_3)._replace(kind=kind)
+                out = euler[cand.fusion.swaps_3]._replace(kind=kind)
             else:  # SignCase(-1, -1, 1)
                 if kind == "PGL29_2":
                     out = argument_order5_blocks(cand, table)

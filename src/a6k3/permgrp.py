@@ -7,9 +7,12 @@ refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
 A permutation's images are stored as bytes up to degree 256 and as a tuple
-above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul` and `_conjugation`
-know which.  Bytes cache their hash and sort like tuples of ints, and a
-composition is one `bytes.translate` call.  A group is the ascending tuple of
+above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_conjugation` and
+`_commuting` know which.  Bytes cache their hash and sort like tuples of
+ints, and a composition is one `bytes.translate` call.  `_conjugation`
+takes images padded by `_pads`, two C calls per element, so a pass that
+conjugates the same images by several elements pads them once; the pads
+are transient and never memoized on a group.  A group is the ascending tuple of
 its images, `G.images`, which every constructor is given: `closure` runs
 `_dimino`, Dimino's algorithm (G. Butler, *Fundamental Algorithms for
 Permutation Groups*, LNCS 559, 1991), and nothing is enumerated lazily;
@@ -18,7 +21,9 @@ bisection, and facts about a subgroup A of G are C passes over images: the
 derived subgroup, centralizers, the right cosets (`_cosets`) and
 `_normal_action`, the one conjugation action of G on A's element indices,
 which `_index(A)` numbers.  The classes of G are the orbits of
-`_normal_action(G, G)`.  `_dimino` is the one closure, plain or normal;
+`_normal_action(G, G)`; class fusion and the normality of an overgroup's
+subgroup read it only by the generators outside the subgroup, since one
+inside maps every class to itself.  `_dimino` is the one closure, plain or normal;
 `_orbits` the one orbit partition, and `_fusion` the one class-fusion
 routine; only `conjugation_image` walks the Cayley graph of G, from the
 identity.
@@ -66,6 +71,7 @@ __all__ = [
     "center",
     "derived_subgroup",
     "centralizer_of_subgroup",
+    "commuting_images",
     "conjugation_image",
     "class_fusion",
     "fusion_type",
@@ -209,8 +215,9 @@ class Perm:
 # Only these helpers know the image format.  Up to degree 256 images are
 # bytes: they hash once and compare like tuples of ints, x * s is
 # s.translate(x padded to 256 entries) (`_rmul`) and s * x is
-# x.translate(s padded) (`_lmul`), one C call each.  Above, they are tuples
-# composed by itemgetter; conjugation_image acts on 360 points.
+# x.translate(s padded) (`_lmul`), one C call each, so s^-1 x s is two from
+# a padded x (`_conjugation`).  Above, they are tuples composed by
+# itemgetter; conjugation_image acts on 360 points.
 # _TAILS[n]: the points n..255, which an n-point image fixes as a table
 _TAILS = [bytes(range(256))[n:] for n in range(257)]
 
@@ -244,10 +251,17 @@ def _lmul(a):
     return lambda xs: (itemgetter(*x)(t) for x in xs)
 
 
-def _conjugation(s: Perm, degree: int):
-    """The map xs |-> (s^-1 x s for x in xs) on stored images, in C passes."""
+def _conjugation(s: Perm):
+    """The map pads |-> (s^-1 x s for x in the images padded by `_pads`):
+    x * s and then s^-1 * (x * s), two C calls per x.  A pass that conjugates
+    the same images by several elements pads them once."""
     left, right = _lmul(s.inverse().images), _rmul(s.images)
-    return lambda xs: map(right, _pads(left(xs), degree))
+    return lambda pads: left(map(right, pads))
+
+
+def _commuting(members, degree: int, a: Perm) -> list:
+    """The members x with a^-1 x a = x, in their order: one pass."""
+    return list(compress(members, map(eq, _conjugation(a)(_pads(members, degree)), members)))
 
 
 def _dimino(seeds, degree: int, max_order: int, conjugations=()) -> tuple[set, list]:
@@ -281,7 +295,8 @@ def _dimino(seeds, degree: int, max_order: int, conjugations=()) -> tuple[set, l
                         if len(els) > max_order:
                             raise ValueError(f"closure exceeds the order guard {max_order}")
                         reps.append(y)
-        seeds = [y for step in conjugations for y in step(used[new:]) if y not in els]
+        pads = list(_pads(used[new:], degree))
+        seeds = [y for step in conjugations for y in step(pads) if y not in els]
     return els, used
 
 
@@ -476,22 +491,25 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
     pairs = [(g.images, g.inverse().images) for g in G.generators]
     # the commutators a * b * a^-1 * b^-1 of generator pairs
     seeds = {reduce(lambda x, s: _rmul(s)(_pad(x)), (a, b, ai, bi)) for a, ai in pairs for b, bi in pairs}
-    steps = [_conjugation(s, G.degree) for s in G.generators]
+    steps = [_conjugation(s) for s in G.generators]
     H = _subgroup(G, seeds=sorted(seeds), conjugations=steps)
     # s^-1 H s has the order of H, so conjugating its generators is enough
-    gens = [h.images for h in H.generators]
-    require(all(H.has_images(y) for step in steps for y in step(gens)), "derived subgroup not normal")
+    pads = list(_pads((h.images for h in H.generators), G.degree))
+    require(all(H.has_images(y) for step in steps for y in step(pads)), "derived subgroup not normal")
     return H
 
 
-def _normal_action(G: PermGroup, A: PermGroup) -> list[list[int]]:
-    """Per generator s of G the map a |-> s^-1 a s on A's element indices;
-    ValueError unless A is a normal subgroup of G."""
+def _normal_action(G: PermGroup, A: PermGroup, outer: bool = False) -> list[list[int]]:
+    """Per generator s of G the map a |-> s^-1 a s on A's element indices,
+    with outer only per generator outside A; ValueError unless A is a normal
+    subgroup of G.  A generator inside A maps A onto itself, so the
+    generators outside A decide normality."""
     if not A.is_subgroup_of(G):
         raise ValueError("A is not a subgroup of G")
-    pos = _index(A)
+    gens = [s for s in G.generators if not (outer and s in A)]
+    pos, pads = _index(A), list(_pads(A.images, G.degree))
     try:
-        return [list(map(pos.__getitem__, _conjugation(s, G.degree)(A.images))) for s in G.generators]
+        return [list(map(pos.__getitem__, _conjugation(s)(pads))) for s in gens]
     except KeyError:
         raise ValueError("A is not normal in G") from None
 
@@ -504,8 +522,16 @@ def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
         raise ValueError("A is not a subgroup of G")
     members = G.images
     for a in A.generators:
-        members = list(compress(members, map(eq, _conjugation(a, G.degree)(members), members)))
+        members = _commuting(members, G.degree, a)
     return _subgroup(G, members)
+
+
+def commuting_images(G: PermGroup, g: Perm) -> list:
+    """The stored images of the x in G with xg = gx, ascending: one
+    conjugation pass by g, the filter of `centralizer_of_subgroup`."""
+    if g.degree != G.degree:
+        raise ValueError("degree mismatch")
+    return _commuting(G.images, G.degree, g)
 
 
 @group_cache
@@ -587,10 +613,12 @@ def _fusion(A: PermGroup, automorphisms) -> FusionType:
 
 @group_cache
 def class_fusion(G: PermGroup, A: PermGroup) -> FusionType:
-    """Class-fusion pattern of G acting on its normal subgroup A by conjugation."""
+    """Class-fusion pattern of G acting on its normal subgroup A by
+    conjugation, read off the generators of G outside A: one inside A maps
+    every class of A to itself."""
     # conjugating by s^-1 instead of s inverts the class permutation, which
     # swaps a class pair exactly when the one of s does
-    return _fusion(A, _normal_action(G, A))
+    return _fusion(A, _normal_action(G, A, outer=True))
 
 
 def fusion_type(image: PermGroup) -> FusionType:
@@ -610,7 +638,7 @@ def fusion_type(image: PermGroup) -> FusionType:
 
 def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:
     """The three H with A < H < G when G/A is the Klein four-group."""
-    _normal_action(G, A)
+    _normal_action(G, A, outer=True)
     if len(G) != 4 * len(A):
         raise ValueError("index of A in G is not 4")
     if _abelian_invariants(G, A) != (2, 2):
@@ -678,9 +706,9 @@ def conjugate_group(G: PermGroup, t: Perm) -> PermGroup:
     """The conjugate group t G t^-1 on the same points."""
     if t.degree != G.degree:
         raise ValueError("degree mismatch")
-    conj = _conjugation(t.inverse(), G.degree)
-    gens = map(Perm._raw, conj(g.images for g in G.generators))
-    return PermGroup(gens, G.degree, tuple(sorted(conj(G.images))))
+    conj = _conjugation(t.inverse())
+    gens = map(Perm._raw, conj(_pads((g.images for g in G.generators), G.degree)))
+    return PermGroup(gens, G.degree, tuple(sorted(conj(_pads(G.images, G.degree)))))
 
 
 def is_a6_certified(G: PermGroup) -> bool:

@@ -286,6 +286,28 @@ def test_values_lie_in_their_class_fields_and_obey_galois(name):
                     assert row[c.power_map[k]] == galois_apply(small, k)
 
 
+@pytest.mark.parametrize("name", list(TOWER))
+def test_restrict_round_trips_every_table_value(name):
+    # a value of Q(zeta_e) lies in Q(zeta_n), n | e, iff every automorphism
+    # zeta -> zeta^k with k = 1 mod n fixes it: restrict must agree, and its
+    # result embedded back must be the value
+    t = character_table(TOWER[name][0]())
+    values = {(v.order, v.coeffs): v for row in t.rows for v in row}.values()
+    for v in values:
+        e = v.order
+        fixed = {k for k in range(1, e) if gcd(k, e) == 1 and galois_apply(v, k) == v}
+        for n in (n for n in range(1, e + 1) if e % n == 0):
+            if all(k in fixed for k in range(1, e) if gcd(k, e) == 1 and k % n == 1 % n):
+                small = v.restrict(n)
+                assert small.order == n and small.embed(e).coeffs == v.coeffs
+            else:
+                with pytest.raises(ValueError, match="does not lie in"):
+                    v.restrict(n)
+    for v, n in ((CycloNum.zeta(12), 4), (CycloNum.zeta(120), 60)):
+        with pytest.raises(ValueError, match="does not lie in"):
+            v.restrict(n)
+
+
 @pytest.mark.parametrize("name", [n for n in TOWER if n != "PSL(2,9)"])
 def test_tower_tables_agree_at_two_primes(name):
     build, degrees = TOWER[name]

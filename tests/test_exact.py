@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from a6k3 import exact
 from a6k3.exact import (
     CycloNum,
     _reduce,
@@ -15,6 +16,7 @@ from a6k3.exact import (
     euler_phi,
     galois_apply,
 )
+from a6k3.permgrp import VerificationError
 
 
 def evaluate(a: CycloNum) -> complex:
@@ -105,6 +107,25 @@ def test_embedding_round_trip():
         CycloNum.zeta(12).restrict(4)  # zeta12 does not lie in Q(zeta4)
     with pytest.raises(ValueError):
         CycloNum.zeta(120).restrict(60)  # nor zeta120 in Q(zeta60)
+
+
+def test_coordinate_map_is_verified(monkeypatch):
+    # a wrong pivot scale in the elimination over Q makes the coordinate map
+    # no left inverse of the embedding; that fails its build instead of
+    # rewriting values
+    gauss = exact._gauss_jordan
+
+    def scaled(rows, p):
+        rows, pivots = gauss(rows, p)
+        return [[2 * v for v in row] for row in rows], pivots
+
+    monkeypatch.setattr(exact, "_gauss_jordan", scaled)
+    exact._coordinates.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="no left inverse"):
+            CycloNum.zeta(5).embed(60).restrict(5)
+    finally:
+        exact._coordinates.cache_clear()
 
 
 def test_cross_order_equality():

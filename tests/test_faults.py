@@ -77,11 +77,11 @@ def table_generator(monkeypatch):
     # for the first generator s of G that is not an involution
     action, rmul = permgrp._normal_action, permgrp._rmul
 
-    def mutated(G, A):
+    def mutated(G, A, **kwargs):
         first = next((s.images for s in G.generators if s != s.inverse()), None)
         permgrp._rmul = lambda s: rmul(Perm(s).inverse().images if s == first else s)
         try:
-            return action(G, A)
+            return action(G, A, **kwargs)
         finally:
             permgrp._rmul = rmul
 
@@ -161,13 +161,15 @@ REBUILT = {
     # the tables are memoized on the tower groups, as for eigenvalue_root; on a
     # warm cache only the golden comparison sees the mutant, not the
     # orthogonality check.  The golden rows and their keys are reduced too,
-    # and built under the mutant they would outlive it
+    # and so are the subfield coordinate maps of `restrict`; built under the
+    # mutant they would outlive it
     phi_term: (
         pgl9.build_pgl29,
         pgl9.build_psl29,
         extbuild.build_candidate,
         chartab.reference_a6_rows,
         chartab._golden_key,
+        exact._coordinates,
     ),
 }
 

@@ -5,6 +5,7 @@ import gc
 import json
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -546,3 +547,19 @@ def test_lattice_checks_report():
     assert by_name["T(F)"].determinant == 36
     assert by_name["T(F)"].signature == (2, 0)
     assert all(e.even for e in report.entries)
+
+
+def test_exclusion_runs_each_shared_argument_once(monkeypatch):
+    # the order-3 trace reads only the sign case, the integrality argument
+    # only whether gtilde swaps the order-3 classes: two of each per report
+    calls = Counter()
+    for name in ("argument_3class_trace", "argument_nonintegral"):
+
+        def spy(*args, _fn=getattr(k3verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(k3verify, name, spy)
+    report = cli.build_report("all")
+    assert report["verdict"] == "M10_2"
+    assert calls == {"argument_3class_trace": 2, "argument_nonintegral": 2}

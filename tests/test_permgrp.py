@@ -25,6 +25,7 @@ from a6k3.permgrp import (
     centralizer_of_subgroup,
     class_fusion,
     closure,
+    commuting_images,
     conjugacy_classes,
     conjugate_group,
     conjugation_image,
@@ -431,6 +432,58 @@ def test_image_format_boundary(degree):
             assert class_fusion(H, psl) == naive_fusion(H, psl)
 
 
+@pytest.mark.parametrize("degree", [14, 256, 257, 300])
+def test_conjugation_over_padded_images(degree):
+    # one pad per image serves every conjugating element, in both formats
+    rng = random.Random(degree)
+
+    def shuffled():
+        imgs = list(range(degree))
+        rng.shuffle(imgs)
+        return Perm(imgs)
+
+    xs = [Perm.identity(degree)] + [shuffled() for _ in range(6)]
+    pads = list(permgrp._pads([x.images for x in xs], degree))
+    for s in [shuffled() for _ in range(3)] + [xs[1]]:
+        conj = permgrp._conjugation(s)
+        for _ in range(2):  # the pads are read, never consumed
+            assert list(map(Perm._raw, conj(pads))) == [s.inverse() * x * s for x in xs]
+    # the commuting filter shares the pass: inside a group and from outside it
+    pts = sorted({0, degree // 2, degree - 2, degree - 1})
+    G = closure([Perm.from_cycles([pts], degree), Perm.from_cycles([pts[-2:]], degree)])
+    for g in (*G.generators, G.elements[5], xs[2], Perm.from_cycles([pts[:2]], degree)):
+        assert commuting_images(G, g) == [x.images for x in G.elements if x * g == g * x]
+    with pytest.raises(ValueError, match="degree mismatch"):
+        commuting_images(G, Perm.identity(degree + 1))
+
+
+def test_class_fusion_reads_the_outer_generators():
+    # a generator inside A maps every class of A to itself: generators of A
+    # added to G's change no fusion, and conjugation_image, which acts by
+    # all of G's generators, agrees
+    psl, split = build_psl29(), classify_overgroups()
+    pairs = [(H, psl) for H in (split.s6, split.pgl, split.m10)]
+    pairs += [(c.group, c.a6) for c in map(build_candidate, KINDS)]
+    rng = random.Random(23)
+    for H, A in pairs:
+        ft = class_fusion(H, A)
+        assert ft == fusion_type(conjugation_image(H, A)[0])
+        for extra in (A.generators, rng.sample(A.elements, 3)):
+            more = PermGroup(H.generators + tuple(extra), H.degree, H.images)
+            assert class_fusion(more, A) == ft
+        assert class_fusion(A, A) == FusionType(swaps_3=False, swaps_5=False)
+    # skipping the generators inside A skips no failing normality test
+    S4 = closure([Perm.from_cycles([(0, 1)], 4), Perm.from_cycles([(0, 1, 2, 3)], 4)])
+    A = closure([Perm.from_cycles([(0, 1)], 4)])
+    assert A.generators[0] in S4.generators
+    with pytest.raises(ValueError, match="A is not normal in G"):
+        class_fusion(S4, A)
+    cand = build_candidate("M10_2")
+    for G in (cand.group, PermGroup(cand.group.generators + cand.a6.generators, cand.group.degree, cand.group.images)):
+        with pytest.raises(ValueError, match="A is not normal in G"):
+            class_fusion(G, closure(cand.a6.generators[:1]))
+
+
 def test_subgroup_generators_close_to_the_members():
     # center and centralizer_of_subgroup name only the members; the derived
     # generators are not redundant, so each one at least doubles the order
@@ -511,9 +564,10 @@ def test_cosets_build_no_index_tables(monkeypatch):
 
 
 def test_image_format_stays_in_permgrp():
-    # only _pack, _pad, _pads, _rmul, _lmul and _conjugation know how images are stored
+    # only _pack, _pad, _pads, _rmul, _lmul, _conjugation and _commuting know how
+    # images are stored, and no other module composes raw images itself
     src = Path(a6k3.__file__).parent
-    pattern = re.compile(r"\b_(pack|pad|pads|rmul|lmul|conjugation)\b")
+    pattern = re.compile(r"\b(_pack|_pad|_pads|_rmul|_lmul|_conjugation|_commuting|translate|maketrans)\b")
     leaks = [p.name for p in sorted(src.glob("*.py")) if p.name != "permgrp.py" and pattern.search(p.read_text())]
     assert leaks == []
 
