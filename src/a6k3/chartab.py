@@ -12,6 +12,12 @@ square table, which imply the column relations, are re-verified exactly
 before a table is returned, each row pair as one `exact.dot` with a single
 cyclotomic reduction.  Classes are named by `class_labels`; this module
 renders nothing, and the text form of a table is written by `cli`.
+
+Inner loops run as C passes over whole lists: the class pair (i, j) of a
+product is counted as the int i*r + j; each F_p inner product is
+`sum(map(mul, ...))`; the lift multiplies by one matrix of roots of unity
+per element order, built once per table; and the orthogonality check
+reads each value's terms once and reuses them in every row pair.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import isqrt, lcm
+from operator import add, mul
 
 from .exact import CycloNum, _gauss_jordan, dot, prime_factors
 from .permgrp import (
@@ -64,10 +71,9 @@ class ClassAlgebra:
     def check_consistency(self):
         """sum_k a[i][j][k] |C_k| = |C_i| |C_j| for all i, j."""
         sizes = [c.size for c in self.classes]
-        r = len(self.classes)
-        for i in range(r):
-            for j in range(r):
-                total = sum(self.constants[i][j][k] * sizes[k] for k in range(r))
+        for i, plane in enumerate(self.constants):
+            for j, column in enumerate(plane):
+                total = sum(map(mul, column, sizes))
                 require(total == sizes[i] * sizes[j], f"class-algebra constants are inconsistent at ({i}, {j})")
 
 
@@ -81,12 +87,15 @@ def structure_constants(G: PermGroup) -> ClassAlgebra:
     class_of = _classes(G)[1]
     # the class of the inverse of each element, looked up by its images
     inv_class = dict(zip(G.images, map(_inverse_class_map(classes).__getitem__, class_of)))
+    # the class pair (i, j) is counted as the int i * r + j
+    scaled = [i * r for i in class_of]
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k, ck in enumerate(classes):
         # x*y = z has the unique solution y = x^-1 z, and y^-1 = z^-1 x
         left = _left_products(G, ck.representative.inverse())
-        pairs = Counter(zip(class_of, map(inv_class.__getitem__, left)))
-        for (i, j), count in pairs.items():
+        pairs = Counter(map(add, scaled, map(inv_class.__getitem__, left)))
+        for pair, count in pairs.items():
+            i, j = divmod(pair, r)
             a[i][j][k] = count
     alg = ClassAlgebra(
         group_order=len(G),
@@ -144,11 +153,13 @@ def _eigenvalues(S, p):
     coeffs = [1]  # of the leading k x k block, leading coefficient first
     for k in range(len(S)):
         # Toeplitz column of the new block: 1, -s_kk, -R C, -R A C, ..., -R A^(k-1) C
-        col, toeplitz = [S[x][k] for x in range(k)], [1, -S[k][k] % p]
+        block, R = [row[:k] for row in S[:k]], S[k][:k]
+        col, toeplitz = [row[k] for row in S[:k]], [1, -S[k][k] % p]
         for _ in range(k):
-            toeplitz.append(-sum(S[k][x] * col[x] for x in range(k)) % p)
-            col = [sum(S[x][y] * col[y] for y in range(k)) % p for x in range(k)]
-        coeffs = [sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1)) % p for i in range(k + 2)]
+            toeplitz.append(-sum(map(mul, R, col)) % p)
+            col = [sum(map(mul, row, col)) % p for row in block]
+        # the product with the Toeplitz matrix: coefficient i is sum_j t_(i-j) c_j
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) % p for i in range(k + 2)]
     # Horner's rule at every point of F_p at once, one pass per coefficient
     values = [1] * p
     for c in coeffs[1:]:
@@ -186,24 +197,15 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
             if len(B) == 1:
                 new_spaces.append((B, pivots))
                 continue
-            imgs = []
-            for vec in B:
-                img = [sum(M[c][k] * vec[k] for k in range(r)) % p for c in range(r)]
-                imgs.append(img)
+            imgs = [[sum(map(mul, row, vec)) % p for row in M] for vec in B]
             # restricted matrix in the rref coordinates of B
             S = [[imgs[a][pivots[b]] for a in range(len(B))] for b in range(len(B))]
+            columns = list(zip(*B))
             found = 0
             for lam in _eigenvalues(S, p):
                 A = [[(S[x][y] - (lam if x == y else 0)) % p for y in range(len(B))] for x in range(len(B))]
-                kernel = _nullspace(A, p)
-                vecs = []
-                for coords in kernel:
-                    v = [0] * r
-                    for a, ca in enumerate(coords):
-                        if ca:
-                            for c in range(r):
-                                v[c] = (v[c] + ca * B[a][c]) % p
-                    vecs.append(v)
+                # the kernel vectors in B's coordinates, written out over the classes
+                vecs = [[sum(map(mul, coords, col)) % p for col in columns] for coords in _nullspace(A, p)]
                 sub, sub_pivots = _gauss_jordan(vecs, p)
                 new_spaces.append((sub, sub_pivots))
                 found += len(sub)
@@ -258,38 +260,40 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
     omega_rows = _common_eigenvectors(alg, p)
 
     # degrees from 1/chi(1)^2 = (1/|G|) sum_i w_i w_i' / |C_i|
+    inv_sizes = [pow(size, p - 2, p) for size in sizes]
     degrees = []
     charp_rows = []
     for w in omega_rows:
-        total = 0
-        for i in range(r):
-            total = (total + w[i] * w[inv_class[i]] * pow(sizes[i], p - 2, p)) % p
-        require(total % p != 0, "degree recovery hit a zero denominator")
+        total = sum(map(mul, map(mul, w, map(w.__getitem__, inv_class)), inv_sizes)) % p
+        require(total != 0, "degree recovery hit a zero denominator")
         dsq = (order * pow(total, p - 2, p)) % p
         d = next((x for x in range(1, p // 2 + 1) if (x * x) % p == dsq), None)
         require(d is not None, "degree recovery: residue is not a square")
         degrees.append(d)
-        charp_rows.append([(d * w[i] * pow(sizes[i], p - 2, p)) % p for i in range(r)])
+        charp_rows.append([d * x * y % p for x, y in zip(w, inv_sizes)])
     require(sum(d * d for d in degrees) == order, "degree column is inconsistent")
 
     # lift chi(g) = sum_t m_t zeta_o^t for g of order o, where
     # m_t = (1/o) sum_{l<o} chi_p(g^l) theta^(-t l e/o); zeta_o^t = zeta_e^(t e/o)
     theta = pow(_primitive_root(p), (p - 1) // e, p)
     theta_pow = [pow(theta, t, p) for t in range(e)]
+    # for each element order o, row t of the o x o matrix theta^(-t l e/o)
+    dft = {}
+    for o in {c.element_order for c in classes}:
+        step = e // o
+        dft[o] = [[theta_pow[-t * l * step % e] for l in range(o)] for t in range(o)]
     rows = []
     for d, chi_p in zip(degrees, charp_rows):
         row = []
         for c in classes:
             o = c.element_order
             step, inv_o = e // o, pow(o, p - 2, p)
-            values = [chi_p[c.power_map[l]] for l in range(o)]
+            values = list(map(chi_p.__getitem__, c.power_map[:o]))
             # the power map has period o, so only the exponents t * e/o carry
             # counts, and the list ends at the highest of them; each count
             # lies in [0, p), so the sum also bounds every count by d
             counts = [0] * ((o - 1) * step + 1)
-            for t in range(o):
-                acc = sum(v * theta_pow[-t * l * step % e] for l, v in enumerate(values))
-                counts[t * step] = acc * inv_o % p
+            counts[::step] = [sum(map(mul, values, dft_row)) * inv_o % p for dft_row in dft[o]]
             require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
             row.append(CycloNum.from_power_counts(e, counts))
         rows.append(tuple(row))
@@ -328,11 +332,13 @@ def _verify_orthogonality(table: CharacterTable):
     require(involution, "class inversion is not a size-preserving involution")
     # for a square table the row relations X D Y^T = |G| I, with D the class
     # sizes and Y[b][i] = chi_b(i*), imply the column relations Y^T X D = |G| I
-    starred = [[row[i] for i in inv_class] for row in rows]
     field = lcm(table.exponent, *(v.order for row in rows for v in row))
+    # each value's terms are read once, and every pair reuses them
+    terms = [[v.terms(field) for v in row] for row in rows]
+    starred = [list(map(row.__getitem__, inv_class)) for row in terms]
     for a in range(r):
         for b in range(a, r):
-            total = dot(field, sizes, rows[a], starred[b])
+            total = dot(field, sizes, terms[a], starred[b])
             require(total == (order if a == b else 0), f"row orthogonality fails at ({a}, {b})")
 
 

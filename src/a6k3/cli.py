@@ -6,7 +6,9 @@ this includes the verdict M10_2), 1 when a check fails, 2 on usage errors.
 The report carries a verdict only when every check in it passed.
 A stage that raises shows up as one failing `<stage>.error` check, and the
 later stages still run; its traceback goes to stderr with -v, and only then
-is the `traceback` module imported.
+is the `traceback` module imported.  The text report renders the A6 table
+after the stages have run; a table that fails to render is a failing
+`render.error` check in the same way, and voids the verdict.
 Nothing mathematical is configurable; the fixtures are frozen and only the
 presentation varies.
 
@@ -276,6 +278,15 @@ def stage_lattice() -> list[dict]:
     ]
 
 
+def _error_check(name: str, exc: Exception) -> dict:
+    if _verbose:  # only -v reads the traceback, so only -v imports its module
+        import traceback
+
+        _note(traceback.format_exc())
+    error = {"error": f"{type(exc).__name__}: {exc}"}
+    return _check(f"{name}.error", f"the {name} stage runs to completion", False, error)
+
+
 def build_report(command: str) -> dict:
     checks = []
     for name in STAGES if command == "all" else (command,):
@@ -284,12 +295,7 @@ def build_report(command: str) -> dict:
         try:
             checks.extend(stage())
         except Exception as exc:
-            if _verbose:  # only -v reads the traceback, so only -v imports its module
-                import traceback
-
-                _note(traceback.format_exc())
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            checks.append(_check(f"{name}.error", f"the {name} stage runs to completion", False, error))
+            checks.append(_error_check(name, exc))
     verdict = None
     if all(check["status"] == "pass" for check in checks):
         verdict = next((c["witnesses"]["verdict"] for c in checks if c["id"] == "exclude.pipeline"), None)
@@ -336,16 +342,26 @@ def _equation_text(eq: ClassEquation) -> str:
 
 
 def render_text(command: str, report: dict) -> str:
+    """The text report.  The A6 table is rendered first, so that a failure
+    there is added to the report as a failing `render.error` check, which
+    voids the verdict, before the check lines are written."""
+    by_id = {check["id"]: check for check in report["checks"]}
+    table_text = None
+    if by_id.get("chartab.a6", {}).get("status") == "pass":
+        try:
+            # the table is cached on PSL(2,9) by the passing stage
+            table_text = render_table_text(character_table(build_psl29()))
+        except Exception as exc:
+            report["checks"].append(_error_check("render", exc))
+            report["verdict"] = None
     lines = [f"a6k3 verification report (command: {command})", ""]
     for check in report["checks"]:
         flag = "PASS" if check["status"] == "pass" else "FAIL"
         lines.append(f"[{flag}] {check['id']}: {check['paper_ref']}")
-    by_id = {check["id"]: check for check in report["checks"]}
-    if by_id.get("chartab.a6", {}).get("status") == "pass":
-        # the table is cached on PSL(2,9) by the passing stage
+    if table_text is not None:
         lines.append("")
         lines.append("A6 character table:")
-        lines.append(render_table_text(character_table(build_psl29())))
+        lines.append(table_text)
     sys_check = by_id.get("decompose.solve")
     if sys_check:
         lines.append("")
@@ -379,9 +395,9 @@ def main(argv=None) -> int:
     _verbose = args.verbose
     try:
         report = build_report(args.command)
+        payload = render_json(report) if args.format == "json" else render_text(args.command, report)
     finally:
         _verbose = False
-    payload = render_json(report) if args.format == "json" else render_text(args.command, report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

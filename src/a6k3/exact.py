@@ -11,11 +11,13 @@ Coefficients are ints or Fractions.  The constructor converts any other
 value with Fraction() once and nothing else converts, so a value in Z[zeta_n],
 such as every character value, keeps int coefficients (Phi_n is monic).
 
-Arithmetic costs what the nonzero terms cost.  `dot` is the one coefficient
-convolution: it accumulates a whole sum of products in one dense list,
-skipping zero coefficients, and reduces it once; a product of two values is
-a `dot` of one term.  `_reduce` subtracts only the nonzero terms of Phi_n,
-6 of the 32 lower coefficients of Phi_120.
+Arithmetic costs what the nonzero terms cost.  `CycloNum.terms(m)` lists a
+value's nonzero terms as (exponent over zeta_m, coefficient) pairs, and
+`dot` is the one coefficient convolution: it accumulates a whole sum of
+products of such term lists in one dense list and reduces it once.  A
+caller that pairs a value with many others extracts its terms once; a
+product of two values is a `dot` of one term.  `_reduce` subtracts only
+the nonzero terms of Phi_n, 6 of the 32 lower coefficients of Phi_120.
 
 `_gauss_jordan` is the package's one elimination, over F_p or over Q: the
 character tables split their class algebras with it mod p, and over Q it
@@ -196,6 +198,15 @@ class CycloNum:
             raise ValueError(f"value does not lie in Q(zeta_{n})")
         return value
 
+    def terms(self, m: int) -> list[tuple[int, int | Fraction]]:
+        """The nonzero terms (exponent over zeta_m, coefficient), ascending;
+        requires order | m.  zeta_order^i is zeta_m^(i * m/order)."""
+        if m % self.order:
+            raise ValueError(f"order {self.order} does not divide {m}")
+        cs = self.coeffs
+        # pairs and zero test both in C
+        return list(compress(zip(range(0, len(cs) * (m // self.order), m // self.order), cs), cs))
+
     def _common(self, other: "CycloNum"):
         m = lcm(self.order, other.order)
         return self.embed(m), other.embed(m)
@@ -240,7 +251,8 @@ class CycloNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return dot(lcm(self.order, other.order), (1,), (self,), (other,))
+        m = lcm(self.order, other.order)
+        return dot(m, (1,), (self.terms(m),), (other.terms(m),))
 
     __rmul__ = __mul__
 
@@ -291,30 +303,23 @@ class CycloNum:
 
 
 def dot(order: int, weights, xs, ys) -> CycloNum:
-    """sum_i weights[i] * xs[i] * ys[i] in Q(zeta_order).
+    """sum_i weights[i] * x_i * y_i in Q(zeta_order).
 
-    weights are ints or Fractions, xs and ys CycloNums whose orders divide
-    order.  zeta_m^i is zeta_order^(i * order/m), so every product of
-    nonzero coefficients lands in one dense list at its exponent over
-    zeta_order, and the sum is reduced modulo Phi_order once.
+    weights are ints or Fractions; xs and ys hold the operands' terms over
+    zeta_order, `x_i.terms(order)`, so that a caller that pairs one value
+    with many reads its terms once.  Every product of two terms lands in
+    one dense list at its exponent, and the sum is reduced modulo Phi_order
+    once.
     """
     dense = [0] * (2 * order - 1)  # an exponent is below 2 * order - 1
     top = 0
-    for w, x, y in zip(weights, xs, ys, strict=True):
-        if not w:
-            continue
-        if order % x.order or order % y.order:
-            raise ValueError(f"orders {x.order} and {y.order} do not both divide {order}")
-        sx, sy, xc, yc = order // x.order, order // y.order, x.coeffs, y.coeffs
-        # the exponents of the nonzero coefficients, found in C
-        xt = list(compress(range(len(xc)), xc))
-        yt = [(j * sy, yc[j]) for j in compress(range(len(yc)), yc)]
-        if xt and yt:
-            top = max(top, xt[-1] * sx + yt[-1][0])
-            for i in xt:
-                a, at = xc[i] * w, i * sx
+    for w, xt, yt in zip(weights, xs, ys, strict=True):
+        if w and xt and yt:
+            top = max(top, xt[-1][0] + yt[-1][0])
+            for i, a in xt:
+                a *= w
                 for j, b in yt:
-                    dense[at + j] += a * b
+                    dense[i + j] += a * b
     del dense[top + 1 :]  # so that the reduction scans only written exponents
     return CycloNum(order, _reduce(order, dense))
 

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from a6k3.exact import CycloNum, euler_phi, galois_apply, prime_factors
-from a6k3.permgrp import Perm, VerificationError, closure, conjugacy_classes
+from a6k3.permgrp import Perm, VerificationError, closure, conjugacy_classes, conjugate_group
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from a6k3.chartab import (
     _eigenvalues,
@@ -316,6 +316,77 @@ def test_tower_tables_agree_at_two_primes(name):
     assert t1.prime != t2.prime
     assert tuple(sorted(t1.degrees)) == degrees
     assert all(v == w for r1, r2 in zip(t1.rows, t2.rows) for v, w in zip(r1, r2))
+
+
+def counted_constants(classes):
+    """a[i][j][k] = #{x in C_i : x^-1 z in C_j} for the representative z of
+    C_k, composing image tuples by hand: no bytes kernel, no pair coding."""
+    class_of = {tuple(x.images): i for i, c in enumerate(classes) for x in c.members}
+    inverses = []
+    for x, i in class_of.items():
+        xinv = [0] * len(x)
+        for point, image in enumerate(x):
+            xinv[image] = point
+        inverses.append((xinv, i))
+    r = len(classes)
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for k, c in enumerate(classes):
+        z = tuple(c.representative.images)
+        for xinv, i in inverses:
+            # (x^-1 z)(point) = x^-1(z(point))
+            a[i][class_of[tuple(xinv[image] for image in z)]][k] += 1
+    return tuple(tuple(tuple(row) for row in plane) for plane in a)
+
+
+@pytest.mark.parametrize("name", [n for n in TOWER if n != "PSL(2,9)"])
+def test_structure_constants_match_counted_products(name):
+    # the tower group and two seeded relabelings of it
+    G = TOWER[name][0]()
+    rng = random.Random(2400)
+    relabeled = [conjugate_group(G, Perm(rng.sample(range(G.degree), G.degree))) for _ in range(2)]
+    for H in (G, *relabeled):
+        alg = structure_constants(H)
+        assert alg.constants == counted_constants(alg.classes)
+
+
+@pytest.mark.parametrize("name", list(TOWER))
+def test_permutation_characters_decompose_into_rows(name):
+    # the natural permutation character pi, its symmetric square
+    # (pi(g)^2 + pi(g^2))/2 and its alternating square (pi(g)^2 - pi(g^2))/2
+    # are characters: each has a non-negative integer inner product with
+    # every irreducible row, and these multiplicities rebuild it on every
+    # class (Isaacs, Character Theory of Finite Groups, ch. 4-5)
+    t = character_table(TOWER[name][0]())
+    fixed = [sum(i == x for i, x in enumerate(c.representative.images)) for c in t.classes]
+    square = [c.power_map[2] for c in t.classes]  # the class of g^2
+    inv = [c.power_map[c.element_order - 1] for c in t.classes]
+    sym = [(f * f + fixed[q]) // 2 for f, q in zip(fixed, square)]
+    alt = [(f * f - fixed[q]) // 2 for f, q in zip(fixed, square)]
+    for psi in (fixed, sym, alt):
+        mults = []
+        for row in t.rows:
+            total = sum((c.size * v * row[inv[k]] for k, (c, v) in enumerate(zip(t.classes, psi))), CycloNum.zero())
+            m = (total * Fraction(1, t.group_order)).is_rational()
+            assert m is not None and m.denominator == 1 and m >= 0
+            mults.append(int(m))
+        for k, v in enumerate(psi):
+            assert sum((m * row[k] for m, row in zip(mults, t.rows)), CycloNum.zero()) == v
+
+
+def test_orthogonality_reads_each_value_once(monkeypatch):
+    # each of the r^2 values is split into its terms once per check, not
+    # once per row pair it enters
+    t = character_table(build_pgammal29())
+    terms, calls = CycloNum.terms, []
+
+    def counted(v, m):
+        calls.append(v)
+        return terms(v, m)
+
+    monkeypatch.setattr(CycloNum, "terms", counted)
+    _verify_orthogonality(t)
+    r = len(t.classes)
+    assert len(calls) == r * r == 169
 
 
 def scanned_eigenspaces(S, p):

@@ -238,7 +238,7 @@ def test_dot_matches_the_termwise_sum():
         weights = [rng.choice((0, rng.randint(-50, 50), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))) for _ in range(n)]
         xs = [random_sparse(rng, rng.choice(orders)) for _ in range(n)]
         ys = [random_sparse(rng, rng.choice(orders)) for _ in range(n)]
-        got = dot(field, weights, xs, ys)
+        got = dot(field, weights, [x.terms(field) for x in xs], [y.terms(field) for y in ys])
         termwise = CycloNum.zero(field)
         for w, x, y in zip(weights, xs, ys):
             termwise = termwise + w * (x * y)
@@ -247,9 +247,9 @@ def test_dot_matches_the_termwise_sum():
         if all(type(c) is int for v in xs + ys for c in v.coeffs) and all(type(w) is int for w in weights):
             assert all(type(c) is int for c in got.coeffs)
     with pytest.raises(ValueError):
-        dot(12, [1], [CycloNum.zeta(5)], [CycloNum.one()])  # 5 does not divide 12
+        dot(12, [1], [CycloNum.zeta(5).terms(12)], [CycloNum.one().terms(12)])  # 5 does not divide 12
     with pytest.raises(ValueError):
-        dot(12, [1, 1], [CycloNum.one()], [CycloNum.one()])  # lengths differ
+        dot(12, [1, 1], [CycloNum.one().terms(12)], [CycloNum.one().terms(12)])  # lengths differ
 
 
 def full_width_reduce(order, dense):

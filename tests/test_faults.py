@@ -116,6 +116,18 @@ def phi_term(monkeypatch):
     monkeypatch.setattr(exact, "_phi_terms", lambda n: terms(n)[:-1])
 
 
+def gauss_pivot(monkeypatch):
+    # the elimination over Q returns its rows doubled, so the coordinate maps
+    # of `restrict`, and with them the rendered values, are no left inverse
+    gauss = exact._gauss_jordan
+
+    def doubled(rows, p):
+        rows, pivots = gauss(rows, p)
+        return (rows if p else [[2 * v for v in row] for row in rows]), pivots
+
+    monkeypatch.setattr(exact, "_gauss_jordan", doubled)
+
+
 # each mutant with the checks it must fail
 MUTANTS = {
     nikulin_order3: {"lefschetz.rank", "decompose.solve", "exclude.error"},
@@ -129,6 +141,7 @@ MUTANTS = {
     phi_term: {"chartab.error", "decompose.error", "exclude.error"},
     centralizer_generator: {"groups.error", "exclude.error"},
     normal_closure: {"groups.error", "exclude.error"},
+    gauss_pivot: {"decompose.error"},
 }
 
 # the functools.cache builders whose results, or the data memoized on them, a
@@ -171,6 +184,8 @@ REBUILT = {
         chartab._golden_key,
         exact._coordinates,
     ),
+    # the coordinate maps are built once per pair of orders
+    gauss_pivot: (exact._coordinates,),
 }
 
 
@@ -214,6 +229,19 @@ def test_undone_mutant_leaves_the_report_intact(mutate, capsys):
     capsys.readouterr()
     assert cli.main(["all", "--format", "json"]) == 0
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == REPORT_DIGEST
+
+
+def test_text_table_that_fails_to_render_is_a_fail_line(capsys):
+    # the JSON report renders no table; the text report fails its rendering
+    # as a check of its own, with exit 1 and no traceback
+    with applied(gauss_pivot):
+        assert cli.main(["all", "--format", "json"]) == 1
+        assert "render.error" not in capsys.readouterr().out
+        assert cli.main(["all"]) == 1
+        captured = capsys.readouterr()
+    assert "[FAIL] render.error: " in captured.out and "[FAIL] decompose.error: " in captured.out
+    assert "A6 character table:" not in captured.out and "VERDICT" not in captured.out
+    assert captured.err == ""
 
 
 def test_stage_error_keeps_later_stages(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""The derived subgroups of the tower and of the candidates against sympy's
+"""The tower, the candidates and their derived subgroups against sympy's
 Schreier-Sims implementation (C. C. Sims 1970), an oracle that shares no code
 with this package."""
 
@@ -9,12 +9,33 @@ import pytest
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from a6k3.extbuild import build_all_candidates
-from a6k3.permgrp import Perm, conjugate_group, derived_subgroup
-from a6k3.pgl9 import build_pgammal29, build_pgl29
+from a6k3.permgrp import Perm, center, conjugacy_classes, conjugate_group, derived_subgroup
+from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29
 
 
 def sympy_perm(x):
     return combinatorics.Permutation(list(x.images))
+
+
+def sympy_group(G):
+    return combinatorics.PermutationGroup(list(map(sympy_perm, G.generators)))
+
+
+def test_tower_orders_agree_with_sympy():
+    orders = [sympy_group(G).order() for G in (build_psl29(), build_pgl29(), build_pgammal29())]
+    assert orders == [360, 720, 1440]
+
+
+def test_candidate_classes_and_centers_agree_with_sympy():
+    cands = build_all_candidates()
+    assert list(cands) == ["A6_4", "S6_2", "PGL29_2", "M10_2"]
+    counts, centers = [], []
+    for c in cands.values():
+        S = sympy_group(c.group)
+        counts.append(len(S.conjugacy_classes()))
+        centers.append(S.center().order())
+        assert counts[-1] == len(conjugacy_classes(c.group)) and centers[-1] == len(center(c.group))
+    assert counts == [28, 22, 22, 16] and centers == [4, 2, 2, 2]
 
 
 def test_derived_subgroups_agree_with_sympy():
@@ -24,7 +45,7 @@ def test_derived_subgroups_agree_with_sympy():
     relabeled = [conjugate_group(G, Perm(rng.sample(range(G.degree), G.degree))) for G in base * 2]
     for G in base + relabeled:
         D = derived_subgroup(G)
-        S = combinatorics.PermutationGroup(list(map(sympy_perm, G.generators))).derived_subgroup()
+        S = sympy_group(G).derived_subgroup()
         assert len(D) == S.order() == 360
         assert all(S.contains(sympy_perm(h)) for h in D.generators)
         # each A6 is perfect, by both
