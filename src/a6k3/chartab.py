@@ -298,7 +298,9 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
             row.append(CycloNum.from_power_counts(e, counts))
         rows.append(tuple(row))
 
-    rows.sort(key=lambda row: (int(row[0].is_rational()), [v.sort_key() for v in row]))
+    # every lifted value has int coefficients, so its coefficient tuple orders
+    # it as `sort_key` does; the identity value (d, 0, ..., 0) leads with the degree
+    rows.sort(key=lambda row: [v.coeffs for v in row])
     table = CharacterTable(
         group_order=order,
         classes=classes,

@@ -16,8 +16,12 @@ value's nonzero terms as (exponent over zeta_m, coefficient) pairs, and
 `dot` is the one coefficient convolution: it accumulates a whole sum of
 products of such term lists in one dense list and reduces it once.  A
 caller that pairs a value with many others extracts its terms once; a
-product of two values is a `dot` of one term.  `_reduce` subtracts only
-the nonzero terms of Phi_n, 6 of the 32 lower coefficients of Phi_120.
+product of two values is a `dot` of one term.  `_reduce` visits only the
+nonzero entries at exponents phi(n) and above, and adds each, times its
+power of zeta_n reduced modulo Phi_n, to the lower entries; `_power_rows`
+builds those powers once per order, and for n = 120 each has at most 6 of
+its 32 coefficients nonzero.  A value compared with an int or a Fraction is
+compared as a rational, never embedded.
 
 `_gauss_jordan` is the package's one elimination, over F_p or over Q: the
 character tables split their class algebras with it mod p, and over Q it
@@ -108,19 +112,35 @@ def _phi_terms(order: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(order)[:-1]) if c)
 
 
-def _reduce(order: int, dense) -> tuple[int | Fraction, ...]:
-    # Polynomial remainder modulo Phi_order, padded to length phi(order):
-    # x^i = -sum c x^(i - deg + j) over the nonzero lower terms of Phi_order.
+@cache
+def _power_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # row s: the nonzero terms (j, c) of zeta_order^s reduced modulo Phi_order,
+    # for s < order; row s + 1 is row s times x, with x^deg rewritten by Phi_order
     deg, terms = _degree(order), _phi_terms(order)
-    cs = list(dense)
-    for i in range(len(cs) - 1, deg - 1, -1):
-        c = cs[i]
-        if c:
-            base = i - deg
-            for j, p in terms:
-                cs[base + j] -= c * p
-    cs = cs[:deg]
+    vec, rows = [1] + [0] * (deg - 1), []
+    for _ in range(order):
+        rows.append(tuple(compress(enumerate(vec), vec)))
+        top = vec.pop()
+        vec.insert(0, 0)
+        if top:
+            for j, c in terms:
+                vec[j] -= top * c
+    return tuple(rows)
+
+
+def _reduce(order: int, dense) -> tuple[int | Fraction, ...]:
+    # Polynomial remainder modulo Phi_order, padded to length phi(order): each
+    # nonzero entry at an exponent e >= phi(order) adds its multiple of the
+    # reduced power zeta^(e mod order) to the lower entries.
+    deg = _degree(order)
+    cs = list(dense[:deg])
     cs.extend([0] * (deg - len(cs)))
+    high = dense[deg:]
+    if any(high):
+        rows = _power_rows(order)
+        for e, c in compress(enumerate(high, deg), high):
+            for j, p in rows[e % order]:
+                cs[j] += c * p
     return tuple(cs)
 
 
@@ -257,6 +277,9 @@ class CycloNum:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational q has the coefficients (q, 0, ..., 0) in every field
+            return self.is_rational() == other
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

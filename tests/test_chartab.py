@@ -24,6 +24,7 @@ from a6k3.chartab import (
     reference_a6_rows,
     structure_constants,
 )
+from a6k3 import chartab
 from a6k3.cli import render_table_text
 from a6k3.extbuild import alternating6
 
@@ -387,6 +388,44 @@ def test_orthogonality_reads_each_value_once(monkeypatch):
     _verify_orthogonality(t)
     r = len(t.classes)
     assert len(calls) == r * r == 169
+
+
+def test_orthogonality_embeds_no_value(monkeypatch):
+    # the sums are compared with the ints |G| and 0 as rationals, not as
+    # values embedded into the table's field
+    t = character_table(build_pgammal29())
+    embed, calls = CycloNum.embed, []
+
+    def counted(v, m):
+        calls.append(m)
+        return embed(v, m)
+
+    monkeypatch.setattr(CycloNum, "embed", counted)
+    _verify_orthogonality(t)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", list(TOWER))
+def test_rows_sort_by_coefficients_as_by_sort_key(name):
+    # the table's rows are sorted by their values' int coefficient tuples,
+    # which order them as the (numerator, denominator) pairs of `sort_key`
+    rows = character_table(TOWER[name][0]()).rows
+    assert all(type(c) is int for row in rows for v in row for c in v.coeffs)
+    assert sorted(rows, key=lambda row: [v.sort_key() for v in row]) == list(rows)
+    assert sorted(rows, key=lambda row: [v.coeffs for v in row]) == list(rows)
+
+
+@pytest.mark.parametrize("name", list(TOWER))
+def test_other_primitive_roots_give_the_same_table(name, monkeypatch):
+    # another primitive root g^k, k coprime to the exponent 120, conjugates
+    # theta by a Galois automorphism; that only permutes Irr(G), and the
+    # sorted table is the same: the mutant "conjugated theta" is equivalent
+    G = TOWER[name][0]()
+    rows = character_table.__wrapped__(G).rows
+    root = chartab._primitive_root
+    for k in (7, 11, 239):
+        monkeypatch.setattr(chartab, "_primitive_root", lambda p, k=k: pow(root(p), k, p))
+        assert character_table.__wrapped__(G).rows == rows
 
 
 def scanned_eigenspaces(S, p):

@@ -282,6 +282,38 @@ def test_reduce_matches_the_full_width_loop():
                 assert all(type(c) is int for c in got)
 
 
+def test_reduce_matches_the_full_width_loop_past_two_periods():
+    # exponents of zeta_n beyond n reduce by their residue mod n
+    rng = random.Random(60608)
+    orders = [d for d in range(1, 121) if 120 % d == 0] + [7, 9, 16, 18, 21, 35, 36, 105]
+    for order in orders:
+        for _ in range(10):
+            dense = [0] * rng.randint(2 * order, 3 * order)
+            for _ in range(rng.randint(1, 8)):
+                value = rng.randint(-20, 20)
+                dense[rng.randrange(len(dense))] = Fraction(value, rng.randint(1, 4)) if rng.random() < 0.3 else value
+            dense[-1] = rng.randint(1, 9)
+            got = _reduce(order, dense)
+            assert got == full_width_reduce(order, dense)
+            if all(type(d) is int for d in dense):
+                assert all(type(c) is int for c in got)
+
+
+def test_power_rows_are_the_reduced_powers():
+    # row s holds the nonzero terms of zeta_n^s, and no more than Phi_n has
+    for order in (1, 2, 4, 5, 12, 60, 120):
+        rows = exact._power_rows(order)
+        deg = euler_phi(order)
+        assert len(rows) == order
+        for s, row in enumerate(rows):
+            dense = [0] * deg
+            for j, c in row:
+                assert c != 0 and type(c) is int
+                dense[j] = c
+            assert tuple(dense) == full_width_reduce(order, [0] * s + [1])
+    assert max(map(len, exact._power_rows(120))) == 6
+
+
 def test_constructor_coercion_randomized():
     # ints, bools and Fractions pass unchanged; floats and strings go
     # through Fraction()

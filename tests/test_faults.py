@@ -116,6 +116,21 @@ def phi_term(monkeypatch):
     monkeypatch.setattr(exact, "_phi_terms", lambda n: terms(n)[:-1])
 
 
+def power_map_entry(monkeypatch):
+    # each order-5 class reads its square as its first power: power_map[2]
+    # is power_map[1]
+    classes = permgrp.conjugacy_classes
+
+    def mutated(G):
+        return tuple(
+            c._replace(power_map=(*c.power_map[:2], c.power_map[1], *c.power_map[3:])) if c.element_order == 5 else c
+            for c in classes(G)
+        )
+
+    for module in (permgrp, chartab, k3verify):
+        monkeypatch.setattr(module, "conjugacy_classes", mutated)
+
+
 def gauss_pivot(monkeypatch):
     # the elimination over Q returns its rows doubled, so the coordinate maps
     # of `restrict`, and with them the rendered values, are no left inverse
@@ -139,10 +154,21 @@ MUTANTS = {
     eigenvalue_root: {"chartab.error", "decompose.error", "exclude.error"},
     table_generator: {"groups.error", "chartab.error", "decompose.error", "exclude.error"},
     phi_term: {"chartab.error", "decompose.error", "exclude.error"},
+    power_map_entry: {"chartab.error", "decompose.error", "exclude.error"},
     centralizer_generator: {"groups.error", "exclude.error"},
     normal_closure: {"groups.error", "exclude.error"},
     gauss_pivot: {"decompose.error"},
 }
+
+# the builders of every group the report reads
+EVERY_GROUP = (
+    pgl9.build_pgl29,
+    pgl9.build_pgammal29,
+    pgl9.build_psl29,
+    pgl9.classify_overgroups,
+    extbuild.alternating6,
+    extbuild.build_candidate,
+)
 
 # the functools.cache builders whose results, or the data memoized on them, a
 # mutant's patch changes; a warm cache would hide the mutant, and a stale one
@@ -160,14 +186,9 @@ REBUILT = {
     eigenvalue_root: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
     # the classes and class fusions, read off the conjugation action, are
     # memoized on every group the builders hold
-    table_generator: (
-        pgl9.build_pgl29,
-        pgl9.build_pgammal29,
-        pgl9.build_psl29,
-        pgl9.classify_overgroups,
-        extbuild.alternating6,
-        extbuild.build_candidate,
-    ),
+    table_generator: EVERY_GROUP,
+    # the tables, which read the power maps, are memoized on those groups too
+    power_map_entry: EVERY_GROUP,
     # the derived subgroups are memoized on PGL(2,9), A6 and the candidates,
     # and the embedded A6 of a candidate on PSL(2,9) or A6
     normal_closure: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.alternating6, extbuild.build_candidate),
@@ -175,7 +196,8 @@ REBUILT = {
     # warm cache only the golden comparison sees the mutant, not the
     # orthogonality check.  The golden rows and their keys are reduced too,
     # and so are the subfield coordinate maps of `restrict`; built under the
-    # mutant they would outlive it
+    # mutant they would outlive it.  The reduction reads Phi_n's terms through
+    # the reduced powers of zeta_n, built once per order
     phi_term: (
         pgl9.build_pgl29,
         pgl9.build_psl29,
@@ -183,6 +205,7 @@ REBUILT = {
         chartab.reference_a6_rows,
         chartab._golden_key,
         exact._coordinates,
+        exact._power_rows,
     ),
     # the coordinate maps are built once per pair of orders
     gauss_pivot: (exact._coordinates,),
@@ -205,8 +228,16 @@ def applied(mutate):
                 fn.cache_clear()
 
 
+def warmed(capsys):
+    # a full report first, so that every cache is warm whatever ran before:
+    # a mutant must reach the report through what `applied` rebuilds
+    assert cli.main(["all", "--format", "json"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)
 def test_mutant_fails_the_report(mutate, capsys):
+    warmed(capsys)
     with applied(mutate):
         assert cli.main(["all", "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
@@ -224,6 +255,7 @@ def test_mutant_fails_the_report(mutate, capsys):
 
 @pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)
 def test_undone_mutant_leaves_the_report_intact(mutate, capsys):
+    warmed(capsys)
     with applied(mutate):
         assert cli.main(["all", "--format", "json"]) == 1
     capsys.readouterr()

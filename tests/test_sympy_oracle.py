@@ -10,7 +10,7 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from a6k3.extbuild import build_all_candidates
 from a6k3.permgrp import Perm, center, conjugacy_classes, conjugate_group, derived_subgroup
-from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29
+from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups, m10_order4_class_check
 
 
 def sympy_perm(x):
@@ -50,3 +50,17 @@ def test_derived_subgroups_agree_with_sympy():
         assert all(S.contains(sympy_perm(h)) for h in D.generators)
         # each A6 is perfect, by both
         assert derived_subgroup(D) == D and S.is_perfect
+
+
+def test_m10_coset_agrees_with_sympy():
+    # M10 \ PSL(2,9) has no involutions, and its order-4 elements form one
+    # class of M10, as many as `m10_order4_class_check` counts
+    split, psl = classify_overgroups(), build_psl29()
+    M, P = sympy_group(split.m10), sympy_group(psl)
+    coset = [g for g in M.generate() if not P.contains(g)]
+    assert len(coset) == 360
+    assert all(g.order() != 2 for g in coset)
+    quads = {g for g in coset if g.order() == 4}
+    assert M.conjugacy_class(next(iter(quads))) == quads
+    facts = m10_order4_class_check(split.m10, psl)
+    assert len(quads) == facts.order4_count and facts.involutions_outside == 0 and facts.order4_outside_one_class
