@@ -29,7 +29,7 @@ from itertools import islice
 from math import isqrt, lcm
 from operator import add, mul
 
-from .exact import CycloNum, _gauss_jordan, dot, prime_factors
+from .exact import CycloNum, _gauss_jordan, _integer, dot, prime_factors
 from .permgrp import (
     ConjClassData,
     PermGroup,
@@ -234,7 +234,7 @@ class CharacterTable:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(int(row[0].is_rational()) for row in self.rows)
+        return tuple(_integer(row[0], "a degree") for row in self.rows)
 
 
 def _inverse_class_map(classes) -> list[int]:
@@ -298,8 +298,8 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
             row.append(CycloNum.from_power_counts(e, counts))
         rows.append(tuple(row))
 
-    # every lifted value has int coefficients, so its coefficient tuple orders
-    # it as `sort_key` does; the identity value (d, 0, ..., 0) leads with the degree
+    # rows in the order of their coefficient tuples: the identity value
+    # (d, 0, ..., 0) leads with the degree
     rows.sort(key=lambda row: [v.coeffs for v in row])
     table = CharacterTable(
         group_order=order,
@@ -379,8 +379,9 @@ def reference_a6_rows() -> tuple[tuple[CycloNum, ...], ...]:
 
 
 def _row_multiset_key(rows, common_order):
-    normalized = [tuple(v.embed(common_order) for v in row) for row in rows]
-    return tuple(sorted(tuple(v.sort_key() for v in row) for row in normalized))
+    # int and Fraction coefficients compare as numbers, and equal values in
+    # one field have equal coefficient tuples
+    return tuple(sorted(tuple(v.embed(common_order).coeffs for v in row) for row in rows))
 
 
 @cache

@@ -49,7 +49,7 @@ from .k3verify import (
     run_exclusion,
     solve_decomposition,
 )
-from .permgrp import fingerprint
+from .permgrp import class_fusion, fingerprint
 from .pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups, m10_order4_class_check
 
 REPORT_VERSION = "1"
@@ -72,6 +72,11 @@ def _check(check_id: str, claim: str, passed: bool, witnesses: dict, axioms=()) 
         "witnesses": witnesses,
         "axioms_used": list(axioms),
     }
+
+
+def _fusion_text(fusion) -> str:
+    swapped = [pair for pair, swaps in zip(("3A/3B", "5A/5B"), fusion) if swaps]
+    return "swaps " + ("both" if len(swapped) == 2 else swapped[0])
 
 
 def stage_groups() -> list[dict]:
@@ -97,7 +102,7 @@ def stage_groups() -> list[dict]:
             distinct and all(len(H) == 720 for H in over.values()),
             {
                 "orders": {k: len(H) for k, H in over.items()},
-                "fusion": {"s6": "swaps 5A/5B", "pgl": "swaps 3A/3B", "m10": "swaps both"},
+                "fusion": {k: _fusion_text(class_fusion(H, psl)) for k, H in over.items()},
                 "pgl_matches_moebius_group": split.pgl == pgl,
             },
         )
@@ -139,7 +144,8 @@ def stage_groups() -> list[dict]:
     checks.append(
         _check(
             "ext.structure",
-            "each candidate splits over A6, embeds via (conjugation, alpha), and carries the central involution (1, -1)",
+            "each candidate splits over A6, embeds via (conjugation, alpha),"
+            " and carries the central involution (1, -1)",
             all(r.passed for r in reports.values()),
             {
                 kind: {**r._asdict(), "central_involution": r.central_involution.cycle_string(), "passed": r.passed}
@@ -198,9 +204,9 @@ def stage_decompose() -> list[dict]:
         )
     ]
     table = character_table(psl)
-    system = decomposition_system(table, nik)
-    sols = solve_decomposition(system)
-    control = solve_decomposition(perturb_identity_equation(system, 21))
+    equations = decomposition_system(table, nik)
+    sols = solve_decomposition(equations)
+    control = solve_decomposition(perturb_identity_equation(equations, 21))
     expected = (MultiplicityVector(1, 1, 0, 0, 1, 0),)
     checks.append(
         _check(
@@ -209,7 +215,7 @@ def stage_decompose() -> list[dict]:
             sols == expected and control == (),
             {
                 "solutions": [list(s) for s in sols],
-                "equations": [_equation_text(eq) for eq in system.equations],
+                "equations": [_equation_text(eq) for eq in equations],
                 "perturbed_control_solutions": len(control),
             },
         )

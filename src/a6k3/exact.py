@@ -296,10 +296,6 @@ class CycloNum:
             return None
         return self.coeffs[0]
 
-    def sort_key(self):
-        # Total order on values of one fixed order; used for canonical listings.
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
-
     def render_text(self) -> str:
         """Human-readable form like "1/2 - 3*z5 + z5^2"."""
         terms = []
@@ -323,6 +319,13 @@ class CycloNum:
 
     def __repr__(self):
         return f"CycloNum({self.order}, {self.render_text()!r})"
+
+
+def _integer(value: CycloNum, what: str) -> int:
+    """The value as an int; requires a rational integer."""
+    q = value.is_rational()
+    require(q is not None and q.denominator == 1, f"{what} is not an integer")
+    return q.numerator  # an int, also for a Fraction with denominator 1
 
 
 def dot(order: int, weights, xs, ys) -> CycloNum:

@@ -30,17 +30,13 @@ from .permgrp import (
     is_a6_certified,
     require,
 )
-from .pgl9 import build_pgl29, build_psl29, classify_overgroups
+from .pgl9 import _FUSIONS, build_pgl29, build_psl29, classify_overgroups
 
 KINDS = ("A6_4", "S6_2", "PGL29_2", "M10_2")
 
 # The kind of a candidate whose conjugation image on A6 has order 720, by the
-# class pairs that image swaps.
-_KIND_BY_FUSION = {
-    FusionType(swaps_3=False, swaps_5=True): "S6_2",
-    FusionType(swaps_3=True, swaps_5=False): "PGL29_2",
-    FusionType(swaps_3=True, swaps_5=True): "M10_2",
-}
+# class pairs that image swaps: those its overgroup of A6 swaps.
+_KIND_BY_FUSION = dict(zip(_FUSIONS, ("S6_2", "PGL29_2", "M10_2")))
 
 __all__ = [
     "KINDS",

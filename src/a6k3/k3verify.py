@@ -14,8 +14,13 @@ are consumed as named axioms:
 
 No floating point participates in any verdict.  The fixtures, equations,
 sign cases, outcomes and the ExclusionReport that collects them are
-immutable namedtuple records; the report's JSON and text are written by
-`cli` alone.
+immutable namedtuple records; the decomposition system is the tuple of its
+ClassEquations.  `run_exclusion` walks the four kinds once: one `require`
+checks that gtilde^2 centralizes the A6 for every kind but M10_2, and a
+kind without that premise gets a `central_square_premise` outcome per sign
+case.  Every integer read out of a cyclotomic value goes through
+`exact._integer`, which fails a check on anything else.  The report's JSON
+and text are written by `cli` alone.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from math import factorial, lcm, prod
 from operator import itemgetter, mul
 
 from .chartab import CharacterTable, class_labels, match_reference_table
-from .exact import CycloNum
+from .exact import CycloNum, _integer
 from .extbuild import KINDS, ExtensionCandidate, identify
 from .permgrp import (
     Perm,
@@ -45,7 +50,6 @@ __all__ = [
     "SignCase",
     "MultiplicityVector",
     "ClassEquation",
-    "DecompositionSystem",
     "ArgumentOutcome",
     "ExclusionReport",
     "LatticeFacts",
@@ -159,13 +163,7 @@ class ClassEquation(namedtuple("ClassEquation", "label element_order fixed_euler
     __slots__ = ()
 
 
-class DecompositionSystem(namedtuple("DecompositionSystem", "equations")):
-    """One ClassEquation per conjugacy class."""
-
-    __slots__ = ()
-
-
-def decomposition_system(table: CharacterTable, nikulin: NikulinTable) -> DecompositionSystem:
+def decomposition_system(table: CharacterTable, nikulin: NikulinTable) -> tuple[ClassEquation, ...]:
     """One equation per conjugacy class, with exact cyclotomic coefficients."""
     if not match_reference_table(table):
         raise ValueError("character table does not match the golden A6 table")
@@ -183,32 +181,29 @@ def decomposition_system(table: CharacterTable, nikulin: NikulinTable) -> Decomp
                 target=CycloNum.from_rational(fixed - 5),
             )
         )
-    return DecompositionSystem(equations=tuple(eqs))
+    return tuple(eqs)
 
 
-def perturb_identity_equation(system: DecompositionSystem, new_rank: int) -> DecompositionSystem:
+def perturb_identity_equation(equations, new_rank: int) -> tuple[ClassEquation, ...]:
     """Negative-control helper: replace the identity equation's right side."""
-    eqs = list(system.equations)
-    for i, eq in enumerate(eqs):
-        if eq.element_order == 1:
-            eqs[i] = eq._replace(fixed_euler=new_rank + 4, target=CycloNum.from_rational(new_rank - 1))
-    return DecompositionSystem(equations=tuple(eqs))
+    new = {"fixed_euler": new_rank + 4, "target": CycloNum.from_rational(new_rank - 1)}
+    return tuple(eq._replace(**new) if eq.element_order == 1 else eq for eq in equations)
 
 
-def solve_decomposition(system: DecompositionSystem) -> tuple[MultiplicityVector, ...]:
+def solve_decomposition(equations) -> tuple[MultiplicityVector, ...]:
     """All nonnegative integer solutions, by exhaustive bounded search.
 
     The identity equation bounds every multiplicity by target / degree, so
     the search space is finite and fully enumerated.
     """
-    ident = next(eq for eq in system.equations if eq.element_order == 1)
-    degrees, bound = [c.is_rational() for c in ident.coeffs], ident.target.is_rational()
-    require(all(d is not None and d.denominator == 1 and d > 0 for d in degrees), "a degree is not a positive integer")
-    require(bound is not None and bound.denominator == 1 and bound >= 0, "the target is not a nonnegative integer")
+    ident = next(eq for eq in equations if eq.element_order == 1)
+    degrees, bound = [_integer(c, "a degree") for c in ident.coeffs], _integer(ident.target, "the target")
+    require(all(d > 0 for d in degrees), "a degree is not a positive integer")
+    require(bound >= 0, "the target is not a nonnegative integer")
     # each equation embedded once into a common field, as one nonzero row per
     # power-basis coordinate: the coefficients of a_2..a_7, then the target
-    field = lcm(*(v.order for eq in system.equations for v in (*eq.coeffs, eq.target)))
-    rows = [r for eq in system.equations for r in zip(*(v.embed(field).coeffs for v in (*eq.coeffs, eq.target)))]
+    field = lcm(*(v.order for eq in equations for v in (*eq.coeffs, eq.target)))
+    rows = [r for eq in equations for r in zip(*(v.embed(field).coeffs for v in (*eq.coeffs, eq.target)))]
     rows = [r for r in rows if any(r)]
     # the degree hyperplane in lexicographic order: each prefix within its
     # remaining budget, then the last multiplicity solved
@@ -278,10 +273,6 @@ def _degree_rows(table: CharacterTable):
     return table.rows
 
 
-def _order3_positions(table: CharacterTable):
-    return [i for i, c in enumerate(table.classes) if c.element_order == 3]
-
-
 def argument_3class_trace(
     case: SignCase, table: CharacterTable, mv: MultiplicityVector
 ) -> ArgumentOutcome:
@@ -298,16 +289,11 @@ def argument_3class_trace(
     rows = _degree_rows(table)
     labels = class_labels(table.classes)
     best = None
-    for pos in _order3_positions(table):
-        val = trace_on_picard(mv, signs, table, pos)
-        rat = val.is_rational()
-        require(rat is not None and rat.denominator == 1, "a Picard trace is not an integer")
-        parts = [1] + [
-            int((signs[i] * mv[i - 2] * rows[i - 1][pos]).is_rational())
-            for i in (2, 3, 6)
-        ]
-        if best is None or int(rat) < best[0]:
-            best = (int(rat), labels[pos], parts)
+    for pos in (i for i, c in enumerate(table.classes) if c.element_order == 3):
+        trace = _integer(trace_on_picard(mv, signs, table, pos), "a Picard trace")
+        parts = [1] + [_integer(signs[i] * mv[i - 2] * rows[i - 1][pos], "a Picard trace term") for i in (2, 3, 6)]
+        if best is None or trace < best[0]:
+            best = (trace, labels[pos], parts)
     value, label, parts = best
     status = CONTRADICTION if value < 0 else NO_CONTRADICTION
     return ArgumentOutcome(
@@ -429,15 +415,9 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     orbit_sum = sum((CycloNum.zeta(5, i) for i in range(1, 5)), CycloNum.zero(5))
 
     def stable_traces(size: int) -> tuple[int, ...]:
-        # Galois-stable multisets of 5th roots of unity: j copies of {1}
-        # plus k copies of the full primitive orbit, j + 4k = size
-        traces = set()
-        for k in range(size // 4 + 1):
-            j = size - 4 * k
-            value = j * one + k * orbit_sum
-            rat = value.is_rational()
-            require(rat is not None and rat.denominator == 1, "a Galois-stable trace is not an integer")
-            traces.add(int(rat))
+        # Galois-stable multisets of 5th roots of unity: size - 4k copies of
+        # {1} plus k copies of the full primitive orbit
+        traces = {_integer((size - 4 * k) * one + k * orbit_sum, "a Galois-stable trace") for k in range(size // 4 + 1)}
         return tuple(sorted(traces))
 
     traces_small = stable_traces(blocks[0])
@@ -446,11 +426,7 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
 
     # required trace: the degree-9 character on the order-5 classes
     rows = _degree_rows(table)
-    required = {
-        int(rows[5][i].is_rational())
-        for i, c in enumerate(table.classes)
-        if c.element_order == 5
-    }
+    required = {_integer(rows[5][i], "a degree-9 value") for i, c in enumerate(table.classes) if c.element_order == 5}
     require(required == {-1}, "the degree-9 character is not -1 on the order-5 classes")
     required_total = -1
 
@@ -522,49 +498,31 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
 
     cases = nonpositive_sign_cases()
     mv = picard_multiplicities(table, nikulin)
-    excluded = ("A6_4", "S6_2", "PGL29_2")
     # the trace argument reads only the sign case, the integrality argument
-    # only the order-3 fusion: each runs once for all kinds that share them
-    mixed = [c for c in cases if c in (SignCase(-1, 1, -1), SignCase(1, -1, -1))]
-    traces = {c: argument_3class_trace(c, table, mv) for c in mixed}
-    swaps = {by_kind[k].fusion.swaps_3 for k in excluded}
+    # only the order-3 fusion: each runs once for all kinds that share them.
+    # The trace argument takes the mixed cases, eps2 != eps3
+    traces = {c: argument_3class_trace(c, table, mv) for c in cases if c.eps2 != c.eps3}
+    swaps = {c.fusion.swaps_3 for c in by_kind.values()}
     euler = {s: argument_nonintegral(SignCase(-1, -1, -1), swap23=s) for s in swaps}
     outcomes = []
-    for kind in excluded:
+    for kind in KINDS:
         cand = by_kind[kind]
-        iota = cand.gtilde * cand.gtilde
-        require(
-            iota in centralizer_of_subgroup(cand.group, cand.a6),
-            f"premise failure: gtilde^2 is not central over A6 for {kind}",
-        )
+        central = cand.gtilde * cand.gtilde in centralizer_of_subgroup(cand.group, cand.a6)
+        state = "holds" if central else "fails"
+        require(central == (kind != "M10_2"), f"the central-square premise {state} for {kind}")
         for case in cases:
-            if case in traces:
+            if not central:
+                reason = {"reason": "gtilde^2 acts on A6 by a nontrivial inner automorphism"}
+                out = ArgumentOutcome("central_square_premise", kind, case, NOT_APPLICABLE, reason)
+            elif case in traces:
                 out = traces[case]._replace(kind=kind)
             elif case == SignCase(-1, -1, -1):
                 out = euler[cand.fusion.swaps_3]._replace(kind=kind)
-            else:  # SignCase(-1, -1, 1)
-                if kind == "PGL29_2":
-                    out = argument_order5_blocks(cand, table)
-                else:
-                    out = argument_pigeonhole(kind, cand)
+            elif kind == "PGL29_2":  # SignCase(-1, -1, 1)
+                out = argument_order5_blocks(cand, table)
+            else:
+                out = argument_pigeonhole(kind, cand)
             outcomes.append(out)
-
-    m10 = by_kind["M10_2"]
-    iota = m10.gtilde * m10.gtilde
-    require(
-        iota not in centralizer_of_subgroup(m10.group, m10.a6),
-        "M10_2 unexpectedly satisfies the central-square premise",
-    )
-    for case in cases:
-        outcomes.append(
-            ArgumentOutcome(
-                "central_square_premise",
-                "M10_2",
-                case,
-                NOT_APPLICABLE,
-                {"reason": "gtilde^2 acts on A6 by a nontrivial inner automorphism"},
-            )
-        )
 
     report = ExclusionReport(
         outcomes=tuple(outcomes),

@@ -189,14 +189,11 @@ class Perm:
                 images[p] = cyc[(i + 1) % len(cyc)]
         return cls(images)
 
-    def embedded(self, degree: int, offset: int = 0) -> "Perm":
+    def embedded(self, degree: int) -> "Perm":
         """The same permutation acting on a larger set, fixed elsewhere."""
-        if offset + self.degree > degree:
+        if self.degree > degree:
             raise ValueError("embedding does not fit")
-        images = list(range(degree))
-        for i, j in enumerate(self.images):
-            images[offset + i] = offset + j
-        return Perm._raw(_pack(images))
+        return Perm._raw(_pack([*self.images, *range(self.degree, degree)]))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -264,7 +261,7 @@ def _commuting(members, degree: int, a: Perm) -> list:
     return list(compress(members, map(eq, _conjugation(a)(_pads(members, degree)), members)))
 
 
-def _dimino(seeds, degree: int, max_order: int, conjugations=()) -> tuple[set, list]:
+def _dimino(seeds, degree: int, conjugations=()) -> tuple[set, list]:
     """The stored images of <seeds>, and the seeds that were not redundant.
 
     Dimino's algorithm: adding x to the closed set <used> makes a union of
@@ -292,8 +289,8 @@ def _dimino(seeds, degree: int, max_order: int, conjugations=()) -> tuple[set, l
                 for mul in muls:
                     if (y := mul(r)) not in els:
                         els.update(map(_rmul(y), base))
-                        if len(els) > max_order:
-                            raise ValueError(f"closure exceeds the order guard {max_order}")
+                        if len(els) > MAX_GROUP_ORDER:
+                            raise ValueError(f"closure exceeds the order guard {MAX_GROUP_ORDER}")
                         reps.append(y)
         pads = list(_pads(used[new:], degree))
         seeds = [y for step in conjugations for y in step(pads) if y not in els]
@@ -397,7 +394,7 @@ class PermGroup:
         return f"PermGroup(degree={self._degree}, order={len(self)})"
 
 
-def closure(generators, *, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
+def closure(generators) -> PermGroup:
     """The group generated by the given permutations, fully enumerated."""
     gens = tuple(generators)
     if not gens:
@@ -405,7 +402,7 @@ def closure(generators, *, max_order: int = MAX_GROUP_ORDER) -> PermGroup:
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different degrees")
-    els, _ = _dimino([g.images for g in gens], degree, max_order)
+    els, _ = _dimino([g.images for g in gens], degree)
     return PermGroup(gens, degree, tuple(sorted(els)))
 
 
@@ -436,7 +433,7 @@ def _classes(G: PermGroup) -> tuple[tuple[list[int], ...], list[int], tuple[int,
     return classes, class_of, orders
 
 
-class ConjClassData(namedtuple("ConjClassData", "representative size element_order power_map members")):
+class ConjClassData(namedtuple("ConjClassData", "representative size element_order power_map")):
     """One conjugacy class: canonical representative plus bookkeeping;
     power_map[j] is the class index of representative**j."""
 
@@ -447,17 +444,17 @@ class ConjClassData(namedtuple("ConjClassData", "representative size element_ord
 def conjugacy_classes(G: PermGroup) -> tuple[ConjClassData, ...]:
     """Conjugacy classes in canonical order (element order, size, least rep)."""
     classes, class_of, orders = _classes(G)
-    els, pos = G.elements, _index(G)
+    imgs, pos = G.images, _index(G)
     exponent = lcm(*orders)
     out = []
     for members, order in zip(classes, orders):
-        rep = els[members[0]]
+        rep = Perm._raw(imgs[members[0]])
         step, acc, powers = _rmul(rep.images), G.identity.images, []
         for _ in range(order):
             powers.append(class_of[pos[acc]])
             acc = step(_pad(acc))
         power_map = tuple(powers * (exponent // order))
-        out.append(ConjClassData(rep, len(members), order, power_map, tuple(map(els.__getitem__, members))))
+        out.append(ConjClassData(rep, len(members), order, power_map))
     return tuple(out)
 
 
@@ -476,7 +473,7 @@ def _subgroup(G: PermGroup, images=None, seeds=None, conjugations=()) -> PermGro
     given images must be exactly their closure.  With conjugations (see
     `_dimino`) it is the normal closure of the seeds.  If G has wrapped
     its elements, the subgroup shares those Perms."""
-    closed, used = _dimino(sorted(images) if seeds is None else seeds, G.degree, MAX_GROUP_ORDER, conjugations)
+    closed, used = _dimino(sorted(images) if seeds is None else seeds, G.degree, conjugations)
     require(images is None or closed == set(images), "the members are not the closure of the generators")
     imgs = tuple(sorted(closed))
     els = G._elements and tuple(map(G._elements.__getitem__, map(partial(bisect_left, G.images), imgs)))

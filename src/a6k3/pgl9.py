@@ -14,6 +14,7 @@ from collections import namedtuple
 from functools import cache
 
 from .permgrp import (
+    FusionType,
     Perm,
     PermGroup,
     _classes,
@@ -183,20 +184,20 @@ class OvergroupSplit(namedtuple("OvergroupSplit", "s6 pgl m10")):
     __slots__ = ()
 
 
+# the class pairs of PSL(2,9) that each overgroup swaps: S6 the 5s, PGL(2,9)
+# the 3s, M10 both
+_FUSIONS = OvergroupSplit(
+    s6=FusionType(swaps_3=False, swaps_5=True),
+    pgl=FusionType(swaps_3=True, swaps_5=False),
+    m10=FusionType(swaps_3=True, swaps_5=True),
+)
+
+
 def _split_overgroups(gam: PermGroup, psl: PermGroup) -> OvergroupSplit:
     subs = index2_overgroups(gam, psl)
-    labeled = {}
-    for H in subs:
-        ft = class_fusion(H, psl)
-        key = (ft.swaps_3, ft.swaps_5)
-        require(key not in labeled, "fusion patterns are not pairwise distinct")
-        labeled[key] = H
-    require(set(labeled) == {(False, True), (True, False), (True, True)}, "an overgroup fixes both class pairs")
-    return OvergroupSplit(
-        s6=labeled[(False, True)],
-        pgl=labeled[(True, False)],
-        m10=labeled[(True, True)],
-    )
+    fusions = [class_fusion(H, psl) for H in subs]
+    require(sorted(fusions) == sorted(_FUSIONS), "the overgroups do not show the three fusion patterns")
+    return OvergroupSplit(*(subs[fusions.index(f)] for f in _FUSIONS))
 
 
 @cache

@@ -104,8 +104,8 @@ def normal_closure(monkeypatch):
     # is the closure of the generator commutators, not their normal closure
     dimino = permgrp._dimino
 
-    def closure_only(seeds, degree, max_order, conjugations=()):
-        return dimino(seeds, degree, max_order)
+    def closure_only(seeds, degree, conjugations=()):
+        return dimino(seeds, degree)
 
     monkeypatch.setattr(permgrp, "_dimino", closure_only)
 

@@ -117,8 +117,8 @@ def test_lefschetz_rejects_missing_order():
 
 
 def test_decomposition_system_equations():
-    system = decomposition_system(a6_table(), NikulinTable())
-    eqs = {eq.label: eq for eq in system.equations}
+    equations = decomposition_system(a6_table(), NikulinTable())
+    eqs = {eq.label: eq for eq in equations}
     ident = eqs["1A"]
     assert ident.fixed_euler == 24
     assert [int(c.is_rational()) for c in ident.coeffs] == [5, 5, 8, 8, 9, 10]
@@ -147,12 +147,12 @@ def test_decomposition_system_requires_matching_table():
 
 
 def test_solve_decomposition_unique():
-    system = decomposition_system(a6_table(), NikulinTable())
-    sols = solve_decomposition(system)
+    equations = decomposition_system(a6_table(), NikulinTable())
+    sols = solve_decomposition(equations)
     assert sols == (MultiplicityVector(1, 1, 0, 0, 1, 0),)
     # residuals: the solution satisfies every equation exactly
     vec = sols[0]
-    for eq in system.equations:
+    for eq in equations:
         total = CycloNum.zero(1)
         for a, c in zip(vec, eq.coeffs):
             total = total + a * c
@@ -160,31 +160,31 @@ def test_solve_decomposition_unique():
 
 
 def test_solve_decomposition_negative_control():
-    system = decomposition_system(a6_table(), NikulinTable())
-    assert solve_decomposition(perturb_identity_equation(system, 21)) == ()
+    equations = decomposition_system(a6_table(), NikulinTable())
+    assert solve_decomposition(perturb_identity_equation(equations, 21)) == ()
 
 
-def product_search(system):
+def product_search(equations):
     # the box search that solve_decomposition replaced: every vector of the
     # product of the per-degree ranges, filtered by the identity equation,
     # then checked equation by equation in CycloNum arithmetic
-    ident = next(eq for eq in system.equations if eq.element_order == 1)
+    ident = next(eq for eq in equations if eq.element_order == 1)
     degrees = [int(c.is_rational()) for c in ident.coeffs]
     bound = int(ident.target.is_rational())
     solutions = []
     for vec in product(*(range(bound // d + 1) for d in degrees)):
         if sum(a * d for a, d in zip(vec, degrees)) != bound:
             continue
-        if all(sum((a * c for a, c in zip(vec, eq.coeffs)), CycloNum.zero()) == eq.target for eq in system.equations):
+        if all(sum((a * c for a, c in zip(vec, eq.coeffs)), CycloNum.zero()) == eq.target for eq in equations):
             solutions.append(MultiplicityVector(*vec))
     return tuple(solutions)
 
 
 def test_solve_decomposition_against_product_search():
-    system = decomposition_system(a6_table(), NikulinTable())
+    equations = decomposition_system(a6_table(), NikulinTable())
     found = 0
     for r in range(41):
-        perturbed = perturb_identity_equation(system, r)
+        perturbed = perturb_identity_equation(equations, r)
         if r == 0:
             # the target -1 is a negative bound, which the box search
             # answered with no solutions and the hyperplane search refuses
@@ -201,28 +201,27 @@ def test_solve_decomposition_against_product_search():
     rng = random.Random(5407)
     for _ in range(10):
         vec = [rng.randrange(2) for _ in range(6)]
-        equations = tuple(
+        solved = tuple(
             eq._replace(target=sum((a * c for a, c in zip(vec, eq.coeffs)), CycloNum.zero()))
-            for eq in system.equations
+            for eq in equations
         )
-        sols = solve_decomposition(system._replace(equations=equations))
+        sols = solve_decomposition(solved)
         assert MultiplicityVector(*vec) in sols
-        assert sols == product_search(system._replace(equations=equations))
+        assert sols == product_search(solved)
 
 
 def test_solve_decomposition_rejects_bad_identity_equation():
-    system = decomposition_system(a6_table(), NikulinTable())
-    pos = next(i for i, eq in enumerate(system.equations) if eq.element_order == 1)
-    ident = system.equations[pos]
+    equations = decomposition_system(a6_table(), NikulinTable())
+    pos = next(i for i, eq in enumerate(equations) if eq.element_order == 1)
+    ident = equations[pos]
     q = CycloNum.from_rational
     bad_degrees = (q(Fraction(5, 2)), q(0), CycloNum.zeta(5))
     bad_targets = (q(Fraction(19, 2)), q(-1), CycloNum.zeta(5))
     variants = [ident._replace(coeffs=(d,) + ident.coeffs[1:]) for d in bad_degrees]
     variants += [ident._replace(target=t) for t in bad_targets]
     for eq in variants:
-        equations = system.equations[:pos] + (eq,) + system.equations[pos + 1 :]
         with pytest.raises(VerificationError):
-            solve_decomposition(system._replace(equations=equations))
+            solve_decomposition(equations[:pos] + (eq,) + equations[pos + 1 :])
 
 
 def test_euler_iota():

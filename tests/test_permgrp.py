@@ -71,13 +71,16 @@ def naive_fusion(G, A):
     return FusionType(swaps_3=3 in moved, swaps_5=5 in moved)
 
 
+def class_of(G, x):
+    # independent oracle: the conjugates of x by the whole group
+    return frozenset(g * x * g.inverse() for g in G.elements)
+
+
 def naive_classes(G):
-    # independent oracle: conjugate each element by the whole group
     remaining = set(G.elements)
     classes = []
     while remaining:
-        x = min(remaining)
-        cls = frozenset(g * x * g.inverse() for g in G.elements)
+        cls = class_of(G, min(remaining))
         classes.append(cls)
         remaining -= cls
     return classes
@@ -110,24 +113,23 @@ def test_closure_psl_and_pgammal():
     assert len(closure(gam.generators)) == 1440
 
 
-def test_closure_guards():
+def test_closure_guards(monkeypatch):
     with pytest.raises(ValueError):
         closure([Perm.identity(3), Perm.identity(4)])
-    with pytest.raises(ValueError):
-        closure(
-            [Perm.from_cycles([(0, 1)], 5), Perm.from_cycles([(0, 1, 2, 3, 4)], 5)],
-            max_order=30,
-        )
+    monkeypatch.setattr(permgrp, "MAX_GROUP_ORDER", 30)
+    with pytest.raises(ValueError, match="order guard 30"):
+        closure([Perm.from_cycles([(0, 1)], 5), Perm.from_cycles([(0, 1, 2, 3, 4)], 5)])
 
 
 def test_conjugacy_classes_a6():
-    cls = conjugacy_classes(alternating6())
+    G = alternating6()
+    cls = conjugacy_classes(G)
     assert tuple(c.size for c in cls) == A6_CLASS_SIZES
     assert tuple(c.element_order for c in cls) == (1, 2, 3, 3, 4, 5, 5)
     assert sum(c.size for c in cls) == 360
     for c in cls:
         assert 360 % c.size == 0
-        assert c.representative == min(c.members)
+        assert c.representative == min(class_of(G, c.representative))
         assert len(c.power_map) == 60  # group exponent
         assert c.power_map[0] == 0  # rep^0 is the identity class
 
@@ -139,12 +141,11 @@ def test_conjugacy_classes_s3():
 
 def test_conjugacy_classes_m10_against_oracle():
     m10 = classify_overgroups().m10
-    got = {c.members for c in conjugacy_classes(m10)}
-    want = {frozenset(c) for c in naive_classes(m10)}
-    want = {tuple(sorted(c)) for c in want}
-    got = {tuple(sorted(c)) for c in got}
-    assert got == want
-    assert sum(len(c) for c in got) == 720
+    # each class is rebuilt from its representative, with its size
+    got = {(class_of(m10, c.representative), c.size) for c in conjugacy_classes(m10)}
+    want = {(c, len(c)) for c in naive_classes(m10)}
+    assert got == want and len(got) == len(conjugacy_classes(m10))
+    assert sum(size for _, size in got) == 720
 
 
 def test_center():
@@ -314,7 +315,7 @@ def test_class_equation_randomized():
         cls = conjugacy_classes(G)
         assert sum(c.size for c in cls) == len(G)
         assert all(len(G) % c.size == 0 for c in cls)
-        assert {frozenset(c.members) for c in cls} == set(naive_classes(G))
+        assert {(class_of(G, c.representative), c.size) for c in cls} == {(k, len(k)) for k in naive_classes(G)}
 
 
 def test_subgroup_facts_randomized():
@@ -423,7 +424,8 @@ def test_image_format_boundary(degree):
     if degree >= 10:
         # the overgroups of PSL(2,9) on the top ten points
         def top(H):
-            return closure([g.embedded(degree, degree - 10) for g in H.generators])
+            shift = degree - 10
+            return closure([Perm([*range(shift), *(shift + j for j in g.images)]) for g in H.generators])
 
         psl, split = top(build_psl29()), classify_overgroups()
         for H in (split.s6, split.pgl, split.m10):

@@ -27,7 +27,7 @@ from a6k3.pgl9 import build_psl29, classify_overgroups, m10_order4_class_check
 def value_records():
     psl = build_psl29()
     split = classify_overgroups()
-    system = decomposition_system(character_table(psl), NikulinTable())
+    equations = decomposition_system(character_table(psl), NikulinTable())
     outcome = argument_free_c4()
     report = lattice_checks()
     return [
@@ -37,8 +37,7 @@ def value_records():
         split,
         m10_order4_class_check(split.m10, psl),
         NikulinTable(),
-        system.equations[0],
-        system,
+        equations[0],
         # witnesses is a dict, which has no hash; a tuple of its items has one
         outcome._replace(witnesses=tuple(outcome.witnesses.items())),
         report.entries[0],
@@ -57,7 +56,7 @@ def result_objects():
 
 def test_value_records_compare_by_value_and_are_immutable():
     records = value_records()
-    assert len({type(r) for r in records}) == 15
+    assert len({type(r) for r in records}) == 14
     hashed = 0
     for record in records:
         twin = type(record)(**record._asdict())
@@ -75,8 +74,8 @@ def test_value_records_compare_by_value_and_are_immutable():
             setattr(record, record._fields[0], None)
         with pytest.raises(AttributeError):
             record.note = "not a field"
-    # all but ClassEquation and DecompositionSystem, which hold CycloNums, and
-    # ExclusionReport, whose outcomes hold witness dicts
+    # all but ClassEquation, which holds CycloNums, and ExclusionReport,
+    # whose outcomes hold witness dicts
     assert hashed == 12
 
 

@@ -77,6 +77,39 @@ def test_report_digest_under_optimize():
     assert hashlib.md5(out.encode()).hexdigest() == REPORT_DIGEST
 
 
+def is_rational_call(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "is_rational"
+
+
+def unchecked_integer_reads(src):
+    """(file name, line) of each int() call on an is_rational() result, given
+    directly or through a name bound to one in the same function."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = {
+                t.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and is_rational_call(node.value)
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int" and node.args:
+                    arg = node.args[0]
+                    if is_rational_call(arg) or getattr(arg, "id", None) in bound:
+                        found.add((path.name, node.lineno))
+    return sorted(found)
+
+
+def test_no_unchecked_integer_read():
+    # a rational integer is read with `exact._integer`, which requires one;
+    # int() of an is_rational() result raises TypeError on an irrational value
+    assert unchecked_integer_reads(SRC) == []
+
+
 # the functions holding a require that no stage of the report calls
 UNREACHED = {"conjugation_image"}
 
