@@ -7,11 +7,12 @@ characteristic polynomial, ascending, degree recovery from the second
 orthogonality relation, and a lift of each value on a class of order o to
 Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  Null
 spaces and eigenspace bases come from `exact._gauss_jordan`, the package's
-one elimination, here over F_p.  The row orthogonality relations of the
-square table, which imply the column relations, are re-verified exactly
-before a table is returned, each row pair as one `exact.dot` with a single
-cyclotomic reduction.  Classes are named by `class_labels`; this module
-renders nothing, and the text form of a table is written by `cli`.
+one elimination, and characteristic polynomials from `exact._charpoly`,
+both here over F_p.  The row orthogonality relations of the square table,
+which imply the column relations, are re-verified exactly before a table
+is returned, each row pair as one `exact.dot` with a single cyclotomic
+reduction.  Classes are named by `class_labels`; this module renders
+nothing, and the text form of a table is written by `cli`.
 
 Inner loops run as C passes over whole lists: the class pair (i, j) of a
 product is counted as the int i*r + j; each F_p inner product is
@@ -29,7 +30,7 @@ from itertools import islice
 from math import isqrt, lcm
 from operator import add, mul
 
-from .exact import CycloNum, _gauss_jordan, _integer, dot, prime_factors
+from .exact import CycloNum, _charpoly, _gauss_jordan, _integer, dot, prime_factors
 from .permgrp import (
     ConjClassData,
     PermGroup,
@@ -148,18 +149,8 @@ def _nullspace(matrix, p):
 
 def _eigenvalues(S, p):
     """The eigenvalues of S over F_p, ascending: the roots of its characteristic
-    polynomial det(x I - S), by Berkowitz's algorithm, which never divides and
-    so holds for every p, also when p <= len(S)."""
-    coeffs = [1]  # of the leading k x k block, leading coefficient first
-    for k in range(len(S)):
-        # Toeplitz column of the new block: 1, -s_kk, -R C, -R A C, ..., -R A^(k-1) C
-        block, R = [row[:k] for row in S[:k]], S[k][:k]
-        col, toeplitz = [row[k] for row in S[:k]], [1, -S[k][k] % p]
-        for _ in range(k):
-            toeplitz.append(-sum(map(mul, R, col)) % p)
-            col = [sum(map(mul, row, col)) % p for row in block]
-        # the product with the Toeplitz matrix: coefficient i is sum_j t_(i-j) c_j
-        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) % p for i in range(k + 2)]
+    polynomial `exact._charpoly(S, p)`."""
+    coeffs = _charpoly(S, p)
     # Horner's rule at every point of F_p at once, one pass per coefficient
     values = [1] * p
     for c in coeffs[1:]:
@@ -324,8 +315,7 @@ def _verify_orthogonality(table: CharacterTable):
     order = table.group_order
     rows = table.rows
     require(len(rows) == r and all(len(row) == r for row in rows), "the table is not square")
-    degrees = [row[0].is_rational() for row in rows]
-    require(all(d is not None and d.denominator == 1 and d > 0 for d in degrees), "a degree is not a positive integer")
+    require(all(d > 0 for d in table.degrees), "a degree is not a positive integer")
     inv_class = _inverse_class_map(classes)
     sizes = [c.size for c in classes]
     # i -> i* is a size-preserving involution, so row pair (a, b) has the sum

@@ -27,7 +27,9 @@ compared as a rational, never embedded.
 character tables split their class algebras with it mod p, and over Q it
 builds `_coordinates`, the verified map onto the coordinates of a subfield,
 once per pair of orders; `restrict` applies that map and requires that the
-result, embedded back, is the value it was given.
+result, embedded back, is the value it was given.  `_charpoly` is the one
+characteristic polynomial: over F_p of the class matrices, for their
+eigenvalues, and over Z of the lattice forms, for determinant and signature.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from math import gcd, lcm
+from operator import mul
 
 from .permgrp import require
 
@@ -381,6 +384,28 @@ def _gauss_jordan(rows, p: int):
         if len(pivots) == len(rows):
             break
     return rows[: len(pivots)], pivots
+
+
+def _charpoly(S, p: int) -> list[int]:
+    """det(x I - S), leading coefficient first, over F_p, or over Z when p == 0.
+
+    Berkowitz's algorithm never divides, so it holds for every p, also when
+    p <= len(S).  Over F_p the coefficients are ints in [0, p), and each
+    A^j C is reduced as it is made, in the same pass.
+    """
+    coeffs = [1]  # of the leading k x k block, leading coefficient first
+    for k in range(len(S)):
+        # Toeplitz column of the new block: 1, -s_kk, -R C, -R A C, ..., -R A^(k-1) C
+        block, R = [row[:k] for row in S[:k]], S[k][:k]
+        col, toeplitz = [row[k] for row in S[:k]], [1, -S[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, R, col)))
+            col = [sum(map(mul, row, col)) % p for row in block] if p else [sum(map(mul, row, col)) for row in block]
+        # the product with the Toeplitz matrix: coefficient i is sum_j t_(i-j) c_j
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(k + 2)]
+        if p:
+            coeffs = [c % p for c in coeffs]
+    return coeffs
 
 
 def _apply(rows, coeffs) -> list:

@@ -553,7 +553,7 @@ def test_orthogonality_check_rejects_a_table_of_the_wrong_shape():
     for bad, message in (
         (t.rows + t.rows[-1:], "not square"),
         (t.rows[:-1], "not square"),
-        (tuple(tuple(row) for row in rows), "positive integer"),
+        (tuple(tuple(row) for row in rows), "not an integer"),
     ):
         with pytest.raises(VerificationError, match=message):
             _verify_orthogonality(with_fields(t, rows=bad))

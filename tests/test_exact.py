@@ -10,6 +10,7 @@ import pytest
 from a6k3 import exact
 from a6k3.exact import (
     CycloNum,
+    _charpoly,
     _reduce,
     cyclotomic_polynomial,
     dot,
@@ -334,3 +335,16 @@ def test_constructor_coercion_randomized():
                 assert c is g
             else:
                 assert type(c) is Fraction and c == Fraction(g)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 241])
+def test_charpoly_over_z_reduces_to_the_charpoly_over_f_p(p):
+    # Berkowitz's algorithm only adds and multiplies, so reducing det(x I - S)
+    # over Z mod p gives the polynomial of S mod p, also for len(S) >= p
+    rng = random.Random(8101 + p)
+    for n in range(1, 17):
+        for _ in range(3):
+            S = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            over_z = _charpoly(S, 0)
+            assert len(over_z) == n + 1 and over_z[0] == 1
+            assert [c % p for c in over_z] == _charpoly([[v % p for v in row] for row in S], p)

@@ -32,7 +32,6 @@ from a6k3.k3verify import (
     MultiplicityVector,
     NikulinTable,
     SignCase,
-    _diagonal,
     all_sign_cases,
     argument_3class_trace,
     argument_free_c4,
@@ -254,6 +253,18 @@ def test_argument_3class_trace():
     assert out.status == NOT_APPLICABLE
 
 
+def test_3class_trace_terms_must_add_up(monkeypatch):
+    # the printed terms are recomputed apart from the trace, and must sum to it
+    from a6k3.k3verify import picard_multiplicities
+
+    table = a6_table()
+    mv = picard_multiplicities(table)
+    trace = k3verify.trace_on_picard
+    monkeypatch.setattr(k3verify, "trace_on_picard", lambda *args: trace(*args) + 1)
+    with pytest.raises(VerificationError, match="do not add up"):
+        argument_3class_trace(SignCase(-1, 1, -1), table, mv)
+
+
 def test_generic_picard_trace():
     from a6k3.k3verify import picard_multiplicities, trace_on_picard
 
@@ -458,19 +469,19 @@ def test_lattice_invariants_exact():
 
 
 def test_singular_gram_matrices():
-    # a zero pivot whose row is zero stays on the diagonal as a zero
+    # a singular matrix has zero eigenvalues, neither positive nor negative
     assert gram_determinant(((1, 1), (1, 1))) == 0
     assert gram_signature(((1, 1), (1, 1))) == (1, 0)
     assert gram_determinant(((0, 0), (0, 0))) == 0
     assert gram_signature(((0, 0), (0, 0))) == (0, 0)
-    # one elimination serves both, so both require a symmetric matrix
+    # one characteristic polynomial serves both, so both require a symmetric matrix
     for fn in (gram_determinant, gram_signature):
         with pytest.raises(VerificationError):
             fn(((0, 1), (2, 0)))
 
 
 def random_symmetric(rng: random.Random, n: int) -> tuple:
-    # sparse small entries, so zero pivots and singular matrices are common
+    # sparse small entries, so zero diagonal entries and singular matrices are common
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -478,50 +489,14 @@ def random_symmetric(rng: random.Random, n: int) -> tuple:
     return tuple(tuple(row) for row in m)
 
 
-def test_lattice_signatures_against_float_oracle():
-    rng = random.Random(7322)
-    fixed = (gram_hyperbolic(), gram_e8(), gram_k3(), gram_transcendental())
-    samples = tuple(random_symmetric(rng, rng.randint(1, 6)) for _ in range(200))
-    for gram in fixed + samples:
-        eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
-        pos = int(np.sum(eig > 1e-9))
-        neg = int(np.sum(eig < -1e-9))
-        assert gram_signature(gram) == (pos, neg)
-        assert abs(gram_determinant(gram) - np.linalg.det(np.array(gram, dtype=float))) < 1e-6
-
-
-def dense_pivots(gram):
-    # the dense symmetric elimination that _diagonal replaced: Fractions
-    # throughout, every column of every row below the pivot updated
-    n = len(gram)
-    m = [[Fraction(v) for v in row] for row in gram]
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((c for c in range(i + 1, n) if m[i][c] != 0), None)
-            if j is None:
-                continue
-            for sign in (1, -1):
-                if 2 * sign * m[i][j] + m[j][j] != 0:
-                    for c in range(n):
-                        m[i][c] += sign * m[j][c]
-                    for r in range(n):
-                        m[r][i] += sign * m[r][j]
-                    break
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] / m[i][i]
-                for c in range(n):
-                    m[r][c] -= f * m[i][c]
-    return [m[i][i] for i in range(n)]
-
-
-def test_diagonal_against_dense_elimination():
+def degenerate_samples():
+    # symmetric matrices with a zero diagonal, or with a zero row and column
     rng = random.Random(6051)
     samples = []
     for k in range(40):
         gram = [list(row) for row in random_symmetric(rng, rng.randint(2, 8))]
         n = len(gram)
-        if k % 4 == 1:  # a zero diagonal: every pivot needs a repair or is a zero row
+        if k % 4 == 1:  # a zero diagonal
             for i in range(n):
                 gram[i][i] = 0
         elif k % 4 == 2:  # a zero row and column
@@ -529,12 +504,19 @@ def test_diagonal_against_dense_elimination():
             for i in range(n):
                 gram[z][i] = gram[i][z] = 0
         samples.append(tuple(tuple(row) for row in gram))
+    return tuple(samples)
+
+
+def test_lattice_signatures_against_float_oracle():
+    rng = random.Random(7322)
     fixed = (gram_hyperbolic(), gram_e8(), gram_k3(), gram_transcendental())
-    for gram in fixed + tuple(samples):
-        assert _diagonal(gram) == dense_pivots(gram)
-    # the sample reaches the repair and the zero-row branch
-    assert any(0 in dense_pivots(g) for g in samples)
-    assert any(g[0][0] == 0 and dense_pivots(g)[0] != 0 for g in samples)
+    samples = tuple(random_symmetric(rng, rng.randint(1, 6)) for _ in range(200))
+    for gram in fixed + samples + degenerate_samples():
+        eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
+        pos = int(np.sum(eig > 1e-9))
+        neg = int(np.sum(eig < -1e-9))
+        assert gram_signature(gram) == (pos, neg)
+        assert abs(gram_determinant(gram) - np.linalg.det(np.array(gram, dtype=float))) < 1e-6
 
 
 def test_lattice_checks_report():
