@@ -519,6 +519,50 @@ def test_lattice_signatures_against_float_oracle():
         assert abs(gram_determinant(gram) - np.linalg.det(np.array(gram, dtype=float))) < 1e-6
 
 
+def dense_pivots(gram):
+    # a dense symmetric elimination over Q: Fractions throughout, every column
+    # of every row below the pivot updated; a zero pivot with a nonzero row is
+    # repaired by adding the row and column of a later index (a congruence)
+    n = len(gram)
+    m = [[Fraction(v) for v in row] for row in gram]
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((c for c in range(i + 1, n) if m[i][c] != 0), None)
+            if j is None:
+                continue
+            for sign in (1, -1):
+                if 2 * sign * m[i][j] + m[j][j] != 0:
+                    for c in range(n):
+                        m[i][c] += sign * m[j][c]
+                    for r in range(n):
+                        m[r][i] += sign * m[r][j]
+                    break
+        for r in range(i + 1, n):
+            if m[r][i] != 0:
+                f = m[r][i] / m[i][i]
+                for c in range(n):
+                    m[r][c] -= f * m[i][c]
+    return [m[i][i] for i in range(n)]
+
+
+def test_diagonal_against_dense_elimination():
+    # an exact oracle for the characteristic-polynomial invariants: the pivots
+    # of a congruent diagonal form multiply to the determinant, and their
+    # signs give the signature (Sylvester's law of inertia)
+    samples = degenerate_samples()
+    fixed = (gram_hyperbolic(), gram_e8(), gram_k3(), gram_transcendental())
+    for gram in fixed + samples:
+        pivots = dense_pivots(gram)
+        det = Fraction(1)
+        for p in pivots:
+            det *= p
+        assert gram_determinant(gram) == det
+        assert gram_signature(gram) == (sum(p > 0 for p in pivots), sum(p < 0 for p in pivots))
+    # the sample reaches the repair and the zero-row branch
+    assert any(0 in dense_pivots(g) for g in samples)
+    assert any(g[0][0] == 0 and dense_pivots(g)[0] != 0 for g in samples)
+
+
 def test_lattice_checks_report():
     report = lattice_checks()
     assert report.ok
