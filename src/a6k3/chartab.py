@@ -5,7 +5,7 @@ split of the class-sum matrices over a prime field F_p with p = 1 mod the
 group exponent and p > 2*ceil(sqrt(|G|)), eigenvalues the roots of the
 characteristic polynomial, ascending, degree recovery from the second
 orthogonality relation, and a lift of each value on a class of order o to
-Q(zeta_o) in Q(zeta_exponent) through root-of-unity multiplicities.  Null
+Q(zeta_o), where it stays, through root-of-unity multiplicities.  Null
 spaces and eigenspace bases come from `exact._gauss_jordan`, the package's
 one elimination, and characteristic polynomials from `exact._charpoly`,
 both here over F_p.  The row orthogonality relations of the square table,
@@ -32,6 +32,7 @@ from operator import add, mul
 
 from .exact import CycloNum, _charpoly, _gauss_jordan, _integer, dot, prime_factors
 from .permgrp import (
+    A6_CLASS_SHAPE,
     ConjClassData,
     PermGroup,
     VerificationError,
@@ -189,7 +190,7 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
                 new_spaces.append((B, pivots))
                 continue
             imgs = [[sum(map(mul, row, vec)) % p for row in M] for vec in B]
-            # restricted matrix in the rref coordinates of B
+            # the action on span(B), in the rref coordinates of B
             S = [[imgs[a][pivots[b]] for a in range(len(B))] for b in range(len(B))]
             columns = list(zip(*B))
             found = 0
@@ -216,8 +217,9 @@ def _common_eigenvectors(alg: ClassAlgebra, p: int):
 
 
 class CharacterTable:
-    """Exact irreducible character values over Q(zeta_exponent): rows[i][k]
-    is chi_i on classes[k], computed with the prime `prime`."""
+    """Exact irreducible character values: rows[i][k] is chi_i on
+    classes[k], in Q(zeta_o) for the element order o of that class, computed
+    with the prime `prime`; `exponent` is the group exponent."""
 
     def __init__(self, group_order: int, classes: tuple[ConjClassData, ...], rows, exponent: int, prime: int):
         self.group_order, self.classes, self.rows = group_order, classes, rows
@@ -264,8 +266,8 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
         charp_rows.append([d * x * y % p for x, y in zip(w, inv_sizes)])
     require(sum(d * d for d in degrees) == order, "degree column is inconsistent")
 
-    # lift chi(g) = sum_t m_t zeta_o^t for g of order o, where
-    # m_t = (1/o) sum_{l<o} chi_p(g^l) theta^(-t l e/o); zeta_o^t = zeta_e^(t e/o)
+    # lift chi(g) = sum_t m_t zeta_o^t, in Q(zeta_o) for g of order o, where
+    # m_t = (1/o) sum_{l<o} chi_p(g^l) theta^(-t l e/o); theta^(e/o) is zeta_o mod p
     theta = pow(_primitive_root(p), (p - 1) // e, p)
     theta_pow = [pow(theta, t, p) for t in range(e)]
     # for each element order o, row t of the o x o matrix theta^(-t l e/o)
@@ -278,15 +280,12 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
         row = []
         for c in classes:
             o = c.element_order
-            step, inv_o = e // o, pow(o, p - 2, p)
+            inv_o = pow(o, p - 2, p)
             values = list(map(chi_p.__getitem__, c.power_map[:o]))
-            # the power map has period o, so only the exponents t * e/o carry
-            # counts, and the list ends at the highest of them; each count
-            # lies in [0, p), so the sum also bounds every count by d
-            counts = [0] * ((o - 1) * step + 1)
-            counts[::step] = [sum(map(mul, values, dft_row)) * inv_o % p for dft_row in dft[o]]
+            # each count lies in [0, p), so the sum also bounds every count by d
+            counts = [sum(map(mul, values, dft_row)) * inv_o % p for dft_row in dft[o]]
             require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
-            row.append(CycloNum.from_power_counts(e, counts))
+            row.append(CycloNum.from_power_counts(o, counts))
         rows.append(tuple(row))
 
     # rows in the order of their coefficient tuples: the identity value
@@ -342,9 +341,6 @@ def _sqrt5() -> CycloNum:
     return 2 * CycloNum.zeta(5, 1) + 2 * CycloNum.zeta(5, 4) + 1
 
 
-REFERENCE_A6_CLASS_SHAPE = ((1, 1), (2, 45), (3, 40), (3, 40), (4, 90), (5, 72), (5, 72))
-
-
 @cache
 def reference_a6_rows() -> tuple[tuple[CycloNum, ...], ...]:
     """The golden 7x7 A6 table; columns 1A 2A 3A 3B 4A 5A 5B.
@@ -392,7 +388,7 @@ def match_reference_table(table: CharacterTable) -> bool:
     symmetry: swapping the two order-3 columns and/or the two order-5
     columns (with the induced swaps of the paired rows)."""
     shape = tuple((c.element_order, c.size) for c in table.classes)
-    if shape != REFERENCE_A6_CLASS_SHAPE:
+    if shape != A6_CLASS_SHAPE:
         return False
     common = lcm(table.exponent, 5)
     got = _row_multiset_key(table.rows, common)

@@ -309,18 +309,10 @@ def build_report(command: str) -> dict:
 
 
 def display_value(v: CycloNum) -> str:
-    """Compact text form: rationals verbatim, otherwise the value rewritten
-    in the smallest convenient cyclotomic field."""
+    """Compact text form: rationals verbatim, otherwise the value in its own
+    field, which for a character value is the field of its class."""
     r = v.is_rational()
-    if r is not None:
-        return str(r)
-    for n in (4, 5, 8, 12):
-        if v.order % n == 0:
-            try:
-                return v.restrict(n).render_text()
-            except ValueError:
-                continue
-    return v.render_text()
+    return v.render_text() if r is None else str(r)
 
 
 def render_table_text(table: CharacterTable) -> str:

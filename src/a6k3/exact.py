@@ -3,8 +3,9 @@
 A CycloNum of order n is an element of Q(zeta_n) stored on the power basis
 1, z, ..., z^(phi(n)-1) after reduction modulo the n-th cyclotomic
 polynomial.  The representation is canonical: two values of equal order are
-equal exactly when their coefficient tuples are equal.  A value lying in a
-smaller cyclotomic field is never demoted automatically; mixed-order
+equal exactly when their coefficient tuples are equal.  A value is never
+demoted to a smaller cyclotomic field, so a value keeps the order it was
+built with (a character value the order of its class); mixed-order
 arithmetic embeds both operands into Q(zeta_lcm) first.
 
 Coefficients are ints or Fractions.  The constructor converts any other
@@ -23,11 +24,8 @@ builds those powers once per order, and for n = 120 each has at most 6 of
 its 32 coefficients nonzero.  A value compared with an int or a Fraction is
 compared as a rational, never embedded.
 
-`_gauss_jordan` is the package's one elimination, over F_p or over Q: the
-character tables split their class algebras with it mod p, and over Q it
-builds `_coordinates`, the verified map onto the coordinates of a subfield,
-once per pair of orders; `restrict` applies that map and requires that the
-result, embedded back, is the value it was given.  `_charpoly` is the one
+`_gauss_jordan` is the package's one elimination, over F_p: the character
+tables split their class algebras with it.  `_charpoly` is the one
 characteristic polynomial: over F_p of the class matrices, for their
 eigenvalues, and over Z of the lattice forms, for determinant and signature.
 """
@@ -208,19 +206,6 @@ class CycloNum:
             dense[i * step] = c
         return CycloNum(m, _reduce(m, dense))
 
-    def restrict(self, n: int) -> "CycloNum":
-        """Rewrite the value in Q(zeta_n); requires n | order and membership."""
-        if self.order % n:
-            raise ValueError(f"{n} does not divide order {self.order}")
-        if n == self.order:
-            return self
-        value = CycloNum(n, _apply(_coordinates(n, self.order), self.coeffs))
-        # the map is a left inverse of the embedding: a value outside
-        # Q(zeta_n) does not come back
-        if value.embed(self.order).coeffs != self.coeffs:
-            raise ValueError(f"value does not lie in Q(zeta_{n})")
-        return value
-
     def terms(self, m: int) -> list[tuple[int, int | Fraction]]:
         """The nonzero terms (exponent over zeta_m, coefficient), ascending;
         requires order | m.  zeta_order^i is zeta_m^(i * m/order)."""
@@ -355,11 +340,10 @@ def dot(order: int, weights, xs, ys) -> CycloNum:
 
 def _gauss_jordan(rows, p: int):
     """The nonzero rows of the reduced row-echelon form of `rows` and their
-    pivot columns, over F_p, or over Q when p == 0.
+    pivot columns, over F_p.
 
-    Over F_p the entries are ints in [0, p), so that a zero test is a truth
-    test over either field; over Q they are ints or Fractions.  The sweep
-    stops once every row holds a pivot.
+    The entries are ints in [0, p).  The sweep stops once every row holds a
+    pivot.
     """
     rows = [list(row) for row in rows]
     pivots = []
@@ -368,18 +352,13 @@ def _gauss_jordan(rows, p: int):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
-        if p:
-            inv = pow(rows[piv][col], p - 2, p)
-            row = [v * inv % p for v in rows[piv]]
-        else:
-            inv = Fraction(1, rows[piv][col])  # exact; int / int would give a float
-            row = [v * inv for v in rows[piv]]
+        inv = pow(rows[piv][col], p - 2, p)
+        row = [v * inv % p for v in rows[piv]]
         rows[piv], rows[rank] = rows[rank], row
         for r, other in enumerate(rows):
             f = other[col]
             if f and r != rank:
-                pairs = zip(other, row)
-                rows[r] = [(a - f * b) % p for a, b in pairs] if p else [a - f * b for a, b in pairs]
+                rows[r] = [(a - f * b) % p for a, b in zip(other, row)]
         pivots.append(col)
         if len(pivots) == len(rows):
             break
@@ -406,32 +385,6 @@ def _charpoly(S, p: int) -> list[int]:
         if p:
             coeffs = [c % p for c in coeffs]
     return coeffs
-
-
-def _apply(rows, coeffs) -> list:
-    # the sparse rows, each of (column, entry) pairs, times the vector coeffs
-    return [sum(c * coeffs[j] for j, c in row) for row in rows]
-
-
-@cache
-def _coordinates(n: int, order: int) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
-    """Sparse rows, (column, entry) pairs, of a left inverse L of B, the
-    embedding of Q(zeta_n) into Q(zeta_order) on power coordinates: L maps
-    the coordinates of a value of Q(zeta_n), embedded, back to its own.
-    Built once per pair of orders, and required to satisfy L B = I."""
-    basis = [CycloNum.zeta(n, i).embed(order).coeffs for i in range(_degree(n))]
-    k = len(basis)
-    # the pivot columns of B's transpose pick k coordinates on which B is
-    # invertible; [B there | I] row-reduces to [I | its inverse]
-    _, picked = _gauss_jordan(basis, 0)
-    square = ([*(b[j] for b in basis), *(int(i == r) for r in range(k))] for i, j in enumerate(picked))
-    rows, _ = _gauss_jordan(square, 0)
-    left = tuple(
-        tuple((j, int(c) if c.denominator == 1 else c) for j, c in zip(picked, row[k:]) if c) for row in rows
-    )
-    ones = [[int(i == j) for j in range(k)] for i in range(k)]
-    require([_apply(left, b) for b in basis] == ones, f"no left inverse of Q(zeta_{n}) in Q(zeta_{order})")
-    return left
 
 
 def galois_apply(a: CycloNum, k: int) -> CycloNum:

@@ -79,12 +79,11 @@ __all__ = [
     "fingerprint",
     "conjugate_group",
     "is_a6_certified",
-    "A6_CLASS_SIZES",
+    "A6_CLASS_SHAPE",
 ]
 
-# Class-size certificate for A6 in canonical class order
-# (order, size): (1,1) (2,45) (3,40) (3,40) (4,90) (5,72) (5,72).
-A6_CLASS_SIZES = (1, 45, 40, 40, 90, 72, 72)
+# The classes of A6 in canonical class order, as (element order, size) pairs
+A6_CLASS_SHAPE = ((1, 1), (2, 45), (3, 40), (3, 40), (4, 90), (5, 72), (5, 72))
 
 
 class VerificationError(Exception):
@@ -709,9 +708,9 @@ def conjugate_group(G: PermGroup, t: Perm) -> PermGroup:
 
 
 def is_a6_certified(G: PermGroup) -> bool:
-    """Certificate for "isomorphic to A6": perfect, order 360, A6 class sizes."""
-    return (
-        len(G) == 360
-        and derived_subgroup(G) == G
-        and tuple(map(len, _classes(G)[0])) == A6_CLASS_SIZES
-    )
+    """Certificate for "isomorphic to A6": perfect, order 360, and the A6
+    classes, element orders and sizes."""
+    if len(G) != 360 or derived_subgroup(G) != G:
+        return False
+    classes, _, orders = _classes(G)
+    return tuple(zip(orders, map(len, classes))) == A6_CLASS_SHAPE

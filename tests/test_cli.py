@@ -3,15 +3,22 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import a6k3
 from a6k3 import chartab
-from a6k3.cli import COMMANDS, REPORT_VERSION, build_report, main
+from a6k3.chartab import character_table
+from a6k3.cli import COMMANDS, REPORT_VERSION, build_report, main, render_table_text
+from a6k3.exact import CycloNum, euler_phi
+from a6k3.k3verify import NikulinTable, decomposition_system
+from a6k3.pgl9 import build_psl29
 
 REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
 TEXT_REPORT_DIGEST = "ff41c0502feadfc73f6c33ed90b074b1"
@@ -65,6 +72,78 @@ def test_chartab_text(capsys):
     assert len(lines) == 7
     header = next(l for l in out.splitlines() if "1A" in l)
     assert header.split() == ["1A", "2A", "3A", "3B", "4A", "5A", "5B"]
+
+
+# one term of a rendered value: [mag*]z<order>[^power], or a rational
+TERM = re.compile(r"(?:(?P<mag>\d+(?:/\d+)?)\*)?z(?P<order>\d+)(?:\^(?P<power>\d+))?|(?P<rational>\d+(?:/\d+)?)")
+
+
+def parse_value(text):
+    """The value that a `CycloNum.render_text` or `display_value` string
+    names, read independently of the renderer: a Fraction when no power of
+    zeta is written, else a CycloNum of the one order its powers name."""
+    pieces = re.split(r" ([+-]) ", text)
+    signs = ["-" if pieces[0].startswith("-") else "+", *pieces[1::2]]
+    bodies = [pieces[0].removeprefix("-"), *pieces[2::2]]
+    orders, terms = set(), {}
+    for sign, body in zip(signs, bodies):
+        m = TERM.fullmatch(body)
+        assert m is not None, f"{body!r} in {text!r} is not a term"
+        if m["order"]:
+            orders.add(int(m["order"]))
+        power = int(m["power"] or 1) if m["order"] else 0
+        assert power not in terms, f"power {power} written twice in {text!r}"
+        mag = Fraction(m["rational"] or m["mag"] or 1)
+        terms[power] = -mag if sign == "-" else mag
+    assert len(orders) <= 1, f"{text!r} mixes orders"
+    if not orders:
+        return terms[0]
+    (order,) = orders
+    coeffs = [0] * euler_phi(order)
+    for power, c in terms.items():
+        coeffs[power] = c  # a power at or past phi(order) is no reduced form
+    return CycloNum(order, coeffs)
+
+
+def table_cells(text):
+    """The cells of a rendered table, row by row: each column spans the
+    dashes under its label, and its entries are right-justified there."""
+    lines = text.splitlines()
+    spans = [m.span() for m in re.finditer(r"-+", lines[1])]
+    return [[line[a:b].strip() for a, b in spans] for line in lines[2:]]
+
+
+def test_parser_reads_back_rendered_values():
+    rng = random.Random(2718)
+    for _ in range(300):
+        order = rng.choice((1, 2, 3, 4, 5, 8, 12, 15, 60, 120))
+        picks = (0, 1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 5)))
+        v = CycloNum(order, [rng.choice(picks) for _ in range(euler_phi(order))])
+        assert parse_value(v.render_text()) == v
+
+
+def test_printed_table_is_the_computed_table():
+    table = character_table(build_psl29())
+    cells = table_cells(render_table_text(table))
+    assert len(cells) == len(table.rows)
+    for row, printed in zip(table.rows, cells, strict=True):
+        assert all(parse_value(text) == v for v, text in zip(row, printed, strict=True))
+
+
+def test_printed_equations_are_the_computed_equations():
+    report = build_report("decompose")
+    solve = next(c for c in report["checks"] if c["id"] == "decompose.solve")
+    equations = decomposition_system(character_table(build_psl29()), NikulinTable())
+    printed = solve["witnesses"]["equations"]
+    assert len(printed) == len(equations)
+    for eq, text in zip(equations, printed):
+        lhs, rhs = text.split(" = 1 + ")
+        assert int(lhs) == eq.fixed_euler - 4
+        parts = re.findall(r"(\([^)]*\)|[^ ()]+)\*a(\d)", rhs)
+        assert [int(i) for _, i in parts] == list(range(2, 8))
+        assert " + ".join(f"{c}*a{i}" for c, i in parts) == rhs  # nothing else is written
+        for coeff, (c, _) in zip(eq.coeffs, parts, strict=True):
+            assert parse_value(c.removeprefix("(").removesuffix(")")) == coeff
 
 
 def test_exclude_verdict(capsys):

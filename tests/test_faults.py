@@ -145,15 +145,15 @@ def power_map_entry(monkeypatch):
 
 
 def gauss_pivot(monkeypatch):
-    # the elimination over Q returns its rows doubled, so the coordinate maps
-    # of `restrict`, and with them the rendered values, are no left inverse
+    # the elimination over F_p returns its rows doubled mod p, so the
+    # eigenvectors read off the reduced bases of the class algebra are wrong
     gauss = exact._gauss_jordan
 
     def doubled(rows, p):
         rows, pivots = gauss(rows, p)
-        return (rows if p else [[2 * v for v in row] for row in rows]), pivots
+        return [[2 * v % p for v in row] for row in rows], pivots
 
-    monkeypatch.setattr(exact, "_gauss_jordan", doubled)
+    monkeypatch.setattr(chartab, "_gauss_jordan", doubled)
 
 
 # each mutant with the checks it must fail
@@ -171,7 +171,7 @@ MUTANTS = {
     power_map_entry: {"chartab.error", "decompose.error", "exclude.error"},
     centralizer_generator: {"groups.error", "exclude.error"},
     normal_closure: {"groups.error", "exclude.error"},
-    gauss_pivot: {"decompose.error"},
+    gauss_pivot: {"chartab.error", "decompose.error", "exclude.error"},
 }
 
 # the builders of every group the report reads
@@ -199,6 +199,7 @@ REBUILT = {
     # the candidates take their A6 from PSL(2,9), so they are rebuilt with it
     eigenvalue_root: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
     charpoly_term: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
+    gauss_pivot: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
     # the classes and class fusions, read off the conjugation action, are
     # memoized on every group the builders hold
     table_generator: EVERY_GROUP,
@@ -209,21 +210,17 @@ REBUILT = {
     normal_closure: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.alternating6, extbuild.build_candidate),
     # the tables are memoized on the tower groups, as for eigenvalue_root; on a
     # warm cache only the golden comparison sees the mutant, not the
-    # orthogonality check.  The golden rows and their keys are reduced too,
-    # and so are the subfield coordinate maps of `restrict`; built under the
-    # mutant they would outlive it.  The reduction reads Phi_n's terms through
-    # the reduced powers of zeta_n, built once per order
+    # orthogonality check.  The golden rows and their keys are reduced too;
+    # built under the mutant they would outlive it.  The reduction reads
+    # Phi_n's terms through the reduced powers of zeta_n, built once per order
     phi_term: (
         pgl9.build_pgl29,
         pgl9.build_psl29,
         extbuild.build_candidate,
         chartab.reference_a6_rows,
         chartab._golden_key,
-        exact._coordinates,
         exact._power_rows,
     ),
-    # the coordinate maps are built once per pair of orders
-    gauss_pivot: (exact._coordinates,),
 }
 
 
@@ -278,14 +275,23 @@ def test_undone_mutant_leaves_the_report_intact(mutate, capsys):
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == REPORT_DIGEST
 
 
-def test_text_table_that_fails_to_render_is_a_fail_line(capsys):
+def test_text_table_that_fails_to_render_is_a_fail_line(monkeypatch, capsys):
     # the JSON report renders no table; the text report fails its rendering
-    # as a check of its own, with exit 1 and no traceback
-    with applied(gauss_pivot):
-        assert cli.main(["all", "--format", "json"]) == 1
-        assert "render.error" not in capsys.readouterr().out
-        assert cli.main(["all"]) == 1
-        captured = capsys.readouterr()
+    # as a check of its own, with exit 1 and no traceback.  The equations of
+    # the decompose stage are rendered with the same function, so that stage
+    # fails too
+    display = cli.display_value
+
+    def rationals_only(v):
+        if v.is_rational() is None:
+            raise ValueError(f"cannot render {v!r}")
+        return display(v)
+
+    monkeypatch.setattr(cli, "display_value", rationals_only)
+    assert cli.main(["all", "--format", "json"]) == 1
+    assert "render.error" not in capsys.readouterr().out
+    assert cli.main(["all"]) == 1
+    captured = capsys.readouterr()
     assert "[FAIL] render.error: " in captured.out and "[FAIL] decompose.error: " in captured.out
     assert "A6 character table:" not in captured.out and "VERDICT" not in captured.out
     assert captured.err == ""

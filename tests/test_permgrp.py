@@ -10,7 +10,7 @@ import pytest
 import a6k3
 from a6k3 import permgrp
 from a6k3.permgrp import (
-    A6_CLASS_SIZES,
+    A6_CLASS_SHAPE,
     FusionType,
     Perm,
     PermGroup,
@@ -124,8 +124,7 @@ def test_closure_guards(monkeypatch):
 def test_conjugacy_classes_a6():
     G = alternating6()
     cls = conjugacy_classes(G)
-    assert tuple(c.size for c in cls) == A6_CLASS_SIZES
-    assert tuple(c.element_order for c in cls) == (1, 2, 3, 3, 4, 5, 5)
+    assert tuple((c.element_order, c.size) for c in cls) == A6_CLASS_SHAPE
     assert sum(c.size for c in cls) == 360
     for c in cls:
         assert 360 % c.size == 0
@@ -341,10 +340,14 @@ def test_subgroup_facts_randomized():
             assert all(g * d * gi in D for d in D.generators)
 
 
-def test_is_a6_certified():
+def test_is_a6_certified(monkeypatch):
     assert is_a6_certified(alternating6())
     assert is_a6_certified(build_psl29())
     assert not is_a6_certified(build_pgl29())
+    # the certificate reads element orders as well as sizes: an order stated
+    # wrong fails it though every size still matches
+    monkeypatch.setattr(permgrp, "A6_CLASS_SHAPE", (*A6_CLASS_SHAPE[:-1], (6, 72)))
+    assert not is_a6_certified(alternating6())
 
 
 def index_table_groups():
