@@ -1,24 +1,31 @@
 """Exact character tables via the Dixon-Schneider class-algebra method.
 
-The pipeline: exhaustive structure constants, a simultaneous eigenspace
-split of the class-sum matrices over a prime field F_p with p = 1 mod the
-group exponent and p > 2*ceil(sqrt(|G|)), eigenvalues the roots of the
-characteristic polynomial, ascending, degree recovery from the second
-orthogonality relation, and a lift of each value on a class of order o to
-Q(zeta_o), where it stays, through root-of-unity multiplicities.  Null
-spaces and eigenspace bases come from `exact._gauss_jordan`, the package's
-one elimination, and characteristic polynomials from `exact._charpoly`,
-both here over F_p.  The row orthogonality relations of the square table,
-which imply the column relations, are re-verified exactly before a table
-is returned, each row pair as one `exact.dot` with a single cyclotomic
-reduction.  Classes are named by `class_labels`; this module renders
+The pipeline: a simultaneous eigenspace split of the class-sum matrices
+over a prime field F_p with p = 1 mod the group exponent and
+p > 2*ceil(sqrt(|G|)), eigenvalues the roots of the characteristic
+polynomial, ascending, degree recovery from the second orthogonality
+relation, and a lift of each value on a class of order o to Q(zeta_o),
+where it stays, through root-of-unity multiplicities.  Each class matrix
+M_i is counted by `_class_matrix` only when the split reads it (Schneider's
+refinement of Dixon's method): r |C_i| products over the inverse class,
+memoized on the group.  `structure_constants` is that count for every
+class.  A space on which a class matrix acts as a scalar is kept as it
+is, with no characteristic polynomial.  Null spaces and eigenspace bases
+come from `exact._gauss_jordan`, the package's one elimination, and
+characteristic polynomials from `exact._charpoly`, both here over F_p.
+The row orthogonality relations of the square table, which imply the
+column relations, are re-verified exactly before a table is returned, each
+row pair as one `exact.dot` with a single cyclotomic reduction.  The
+golden A6 table is compared in the class fields, where the computed values
+are built.  Classes are named by `class_labels`; this module renders
 nothing, and the text form of a table is written by `cli`.
 
-Inner loops run as C passes over whole lists: the class pair (i, j) of a
-product is counted as the int i*r + j; each F_p inner product is
-`sum(map(mul, ...))`; the lift multiplies by one matrix of roots of unity
-per element order, built once per table; and the orthogonality check
-reads each value's terms once and reuses them in every row pair.
+Inner loops run as C passes over whole lists: each product of a class
+matrix is one C call, made by `permgrp._right_products`, and a `Counter`
+counts their classes; each F_p inner product is `sum(map(mul, ...))`; the
+lift multiplies by one matrix of roots of unity per element order, built
+once per table; and the orthogonality check reads each value's terms once
+and reuses them in every row pair.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import isqrt, lcm
-from operator import add, mul
+from operator import mul
 
 from .exact import CycloNum, _charpoly, _gauss_jordan, _integer, dot, prime_factors
 from .permgrp import (
@@ -37,7 +44,8 @@ from .permgrp import (
     PermGroup,
     VerificationError,
     _classes,
-    _left_products,
+    _index,
+    _right_products,
     conjugacy_classes,
     group_cache,
     require,
@@ -73,39 +81,46 @@ class ClassAlgebra:
     def check_consistency(self):
         """sum_k a[i][j][k] |C_k| = |C_i| |C_j| for all i, j."""
         sizes = [c.size for c in self.classes]
-        for i, plane in enumerate(self.constants):
-            for j, column in enumerate(plane):
-                total = sum(map(mul, column, sizes))
-                require(total == sizes[i] * sizes[j], f"class-algebra constants are inconsistent at ({i}, {j})")
+        for i, M in enumerate(self.constants):
+            _require_consistent(M, i, sizes)
+
+
+def _require_consistent(M, i: int, sizes):
+    # sum_k M[j][k] |C_k| = |C_i| |C_j| for the class matrix M = M_i
+    for j, row in enumerate(M):
+        total = sum(map(mul, row, sizes))
+        require(total == sizes[i] * sizes[j], f"class-algebra constants are inconsistent at ({i}, {j})")
+
+
+@group_cache
+def _class_matrix(G: PermGroup, i: int) -> tuple:
+    """The class matrix M_i, M_i[j][k] = a[i][j][k], checked as it is built.
+
+    x*y = z has the unique solution y = x^-1 z, and x^-1 runs over the
+    inverse class C_i*: the column of each class representative z_k counts
+    the classes of w z_k for w in C_i*, r |C_i| products in all.
+    """
+    classes = conjugacy_classes(G)
+    members, class_of, _ = _classes(G)
+    pos = _index(G)
+    inverses = map(G.images.__getitem__, members[_inverse_class_map(classes)[i]])
+    M = [[0] * len(classes) for _ in classes]
+    reps = [c.representative for c in classes]
+    for k, products in enumerate(_right_products(inverses, G.degree, reps)):
+        for j, count in Counter(map(class_of.__getitem__, map(pos.__getitem__, products))).items():
+            M[j][k] = count
+    _require_consistent(M, i, [c.size for c in classes])
+    return tuple(map(tuple, M))
 
 
 @group_cache
 def structure_constants(G: PermGroup) -> ClassAlgebra:
-    """Exhaustively counted class-algebra structure constants."""
+    """The class-algebra structure constants, every class matrix counted."""
     if len(G) > MAX_TABLE_ORDER:
         raise ValueError(f"group order {len(G)} exceeds the guard {MAX_TABLE_ORDER}")
     classes = conjugacy_classes(G)
-    r = len(classes)
-    class_of = _classes(G)[1]
-    # the class of the inverse of each element, looked up by its images
-    inv_class = dict(zip(G.images, map(_inverse_class_map(classes).__getitem__, class_of)))
-    # the class pair (i, j) is counted as the int i * r + j
-    scaled = [i * r for i in class_of]
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k, ck in enumerate(classes):
-        # x*y = z has the unique solution y = x^-1 z, and y^-1 = z^-1 x
-        left = _left_products(G, ck.representative.inverse())
-        pairs = Counter(map(add, scaled, map(inv_class.__getitem__, left)))
-        for pair, count in pairs.items():
-            i, j = divmod(pair, r)
-            a[i][j][k] = count
-    alg = ClassAlgebra(
-        group_order=len(G),
-        classes=classes,
-        constants=tuple(tuple(tuple(row) for row in plane) for plane in a),
-    )
-    alg.check_consistency()
-    return alg
+    constants = tuple(_class_matrix(G, i) for i in range(len(classes)))
+    return ClassAlgebra(group_order=len(G), classes=classes, constants=constants)
 
 
 def group_exponent(G: PermGroup) -> int:
@@ -168,42 +183,52 @@ def _primitive_root(p: int) -> int:
     raise VerificationError("no primitive root found")
 
 
-def _common_eigenvectors(alg: ClassAlgebra, p: int):
+def _split(M, B, pivots, p: int) -> list:
+    """The eigenspaces of the class matrix M in span(B) over F_p, each as a
+    basis in reduced row-echelon form with its pivot columns, for eigenvalues
+    ascending; they span B exactly when M is diagonalizable on it.  B is in
+    that form, at the given pivots."""
+    m = len(B)
+    imgs = [[sum(map(mul, row, vec)) % p for row in M] for vec in B]
+    # the action on span(B), in the rref coordinates of B
+    S = [[imgs[a][pivots[b]] for a in range(m)] for b in range(m)]
+    lam = S[0][0]
+    if all(S[x][y] == (lam if x == y else 0) for x in range(m) for y in range(m)):
+        # M acts on span(B) as lam: B is already its one eigenspace
+        return [(B, pivots)]
+    columns = list(zip(*B))
+    parts, found = [], 0
+    for lam in _eigenvalues(S, p):
+        A = [[(S[x][y] - (lam if x == y else 0)) % p for y in range(m)] for x in range(m)]
+        # the kernel vectors in B's coordinates, written out over the classes
+        vecs = [[sum(map(mul, coords, col)) % p for col in columns] for coords in _nullspace(A, p)]
+        parts.append(_gauss_jordan(vecs, p))
+        found += len(parts[-1][0])
+        if found == m:
+            break
+    return parts
+
+
+def _common_eigenvectors(G: PermGroup, p: int):
     """One-dimensional common eigenspaces of the class-sum matrices over F_p.
 
-    Spaces are refined against the class matrices in canonical class order;
-    within a split, the eigenvalues are the roots of the characteristic
-    polynomial, ascending.  The result is the list of normalized
-    central-character rows (identity-class entry 1).
+    Spaces are split by the class matrices in canonical class order, and a
+    class matrix is counted only when a space is left to split.  The result
+    is the list of normalized central-character rows (identity-class entry 1).
     """
-    r = len(alg.classes)
+    r = len(conjugacy_classes(G))
     # bases are kept in reduced row-echelon form, each with its pivot columns,
     # so that the coordinates of a member vector can be read off at them
     spaces = [([[1 if c == k else 0 for c in range(r)] for k in range(r)], list(range(r)))]
     for i in range(1, r):
         if all(len(B) == 1 for B, _ in spaces):
             break
-        M = alg.constants[i]  # (M)[j][k] = a[i][j][k]; acts as w |-> M w
+        M = _class_matrix(G, i)  # M[j][k] = a[i][j][k]; acts as w |-> M w
         new_spaces = []
         for B, pivots in spaces:
-            if len(B) == 1:
-                new_spaces.append((B, pivots))
-                continue
-            imgs = [[sum(map(mul, row, vec)) % p for row in M] for vec in B]
-            # the action on span(B), in the rref coordinates of B
-            S = [[imgs[a][pivots[b]] for a in range(len(B))] for b in range(len(B))]
-            columns = list(zip(*B))
-            found = 0
-            for lam in _eigenvalues(S, p):
-                A = [[(S[x][y] - (lam if x == y else 0)) % p for y in range(len(B))] for x in range(len(B))]
-                # the kernel vectors in B's coordinates, written out over the classes
-                vecs = [[sum(map(mul, coords, col)) % p for col in columns] for coords in _nullspace(A, p)]
-                sub, sub_pivots = _gauss_jordan(vecs, p)
-                new_spaces.append((sub, sub_pivots))
-                found += len(sub)
-                if found == len(B):
-                    break
-            require(found == len(B), f"class matrix {i} is not diagonalizable mod {p}")
+            parts = [(B, pivots)] if len(B) == 1 else _split(M, B, pivots, p)
+            require(sum(len(sub) for sub, _ in parts) == len(B), f"class matrix {i} is not diagonalizable mod {p}")
+            new_spaces += parts
         spaces = new_spaces
     require(all(len(B) == 1 for B, _ in spaces), f"common eigenspaces not one-dimensional mod {p}")
     rows = []
@@ -238,19 +263,20 @@ def _inverse_class_map(classes) -> list[int]:
 def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
     """The exact character table of G, computed with the prime_index-th
     admissible prime (0 = smallest)."""
-    alg = structure_constants(G)
-    classes = alg.classes
+    order = len(G)
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(f"group order {order} exceeds the guard {MAX_TABLE_ORDER}")
+    classes = conjugacy_classes(G)
     r = len(classes)
     if r > MAX_CLASS_COUNT:
         raise ValueError(f"class count {r} exceeds the guard {MAX_CLASS_COUNT}")
-    order = alg.group_order
     e = group_exponent(G)
     inv_class = _inverse_class_map(classes)
     sizes = [c.size for c in classes]
 
     # an admissible prime always splits the class algebra (Dixon 1967)
     p = next(islice(admissible_primes(G), prime_index, None))
-    omega_rows = _common_eigenvectors(alg, p)
+    omega_rows = _common_eigenvectors(G, p)
 
     # degrees from 1/chi(1)^2 = (1/|G|) sum_i w_i w_i' / |C_i|
     inv_sizes = [pow(size, p - 2, p) for size in sizes]
@@ -364,23 +390,26 @@ def reference_a6_rows() -> tuple[tuple[CycloNum, ...], ...]:
     return rows
 
 
-def _row_multiset_key(rows, common_order):
-    # int and Fraction coefficients compare as numbers, and equal values in
-    # one field have equal coefficient tuples
-    return tuple(sorted(tuple(v.embed(common_order).coeffs for v in row) for row in rows))
+def _row_multiset_key(rows):
+    # equal values of one order have equal coefficient tuples, and int and
+    # Fraction coefficients compare as numbers
+    return tuple(sorted(tuple((v.order, v.coeffs) for v in row) for row in rows))
 
 
 @cache
-def _golden_key(common_order: int, swap3: bool, swap5: bool):
-    # the key of the golden table with its order-3 and/or order-5 columns swapped
+def _golden_key(swap3: bool, swap5: bool):
+    # the key of the golden table with its order-3 and/or order-5 columns
+    # swapped, each value embedded into its column's element order, where
+    # a computed table builds it
     cols = [0, 1, 2, 3, 4, 5, 6]
     if swap3:
         cols[2], cols[3] = cols[3], cols[2]
     if swap5:
         cols[5], cols[6] = cols[6], cols[5]
+    orders = [o for o, _ in A6_CLASS_SHAPE]
     # row order is irrelevant under the multiset comparison, so the induced
     # row swaps need no separate handling
-    return _row_multiset_key([tuple(row[c] for c in cols) for row in reference_a6_rows()], common_order)
+    return _row_multiset_key([tuple(row[c].embed(o) for c, o in zip(cols, orders)) for row in reference_a6_rows()])
 
 
 def match_reference_table(table: CharacterTable) -> bool:
@@ -390,9 +419,8 @@ def match_reference_table(table: CharacterTable) -> bool:
     shape = tuple((c.element_order, c.size) for c in table.classes)
     if shape != A6_CLASS_SHAPE:
         return False
-    common = lcm(table.exponent, 5)
-    got = _row_multiset_key(table.rows, common)
-    return any(_golden_key(common, swap3, swap5) == got for swap3 in (False, True) for swap5 in (False, True))
+    got = _row_multiset_key(table.rows)
+    return any(_golden_key(swap3, swap5) == got for swap3 in (False, True) for swap5 in (False, True))
 
 
 # -- class names --------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations, product
 from math import factorial, lcm
 from operator import itemgetter, mul, ne
@@ -576,13 +576,36 @@ def gram_transcendental() -> tuple:
     return ((6, 0), (0, 6))
 
 
+def _diagonal_blocks(gram) -> list:
+    """The diagonal blocks of a symmetric matrix, read off its entries: a
+    block ends at the first row where every entry coupling the block's rows
+    to the later columns is 0."""
+    blocks, start, end = [], 0, 0
+    for i, row in enumerate(gram):
+        # one past the last nonzero column of the block's rows so far
+        end = max(end, next((j for j in range(len(row) - 1, i, -1) if row[j]), i) + 1)
+        if end == i + 1:
+            blocks.append([r[start:end] for r in gram[start:end]])
+            start = end
+    return blocks
+
+
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _gram_charpoly(gram) -> list[int]:
     """det(x I - gram), leading coefficient first, of a square symmetric
-    integer matrix: a real symmetric matrix has only real eigenvalues."""
+    integer matrix: a real symmetric matrix has only real eigenvalues.  It
+    is the product of the polynomials of the diagonal blocks."""
     n = len(gram)
     require(all(len(row) == n for row in gram), "matrix not square")
     require(all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i)), "matrix not symmetric")
-    return _charpoly(gram, 0)
+    return reduce(_poly_mul, (_charpoly(block, 0) for block in _diagonal_blocks(gram)), [1])
 
 
 def _determinant(poly) -> int:

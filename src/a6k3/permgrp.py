@@ -7,14 +7,15 @@ refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
 A permutation's images are stored as bytes up to degree 256 and as a tuple
-above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_conjugation` and
-`_commuting` know which.  Bytes cache their hash and sort like tuples of
-ints, and a composition is one `bytes.translate` call.  `_conjugation`
-takes images padded by `_pads`, two C calls per element, so a pass that
-conjugates the same images by several elements pads them once; the pads
-are transient and never memoized on a group.  A group is the ascending tuple of
-its images, `G.images`, which every constructor is given: `closure` runs
-`_dimino`, Dimino's algorithm (G. Butler, *Fundamental Algorithms for
+above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_conjugation`,
+`_commuting` and `_right_products` know which.  Bytes cache their hash and
+sort like tuples of ints, and a composition is one `bytes.translate` call.
+`_conjugation` takes images padded by `_pads`, two C calls per element, so a
+pass that conjugates the same images by several elements pads them once, as
+`_right_products` pads the images it multiplies by several elements; the
+pads are transient and never memoized on a group.  A group is the
+ascending tuple of its images, `G.images`, which every constructor is
+given: `closure` runs `_dimino`, Dimino's algorithm (G. Butler, *Fundamental Algorithms for
 Permutation Groups*, LNCS 559, 1991), and nothing is enumerated lazily;
 `G.elements` wraps the images in `Perm`s when first read.  Membership is a
 bisection, and facts about a subgroup A of G are C passes over images: the
@@ -260,6 +261,13 @@ def _commuting(members, degree: int, a: Perm) -> list:
     return list(compress(members, map(eq, _conjugation(a)(_pads(members, degree)), members)))
 
 
+def _right_products(xs, degree: int, rights) -> list:
+    """For each a in rights, the stored images of x * a for each stored x in
+    xs, in their order: one C call per product, the xs padded once for all."""
+    pads = list(_pads(xs, degree))
+    return [map(_rmul(a.images), pads) for a in rights]
+
+
 def _dimino(seeds, degree: int, conjugations=()) -> tuple[set, list]:
     """The stored images of <seeds>, and the seeds that were not redundant.
 
@@ -409,11 +417,6 @@ def closure(generators) -> PermGroup:
 def _index(G: PermGroup) -> dict:
     """G's stored images -> their indices in canonical order; the identity is 0."""
     return dict(zip(G.images, range(len(G))))
-
-
-def _left_products(G: PermGroup, a: Perm):
-    """The stored images of a * x for each x of G, in canonical order."""
-    return _lmul(a.images)(G.images)
 
 
 @group_cache

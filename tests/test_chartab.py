@@ -8,14 +8,16 @@ from math import gcd
 
 import pytest
 
-from a6k3.exact import CycloNum, euler_phi, galois_apply, prime_factors
+from a6k3.exact import CycloNum, _gauss_jordan, euler_phi, galois_apply, prime_factors
 from a6k3.permgrp import Perm, VerificationError, closure, conjugacy_classes, conjugate_group
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from a6k3.chartab import (
+    _class_matrix,
     _eigenvalues,
     _is_prime,
     _nullspace,
     _primitive_root,
+    _split,
     _verify_orthogonality,
     admissible_primes,
     character_table,
@@ -332,8 +334,12 @@ def test_structure_constants_match_counted_products(name):
     rng = random.Random(2400)
     relabeled = [conjugate_group(G, Perm(rng.sample(range(G.degree), G.degree))) for _ in range(2)]
     for H in (G, *relabeled):
-        alg = structure_constants(H)
-        assert alg.constants == counted_constants(H, alg.classes)
+        counted = counted_constants(H, conjugacy_classes(H))
+        # each class matrix counts over the inverse class; M10's classes 6
+        # and 7 are the tower's only non-real ones, where counting over the
+        # class itself would differ
+        assert [_class_matrix(H, i) for i in range(len(counted))] == list(counted)
+        assert structure_constants(H).constants == counted
 
 
 @pytest.mark.parametrize("name", list(TOWER))
@@ -358,6 +364,88 @@ def test_permutation_characters_decompose_into_rows(name):
             mults.append(int(m))
         for k, v in enumerate(psi):
             assert sum((m * row[k] for m, row in zip(mults, t.rows)), CycloNum.zero()) == v
+
+
+# per tower table: the classes whose matrices the split reads, and the
+# characteristic polynomials whose roots it scans; a space on which a class
+# matrix acts as a scalar is kept without a scan
+SPLITS = {
+    "S6": ({1, 2}, 3),
+    "PGL(2,9)": ({1, 2, 3, 4, 5, 6, 7}, 5),
+    "M10": ({1, 2, 3, 4, 5, 6}, 4),
+    "PGammaL(2,9)": ({1, 2}, 6),
+    "PSL(2,9)": ({1, 2, 3, 4, 5}, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(TOWER))
+def test_split_counts_only_the_class_matrices_it_reads(name, monkeypatch):
+    read, scans = set(), []
+    class_matrix, eigenvalues = chartab._class_matrix, chartab._eigenvalues
+    monkeypatch.setattr(chartab, "_class_matrix", lambda G, i: read.add(i) or class_matrix(G, i))
+    monkeypatch.setattr(chartab, "_eigenvalues", lambda S, p: scans.append(S) or eigenvalues(S, p))
+    character_table.__wrapped__(TOWER[name][0]())
+    assert (read, len(scans)) == SPLITS[name]
+
+
+def full_split(M, B, pivots, p):
+    # every root of the restriction S of M to span(B), its kernel and an
+    # elimination, with no shortcut for a scalar S
+    m = len(B)
+    S = [[sum(M[pivots[b]][k] * B[a][k] for k in range(len(M))) % p for a in range(m)] for b in range(m)]
+    parts = []
+    for lam in _eigenvalues(S, p):
+        kernel = _nullspace([[(S[x][y] - (lam if x == y else 0)) % p for y in range(m)] for x in range(m)], p)
+        parts.append(_gauss_jordan([[sum(c * row[k] for c, row in zip(coords, B)) % p for k in range(len(M))]
+                                    for coords in kernel], p))
+    return parts
+
+
+@pytest.mark.parametrize("p", [7, 241])
+def test_scalar_restriction_keeps_its_space(p):
+    # a class matrix acting on span(B) as lam leaves B and its pivots as
+    # they are, which the full split gives back too; any other matrix is
+    # split as the full split splits it
+    rng = random.Random(2903 + p)
+    scalar = 0
+    for r in range(1, 9):
+        for _ in range(6):
+            B = []
+            while not B:  # a space of the split is never 0
+                B, pivots = _gauss_jordan([[rng.randrange(p) for _ in range(r)] for _ in range(rng.randint(1, r))], p)
+            # M = lam I + u c^T with c orthogonal to span(B): M w = lam w there
+            lam, u = rng.randrange(p), [rng.randrange(p) for _ in range(r)]
+            c = rng.choice(_nullspace(B, p) or [[0] * r])
+            M = [[(lam * (j == k) + u[j] * c[k]) % p for k in range(r)] for j in range(r)]
+            assert _split(M, B, pivots, p) == [(B, pivots)] == full_split(M, B, pivots, p)
+            scalar += any(c)
+            M = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
+            assert _split(M, B, pivots, p) == full_split(M, B, pivots, p)
+            # a diagonal matrix acting on the whole space splits it by its
+            # distinct entries
+            d = [rng.randrange(p) for _ in range(r)]
+            M = [[d[j] * (j == k) for k in range(r)] for j in range(r)]
+            whole = [[int(j == k) for k in range(r)] for j in range(r)]
+            parts = _split(M, whole, list(range(r)), p)
+            assert parts == full_split(M, whole, list(range(r)), p) and len(parts) == len(set(d))
+    # the scalar matrices include some that are not lam I
+    assert scalar > 0
+
+
+def test_match_embeds_no_computed_value(monkeypatch):
+    # the golden key is built in the class fields, so the computed values
+    # are compared by their own (order, coeffs)
+    t = character_table.__wrapped__(build_psl29())
+    embed, embedded = CycloNum.embed, []
+
+    def counted(v, m):
+        embedded.append(v)
+        return embed(v, m)
+
+    monkeypatch.setattr(CycloNum, "embed", counted)
+    assert match_reference_table(t)
+    computed = {id(v) for row in t.rows for v in row}
+    assert not any(id(v) in computed for v in embedded)
 
 
 def test_orthogonality_reads_each_value_once(monkeypatch):

@@ -215,7 +215,7 @@ def test_report_commands_cover_all_stages():
 
 
 def test_warm_report_builds_no_golden_key():
-    # the golden table's keys are built once per field and column swap; a
+    # the golden table's keys are built once per column swap; a
     # second report in the same process finds all of them built
     build_report("all")
     misses = chartab._golden_key.cache_info().misses

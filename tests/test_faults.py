@@ -189,7 +189,7 @@ EVERY_GROUP = (
 # would outlive it
 REBUILT = {
     # the golden rows are read through the row-multiset key of each column
-    # swap, built once per field
+    # swap, built once
     golden_entry: (chartab._golden_key,),
     mu4_generator: (extbuild.build_candidate,),
     coset_position: (extbuild.build_candidate,),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from a6k3 import cli, k3verify
-from a6k3.exact import CycloNum
+from a6k3.exact import CycloNum, _charpoly
 from a6k3.permgrp import Perm, VerificationError, closure, conjugate_group
 from a6k3.pgl9 import build_psl29
 from a6k3.chartab import character_table
@@ -32,6 +32,8 @@ from a6k3.k3verify import (
     MultiplicityVector,
     NikulinTable,
     SignCase,
+    _diagonal_blocks,
+    _gram_charpoly,
     all_sign_cases,
     argument_3class_trace,
     argument_free_c4,
@@ -517,6 +519,34 @@ def test_lattice_signatures_against_float_oracle():
         neg = int(np.sum(eig < -1e-9))
         assert gram_signature(gram) == (pos, neg)
         assert abs(gram_determinant(gram) - np.linalg.det(np.array(gram, dtype=float))) < 1e-6
+
+
+def block_diagonal(blocks) -> tuple:
+    n = sum(map(len, blocks))
+    gram, off = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[off + i][off : off + len(b)] = row
+        off += len(b)
+    return tuple(tuple(row) for row in gram)
+
+
+def test_block_charpoly_is_the_whole_charpoly():
+    # the polynomial of a form is the product of its diagonal blocks', read
+    # off the entries: a block ends where no entry couples it to the rest
+    rng = random.Random(2907)
+    fixed = (gram_hyperbolic(), gram_e8(), gram_k3(), gram_transcendental())
+    assert [len(b) for b in _diagonal_blocks(gram_k3())] == [2, 2, 2, 8, 8]
+    coupled = tuple(random_symmetric(rng, rng.randint(1, 8)) for _ in range(100))
+    parts = [[random_symmetric(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 4))] for _ in range(100)]
+    for gram in fixed + coupled + degenerate_samples() + tuple(map(block_diagonal, parts)):
+        # the blocks rebuild the form, so no coupling entry is dropped
+        assert block_diagonal(_diagonal_blocks(gram)) == tuple(map(tuple, gram))
+        assert _gram_charpoly(gram) == _charpoly(gram, 0)
+    # a sum of blocks splits at least where its summands end
+    assert all(len(_diagonal_blocks(block_diagonal(p))) >= len(p) for p in parts)
+    # with every entry coupled, a form is one block
+    assert sum(len(_diagonal_blocks(g)) == 1 for g in coupled) > 50
 
 
 def dense_pivots(gram):

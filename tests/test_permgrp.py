@@ -18,8 +18,8 @@ from a6k3.permgrp import (
     _abelian_invariants,
     _cosets,
     _index,
-    _left_products,
     _normal_action,
+    _right_products,
     _subgroup,
     center,
     centralizer_of_subgroup,
@@ -374,9 +374,14 @@ def assert_tables_match_perm_arithmetic(G):
     assert len(action) == len(G.generators)
     for s, conj in zip(G.generators, action):
         assert [els[i] for i in conj] == [s.inverse() * x * s for x in els]
-    # left multiplication by any element, one pass over the images
-    for a in (els[-1], els[len(els) // 2]) + G.generators:
-        assert list(map(Perm, _left_products(G, a))) == [a * x for x in els]
+    # right multiplication by several elements, one pass over the images
+    # each, on all of G and on every other element
+    rights = (els[-1], els[len(els) // 2]) + G.generators
+    for xs in (els, els[1::2]):
+        products = _right_products([x.images for x in xs], G.degree, rights)
+        assert len(products) == len(rights)
+        for a, images in zip(rights, products):
+            assert list(map(Perm, images)) == [x * a for x in xs]
 
 
 def test_index_tables_against_perm_arithmetic():
