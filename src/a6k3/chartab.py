@@ -1,31 +1,24 @@
 """Exact character tables via the Dixon-Schneider class-algebra method.
 
 The pipeline: a simultaneous eigenspace split of the class-sum matrices
-over a prime field F_p with p = 1 mod the group exponent and
-p > 2*ceil(sqrt(|G|)), eigenvalues the roots of the characteristic
-polynomial, ascending, degree recovery from the second orthogonality
-relation, and a lift of each value on a class of order o to Q(zeta_o),
-where it stays, through root-of-unity multiplicities.  Each class matrix
-M_i is counted by `_class_matrix` only when the split reads it (Schneider's
-refinement of Dixon's method): r |C_i| products over the inverse class,
-memoized on the group.  `structure_constants` is that count for every
-class.  A space on which a class matrix acts as a scalar is kept as it
-is, with no characteristic polynomial.  Null spaces and eigenspace bases
-come from `exact._gauss_jordan`, the package's one elimination, and
-characteristic polynomials from `exact._charpoly`, both here over F_p.
-The row orthogonality relations of the square table, which imply the
-column relations, are re-verified exactly before a table is returned, each
-row pair as one `exact.dot` with a single cyclotomic reduction.  The
-golden A6 table is compared in the class fields, where the computed values
-are built.  Classes are named by `class_labels`; this module renders
-nothing, and the text form of a table is written by `cli`.
+over F_p, p = 1 mod the group exponent and p > 2*ceil(sqrt(|G|));
+eigenvalues the roots of the characteristic polynomial, ascending; degree
+recovery from the second orthogonality relation; and a lift of each value
+on a class of order o to Q(zeta_o), where it stays, through root-of-unity
+multiplicities.  A class matrix is counted, by `_class_matrix`, only when
+the split reads it (Schneider 1990), and a space on which it acts as a
+scalar is kept with no characteristic polynomial.  Eliminations are
+`exact._gauss_jordan` and characteristic polynomials `exact._charpoly`,
+here over F_p.  The row orthogonality relations of the square table, which
+imply the column relations, are re-verified exactly before a table is
+returned, each row pair one `exact.dot`.  Classes are named by
+`class_labels`; `cli` writes the text form of a table.
 
-Inner loops run as C passes over whole lists: each product of a class
-matrix is one C call, made by `permgrp._right_products`, and a `Counter`
-counts their classes; each F_p inner product is `sum(map(mul, ...))`; the
-lift multiplies by one matrix of roots of unity per element order, built
-once per table; and the orthogonality check reads each value's terms once
-and reuses them in every row pair.
+Inner loops are C passes over whole lists: the products of a class matrix
+(`permgrp._right_products`) and the `Counter` of their classes; each F_p
+inner product, `sum(map(mul, ...))`; the lift, one matrix of roots of
+unity per element order and table; and the orthogonality check, which
+reads each value's terms once.
 """
 
 from __future__ import annotations
@@ -94,12 +87,9 @@ def _require_consistent(M, i: int, sizes):
 
 @group_cache
 def _class_matrix(G: PermGroup, i: int) -> tuple:
-    """The class matrix M_i, M_i[j][k] = a[i][j][k], checked as it is built.
-
-    x*y = z has the unique solution y = x^-1 z, and x^-1 runs over the
-    inverse class C_i*: the column of each class representative z_k counts
-    the classes of w z_k for w in C_i*, r |C_i| products in all.
-    """
+    """The class matrix M_i[j][k] = a[i][j][k], checked as it is built:
+    x*y = z_k has y = x^-1 z_k, so column k counts the classes of w z_k for
+    w in the inverse class C_i*."""
     classes = conjugacy_classes(G)
     members, class_of, _ = _classes(G)
     pos = _index(G)
@@ -184,10 +174,9 @@ def _primitive_root(p: int) -> int:
 
 
 def _split(M, B, pivots, p: int) -> list:
-    """The eigenspaces of the class matrix M in span(B) over F_p, each as a
-    basis in reduced row-echelon form with its pivot columns, for eigenvalues
-    ascending; they span B exactly when M is diagonalizable on it.  B is in
-    that form, at the given pivots."""
+    """The eigenspaces of the class matrix M in span(B) over F_p, for
+    eigenvalues ascending, each as (basis, pivots) in reduced row-echelon
+    form like B; they span B exactly when M is diagonalizable on it."""
     m = len(B)
     imgs = [[sum(map(mul, row, vec)) % p for row in M] for vec in B]
     # the action on span(B), in the rref coordinates of B

@@ -11,12 +11,12 @@ above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_conjugation`,
 `_commuting` and `_right_products` know which.  Bytes cache their hash and
 sort like tuples of ints, and a composition is one `bytes.translate` call.
 `_conjugation` takes images padded by `_pads`, two C calls per element, so a
-pass that conjugates the same images by several elements pads them once, as
-`_right_products` pads the images it multiplies by several elements; the
-pads are transient and never memoized on a group.  A group is the
+pass that conjugates the same images by several elements pads them once;
+the pads are transient and never memoized on a group.  A group is the
 ascending tuple of its images, `G.images`, which every constructor is
-given: `closure` runs `_dimino`, Dimino's algorithm (G. Butler, *Fundamental Algorithms for
-Permutation Groups*, LNCS 559, 1991), and nothing is enumerated lazily;
+given: `closure` runs `_dimino`, Dimino's algorithm (G. Butler,
+*Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991), and
+nothing is enumerated lazily;
 `G.elements` wraps the images in `Perm`s when first read.  Membership is a
 bisection, and facts about a subgroup A of G are C passes over images: the
 derived subgroup, centralizers, the right cosets (`_cosets`) and
