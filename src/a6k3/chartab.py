@@ -6,19 +6,21 @@ eigenvalues the roots of the characteristic polynomial, ascending; degree
 recovery from the second orthogonality relation; and a lift of each value
 on a class of order o to Q(zeta_o), where it stays, through root-of-unity
 multiplicities.  A class matrix is counted, by `_class_matrix`, only when
-the split reads it (Schneider 1990), and a space on which it acts as a
-scalar is kept with no characteristic polynomial.  Eliminations are
-`exact._gauss_jordan` and characteristic polynomials `exact._charpoly`,
-here over F_p.  The row orthogonality relations of the square table, which
-imply the column relations, are re-verified exactly before a table is
-returned, each row pair one `exact.dot`.  Classes are named by
-`class_labels`; `cli` writes the text form of a table.
+the split reads it (Schneider 1990), non-rational classes first, as only
+they can separate Galois-conjugate characters, then by size; a space on
+which it acts as a scalar is kept with no characteristic polynomial.
+Eliminations are `exact._gauss_jordan` and characteristic polynomials
+`exact._charpoly`, here over F_p.  The row orthogonality relations of the
+square table, which imply the column relations, are re-verified exactly
+before a table is returned: per row pair, the classes where every row is
+rational are one sum of ints or Fractions, the others one `exact.dot`.
+Classes are named by `class_labels`; `cli` writes the text form of a table.
 
 Inner loops are C passes over whole lists: the products of a class matrix
 (`permgrp._right_products`) and the `Counter` of their classes; each F_p
-inner product, `sum(map(mul, ...))`; the lift, one matrix of roots of
-unity per element order and table; and the orthogonality check, which
-reads each value's terms once.
+inner product, `sum(map(mul, ...))`; the lift, one class at a time with one
+matrix of roots of unity per element order and table; and the
+orthogonality check, which reads each irrational value's terms once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .exact import CycloNum, _charpoly, _gauss_jordan, _integer, dot, prime_factors
@@ -178,9 +180,9 @@ def _split(M, B, pivots, p: int) -> list:
     eigenvalues ascending, each as (basis, pivots) in reduced row-echelon
     form like B; they span B exactly when M is diagonalizable on it."""
     m = len(B)
-    imgs = [[sum(map(mul, row, vec)) % p for row in M] for vec in B]
-    # the action on span(B), in the rref coordinates of B
-    S = [[imgs[a][pivots[b]] for a in range(m)] for b in range(m)]
+    # the action on span(B), in the rref coordinates of B: M maps span(B)
+    # into itself, so only the pivot rows of M are read
+    S = [[sum(map(mul, M[c], vec)) % p for vec in B] for c in pivots]
     lam = S[0][0]
     if all(S[x][y] == (lam if x == y else 0) for x in range(m) for y in range(m)):
         # M acts on span(B) as lam: B is already its one eigenspace
@@ -201,15 +203,20 @@ def _split(M, B, pivots, p: int) -> list:
 def _common_eigenvectors(G: PermGroup, p: int):
     """One-dimensional common eigenspaces of the class-sum matrices over F_p.
 
-    Spaces are split by the class matrices in canonical class order, and a
-    class matrix is counted only when a space is left to split.  The result
-    is the list of normalized central-character rows (identity-class entry 1).
+    Spaces are split by the class matrices in the order (rational class, size,
+    index), each counted only when a space is left to split.  The result is
+    the list of normalized central-character rows (identity-class entry 1).
     """
-    r = len(conjugacy_classes(G))
+    classes = conjugacy_classes(G)
+    r = len(classes)
+    # a class fixed by every power coprime to its order is rational; its matrix
+    # cannot separate Galois-conjugate characters, so the others are read first
+    rational = [all(c.power_map[k] == i for k in range(1, c.element_order) if gcd(k, c.element_order) == 1)
+                for i, c in enumerate(classes)]
     # bases are kept in reduced row-echelon form, each with its pivot columns,
     # so that the coordinates of a member vector can be read off at them
     spaces = [([[1 if c == k else 0 for c in range(r)] for k in range(r)], list(range(r)))]
-    for i in range(1, r):
+    for i in sorted(range(1, r), key=lambda i: (rational[i], classes[i].size, i)):
         if all(len(B) == 1 for B, _ in spaces):
             break
         M = _class_matrix(G, i)  # M[j][k] = a[i][j][k]; acts as w |-> M w
@@ -269,13 +276,14 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
 
     # degrees from 1/chi(1)^2 = (1/|G|) sum_i w_i w_i' / |C_i|
     inv_sizes = [pow(size, p - 2, p) for size in sizes]
+    # the square root in [1, p/2] of each nonzero square mod p
+    roots = {x * x % p: x for x in range(1, p // 2 + 1)}
     degrees = []
     charp_rows = []
     for w in omega_rows:
         total = sum(map(mul, map(mul, w, map(w.__getitem__, inv_class)), inv_sizes)) % p
         require(total != 0, "degree recovery hit a zero denominator")
-        dsq = (order * pow(total, p - 2, p)) % p
-        d = next((x for x in range(1, p // 2 + 1) if (x * x) % p == dsq), None)
+        d = roots.get(order * pow(total, p - 2, p) % p)
         require(d is not None, "degree recovery: residue is not a square")
         degrees.append(d)
         charp_rows.append([d * x * y % p for x, y in zip(w, inv_sizes)])
@@ -290,18 +298,19 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
     for o in {c.element_order for c in classes}:
         step = e // o
         dft[o] = [[theta_pow[-t * l * step % e] for l in range(o)] for t in range(o)]
-    rows = []
-    for d, chi_p in zip(degrees, charp_rows):
-        row = []
-        for c in classes:
-            o = c.element_order
-            inv_o = pow(o, p - 2, p)
-            values = list(map(chi_p.__getitem__, c.power_map[:o]))
+    columns = []
+    for c in classes:  # one column at a time, o^-1, its powers and DFT rows read once
+        o = c.element_order
+        inv_o, powers, dft_o = pow(o, p - 2, p), c.power_map[:o], dft[o]
+        column = []
+        for d, chi_p in zip(degrees, charp_rows):
+            values = list(map(chi_p.__getitem__, powers))
             # each count lies in [0, p), so the sum also bounds every count by d
-            counts = [sum(map(mul, values, dft_row)) * inv_o % p for dft_row in dft[o]]
+            counts = [sum(map(mul, values, dft_row)) * inv_o % p for dft_row in dft_o]
             require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
-            row.append(CycloNum.from_power_counts(o, counts))
-        rows.append(tuple(row))
+            column.append(CycloNum.from_power_counts(o, counts))
+        columns.append(column)
+    rows = list(zip(*columns))
 
     # rows in the order of their coefficient tuples: the identity value
     # (d, 0, ..., 0) leads with the degree
@@ -321,8 +330,9 @@ def _verify_orthogonality(table: CharacterTable):
     """Require sum_i |C_i| chi_a(i) chi_b(i*) = |G| delta_ab for every row
     pair a <= b of a square table with positive integer degrees.
 
-    Each pair is one `dot` over the classes, so its r products share one
-    reduction modulo Phi_exponent; the sum is compared exactly.
+    The classes on which every row is rational, as on their inverses, are one
+    exact int/Fraction `sum(map(mul, ...))` per pair; the others are one `dot`,
+    whose products share one reduction modulo Phi_field.
     """
     classes = table.classes
     r = len(classes)
@@ -339,13 +349,22 @@ def _verify_orthogonality(table: CharacterTable):
     # for a square table the row relations X D Y^T = |G| I, with D the class
     # sizes and Y[b][i] = chi_b(i*), imply the column relations Y^T X D = |G| I
     field = lcm(table.exponent, *(v.order for row in rows for v in row))
-    # each value's terms are read once, and every pair reuses them
-    terms = [[v.terms(field) for v in row] for row in rows]
-    starred = [list(map(row.__getitem__, inv_class)) for row in terms]
+    values = [[v.is_rational() for v in row] for row in rows]
+    rational = [None not in column for column in zip(*values)]
+    plain = [i for i in range(r) if rational[i] and rational[inv_class[i]]]
+    other = [i for i in range(r) if i not in plain]
+    weighted = [[sizes[i] * row[i] for i in plain] for row in values]
+    plain_starred = [[row[inv_class[i]] for i in plain] for row in values]
+    # each irrational value's terms are read once, and every pair reuses them
+    terms = [{i: row[i].terms(field) for i in other} for row in rows]
+    other_sizes = [sizes[i] for i in other]
+    other_terms = [[row[i] for i in other] for row in terms]
+    other_starred = [[row[inv_class[i]] for i in other] for row in terms]
     for a in range(r):
         for b in range(a, r):
-            total = dot(field, sizes, terms[a], starred[b])
-            require(total == (order if a == b else 0), f"row orthogonality fails at ({a}, {b})")
+            rest = (order if a == b else 0) - sum(map(mul, weighted[a], plain_starred[b]))
+            total = dot(field, other_sizes, other_terms[a], other_starred[b]) if other else 0
+            require(total == rest, f"row orthogonality fails at ({a}, {b})")
 
 
 # -- the reference A6 table --------------------------------------------------

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from a6k3.exact import CycloNum, _gauss_jordan, euler_phi, galois_apply, prime_factors
-from a6k3.permgrp import Perm, VerificationError, closure, conjugacy_classes, conjugate_group
+from a6k3.permgrp import Perm, VerificationError, _classes, _index, closure, conjugacy_classes, conjugate_group
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from a6k3.chartab import (
     _class_matrix,
@@ -366,26 +366,53 @@ def test_permutation_characters_decompose_into_rows(name):
             assert sum((m * row[k] for m, row in zip(mults, t.rows)), CycloNum.zero()) == v
 
 
-# per tower table: the classes whose matrices the split reads, and the
-# characteristic polynomials whose roots it scans; a space on which a class
-# matrix acts as a scalar is kept without a scan
+# per tower table: the classes whose matrices the split reads, in the order
+# it reads them, and the characteristic polynomials whose roots it scans.  The
+# non-rational classes come first, smaller classes first, as only they can
+# separate Galois-conjugate characters; S6 and PGammaL(2,9) have none.  A
+# space on which a class matrix acts as a scalar is kept without a scan
 SPLITS = {
-    "S6": ({1, 2}, 3),
-    "PGL(2,9)": ({1, 2, 3, 4, 5, 6, 7}, 5),
-    "M10": ({1, 2, 3, 4, 5, 6}, 4),
-    "PGammaL(2,9)": ({1, 2}, 6),
-    "PSL(2,9)": ({1, 2, 3, 4, 5}, 3),
+    "S6": ([1, 2], 3),
+    "PGL(2,9)": ([5, 6, 9, 10, 7], 6),
+    "M10": ([6, 7, 1], 2),
+    "PGammaL(2,9)": ([1, 2], 6),
+    "PSL(2,9)": ([5, 6, 2], 2),
 }
 
 
 @pytest.mark.parametrize("name", list(TOWER))
 def test_split_counts_only_the_class_matrices_it_reads(name, monkeypatch):
-    read, scans = set(), []
+    read, scans = [], []
     class_matrix, eigenvalues = chartab._class_matrix, chartab._eigenvalues
-    monkeypatch.setattr(chartab, "_class_matrix", lambda G, i: read.add(i) or class_matrix(G, i))
+    monkeypatch.setattr(chartab, "_class_matrix", lambda G, i: read.append(i) or class_matrix(G, i))
     monkeypatch.setattr(chartab, "_eigenvalues", lambda S, p: scans.append(S) or eigenvalues(S, p))
     character_table.__wrapped__(TOWER[name][0]())
     assert (read, len(scans)) == SPLITS[name]
+
+
+def test_relabeled_tables_are_the_tables():
+    # a relabeling t can reorder classes of one element order and size, and
+    # so break the ties of the split's read order (rational class, size,
+    # index) another way; the table of t G t^-1, its columns taken back
+    # through the conjugation, is still the table of G
+    rng = random.Random(3001)
+    moved = set()
+    for name, (build, _) in TOWER.items():
+        G = build()
+        table = character_table(G)
+        for _ in range(3):
+            t = Perm(rng.sample(range(G.degree), G.degree))
+            H = conjugate_group(G, t)
+            _, class_of, _ = _classes(H)
+            pos = _index(H)
+            cols = [class_of[pos[(t * c.representative * t.inverse()).images]] for c in table.classes]
+            rows = [tuple(row[k] for k in cols) for row in character_table(H).rows]
+            assert sorted(rows, key=lambda row: [v.coeffs for v in row]) == list(table.rows)
+            if cols != sorted(cols):
+                moved.add(name)
+    # the equal-size classes of PGammaL(2,9) differ in their fixed points, so
+    # their least members keep one order under every relabeling
+    assert moved == set(TOWER) - {"PGammaL(2,9)"}
 
 
 def full_split(M, B, pivots, p):
@@ -449,9 +476,10 @@ def test_match_embeds_no_computed_value(monkeypatch):
 
 
 def test_orthogonality_reads_each_value_once(monkeypatch):
-    # each of the r^2 values is split into its terms once per check, not
-    # once per row pair it enters
-    t = character_table(build_pgammal29())
+    # a value on a class where some row is irrational is split into its terms
+    # once per check, not once per row pair it enters; the classes where
+    # every row is rational are summed as plain numbers and never split.
+    # Every value of PGammaL(2,9) is rational
     terms, calls = CycloNum.terms, []
 
     def counted(v, m):
@@ -459,9 +487,12 @@ def test_orthogonality_reads_each_value_once(monkeypatch):
         return terms(v, m)
 
     monkeypatch.setattr(CycloNum, "terms", counted)
-    _verify_orthogonality(t)
-    r = len(t.classes)
-    assert len(calls) == r * r == 169
+    for build, irrational, count in ((build_pgammal29, [], 0), (build_pgl29, [5, 6, 7, 8, 9, 10], 66)):
+        t = character_table(build())
+        assert [i for i, column in enumerate(zip(*t.rows)) if any(v.is_rational() is None for v in column)] == irrational
+        calls.clear()
+        _verify_orthogonality(t)
+        assert len(calls) == len(t.rows) * len(irrational) == count
 
 
 def test_orthogonality_embeds_no_value(monkeypatch):
@@ -590,24 +621,42 @@ def corrupted_entry(table, seed):
 
 
 def test_orthogonality_check_matches_the_full_check():
-    t = character_table(build_pgl29())
-    outcomes = set()
-    seen = set()
-    for seed in range(200):
-        bad = corrupted_entry(t, seed)
-        key = tuple((v.order, v.coeffs) for row in bad.rows for v in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        passes = naive_orthogonality(bad)
-        outcomes.add(passes)
-        if passes:
-            _verify_orthogonality(bad)
-        else:
-            with pytest.raises(VerificationError):
+    # every class of S6 is rational, so there a corruption that makes a
+    # value irrational moves its class out of the plain rational sum
+    for G in (build_pgl29(), classify_overgroups().s6):
+        t = character_table(G)
+        outcomes = set()
+        seen = set()
+        irrational = 0
+        for seed in range(200):
+            bad = corrupted_entry(t, seed)
+            key = tuple((v.order, v.coeffs) for row in bad.rows for v in row)
+            if key in seen:
+                continue
+            seen.add(key)
+            irrational += any(v.is_rational() is None for row in bad.rows for v in row)
+            passes = naive_orthogonality(bad)
+            outcomes.add(passes)
+            if passes:
                 _verify_orthogonality(bad)
-    # some corruptions leave the table unchanged, most do not
-    assert len(seen) >= 100 and outcomes == {True, False}
+            else:
+                with pytest.raises(VerificationError):
+                    _verify_orthogonality(bad)
+        # some corruptions leave the table unchanged, most do not
+        assert len(seen) >= 100 and outcomes == {True, False} and irrational > 0
+
+
+def test_rational_column_with_an_irrational_inverse_column_fails_cleanly():
+    # M10's classes 6 and 7 are inverse to each other, and each column holds
+    # two irrational values; made rational on class 6 alone, the column
+    # pairs with an irrational one and must fail the check, not the sum
+    t = character_table(classify_overgroups().m10)
+    assert [c.power_map[c.element_order - 1] for c in t.classes[6:]] == [7, 6]
+    rows = tuple((*row[:6], CycloNum.from_rational(1), row[7]) for row in t.rows)
+    bad = with_fields(t, rows=rows)
+    assert not naive_orthogonality(bad)
+    with pytest.raises(VerificationError, match="row orthogonality"):
+        _verify_orthogonality(bad)
 
 
 def test_orthogonality_check_rejects_a_table_of_the_wrong_shape():
@@ -645,6 +694,21 @@ def test_class_inversion_must_be_a_size_preserving_involution():
     for cls in (not_involution, size_changing):
         with pytest.raises(VerificationError, match="involution"):
             _verify_orthogonality(with_fields(t, classes=tuple(cls)))
+
+
+def test_inversion_swapping_two_rational_classes_is_checked():
+    # S6's classes 1 and 2 have one size and rational, unequal columns; with
+    # class data that makes them inverse to each other, the plain rational
+    # sum must pair column 1 with column 2, and the table fails
+    t = character_table(classify_overgroups().s6)
+    assert t.classes[1].size == t.classes[2].size and t.classes[1].element_order == 2
+    classes = list(t.classes)
+    for k, target in ((1, 2), (2, 1)):
+        classes[k] = classes[k]._replace(power_map=tuple(target if l % 2 else 0 for l in range(len(classes[k].power_map))))
+    bad = with_fields(t, classes=tuple(classes))
+    assert not naive_orthogonality(bad)
+    with pytest.raises(VerificationError, match="row orthogonality"):
+        _verify_orthogonality(bad)
 
 
 def test_factorization_against_brute_force():
