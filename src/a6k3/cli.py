@@ -2,13 +2,13 @@
 and emits a deterministic text or JSON report.
 
 Exit status: 0 when every check in scope passes (for `all` and `exclude`
-this includes the verdict M10_2), 1 when a check fails, 2 on usage errors.
-The report carries a verdict only when every check in it passed.
-A stage that raises shows up as one failing `<stage>.error` check, and the
-later stages still run; its traceback goes to stderr with -v, and only then
-is the `traceback` module imported.  The text report renders the A6 table
-after the stages have run; a table that fails to render is a failing
-`render.error` check in the same way, and voids the verdict.
+this includes the verdict M10_2), 1 when a check fails or stdout is closed,
+2 on usage errors.  The report carries a verdict only when every check in
+it passed.  A stage that raises shows up as one failing `<stage>.error`
+check, and the later stages still run; its traceback goes to stderr with
+-v, and only then is the `traceback` module imported.  The text report
+renders the A6 table after the stages have run; a table that fails to
+render is a failing `render.error` check in the same way, and voids the verdict.
 Nothing mathematical is configurable; the fixtures are frozen and only the
 presentation varies.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chartab import CharacterTable, character_table, class_labels, match_reference_table
@@ -403,7 +404,12 @@ def main(argv=None) -> int:
         except OSError as exc:
             parser.error(f"cannot write the report to {args.out}: {exc.strerror}")
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except BrokenPipeError:  # not delivered; devnull takes the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
 
     ok = all(check["status"] == "pass" for check in report["checks"])
     if args.command in ("all", "exclude"):

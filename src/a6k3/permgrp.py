@@ -7,9 +7,9 @@ refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
 A permutation's images are stored as bytes up to degree 256 and as a tuple
-above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_conjugation`,
-`_commuting` and `_right_products` know which.  Bytes cache their hash and
-sort like tuples of ints, and a composition is one `bytes.translate` call.
+above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_invert`,
+`_conjugation`, `_commuting` and `_right_products` know which.  Bytes cache
+their hash and sort like tuples of ints; a product is one `translate` call.
 `_conjugation` takes images padded by `_pads`, two C calls per element, so a
 pass that conjugates the same images by several elements pads them once;
 the pads are transient and never memoized on a group.  A group is the
@@ -136,18 +136,14 @@ class Perm:
         return Perm._raw(_rmul(b)(_pad(a)))
 
     def inverse(self) -> "Perm":
-        return Perm._raw(_pack(sorted(range(len(self.images)), key=self.images.__getitem__)))
+        return Perm._raw(_invert(self.images))
 
     def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
+        out, base = Perm.identity(self.degree), self if k >= 0 else self.inverse()
+        for bit in reversed(f"{abs(k):b}"):  # one step per bit of |k|
+            if bit == "1":
                 out = out * base
             base = base * base
-            k >>= 1
         return out
 
     def order(self) -> int:
@@ -213,8 +209,8 @@ class Perm:
 # bytes: they hash once and compare like tuples of ints, x * s is
 # s.translate(x padded to 256 entries) (`_rmul`) and s * x is
 # x.translate(s padded) (`_lmul`), one C call each, so s^-1 x s is two from
-# a padded x (`_conjugation`).  Above, they are tuples composed by
-# itemgetter; conjugation_image acts on 360 points.
+# a padded x (`_conjugation`); x^-1 is one `maketrans` (`_invert`).  Above,
+# they are tuples composed by itemgetter; conjugation_image acts on 360 points.
 # _TAILS[n]: the points n..255, which an n-point image fixes as a table
 _TAILS = [bytes(range(256))[n:] for n in range(257)]
 
@@ -248,11 +244,18 @@ def _lmul(a):
     return lambda xs: (itemgetter(*x)(t) for x in xs)
 
 
+def _invert(x):
+    """The stored images of x^-1: the table that maps x to the identity."""
+    if type(x) is bytes:
+        return bytes.maketrans(x, _TAILS[0][: len(x)])[: len(x)]
+    return tuple(sorted(range(len(x)), key=x.__getitem__))
+
+
 def _conjugation(s: Perm):
     """The map pads |-> (s^-1 x s for x in the images padded by `_pads`):
     x * s and then s^-1 * (x * s), two C calls per x.  A pass that conjugates
     the same images by several elements pads them once."""
-    left, right = _lmul(s.inverse().images), _rmul(s.images)
+    left, right = _lmul(_invert(s.images)), _rmul(s.images)
     return lambda pads: left(map(right, pads))
 
 
@@ -710,10 +713,22 @@ def conjugate_group(G: PermGroup, t: Perm) -> PermGroup:
     return PermGroup(gens, G.degree, tuple(sorted(conj(_pads(G.images, G.degree)))))
 
 
+def _simple_by_class_equation(sizes) -> bool:
+    """For the class sizes of a group G, the identity's first: True when no
+    union of classes through 1 but {1} and G has an order dividing |G|."""
+    n, orders = sum(sizes), {1}  # the orders of the unions through the identity
+    for size in sizes[1:]:
+        orders |= {m + size for m in orders}
+    return all(n % m for m in orders - {1, n})
+
+
 def is_a6_certified(G: PermGroup) -> bool:
-    """Certificate for "isomorphic to A6": perfect, order 360, and the A6
-    classes, element orders and sizes."""
-    if len(G) != 360 or derived_subgroup(G) != G:
+    """Certificate for "isomorphic to A6": order 360, A6's class orders and
+    sizes, and no union of classes through 1 but {1} and G of an order that
+    divides 360.  A normal subgroup is such a union, so G is simple; it is
+    not abelian, so perfect; and a simple group of order 360 is A6."""
+    if len(G) != 360:
         return False
     classes, _, orders = _classes(G)
-    return tuple(zip(orders, map(len, classes))) == A6_CLASS_SHAPE
+    sizes = tuple(map(len, classes))
+    return tuple(zip(orders, sizes)) == A6_CLASS_SHAPE and _simple_by_class_equation(sizes)

@@ -77,16 +77,11 @@ class F9:
         return self * other.inverse()
 
     def __pow__(self, k: int) -> "F9":
-        out = F9(1)
-        base = self
-        if k < 0:
-            base = base.inverse()
-            k = -k
-        while k:
-            if k & 1:
+        out, base = F9(1), self if k >= 0 else self.inverse()
+        for bit in reversed(f"{abs(k):b}"):  # one step per bit of |k|
+            if bit == "1":
                 out = out * base
             base = base * base
-            k >>= 1
         return out
 
     def frobenius(self) -> "F9":

@@ -3,13 +3,13 @@
 import copy
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import gcd
 
 import pytest
 
 from a6k3.exact import CycloNum, _gauss_jordan, euler_phi, galois_apply, prime_factors
-from a6k3.permgrp import Perm, VerificationError, _classes, _index, closure, conjugacy_classes, conjugate_group
+from a6k3.permgrp import A6_CLASS_SHAPE, Perm, VerificationError, _classes, _index, closure, conjugacy_classes, conjugate_group
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from a6k3.chartab import (
     _class_matrix,
@@ -457,6 +457,18 @@ def test_scalar_restriction_keeps_its_space(p):
             assert parts == full_split(M, whole, list(range(r)), p) and len(parts) == len(set(d))
     # the scalar matrices include some that are not lam I
     assert scalar > 0
+
+
+def test_column_swaps_leave_the_golden_key():
+    # swapping 3A/3B or 5A/5B only permutes the golden rows, so the key of
+    # every swap is the one key match_reference_table compares with
+    orders = [o for o, _ in A6_CLASS_SHAPE]
+    keys = set()
+    for swap3, swap5 in product((False, True), repeat=2):
+        cols = [0, 1, *((3, 2) if swap3 else (2, 3)), 4, *((6, 5) if swap5 else (5, 6))]
+        swapped = [tuple(row[c].embed(o) for c, o in zip(cols, orders)) for row in reference_a6_rows()]
+        keys.add(chartab._row_multiset_key(swapped))
+    assert keys == {chartab._golden_key()}
 
 
 def test_match_embeds_no_computed_value(monkeypatch):

@@ -215,8 +215,8 @@ def test_report_commands_cover_all_stages():
 
 
 def test_warm_report_builds_no_golden_key():
-    # the golden table's keys are built once per column swap; a
-    # second report in the same process finds all of them built
+    # the golden table's key is built once; a second report in the same
+    # process finds it built
     build_report("all")
     misses = chartab._golden_key.cache_info().misses
     build_report("all")
@@ -300,6 +300,20 @@ with contextlib.redirect_stdout(out):
 print(code, "traceback" in sys.modules)
 print(*(line for line in out.getvalue().splitlines() if line.startswith("[FAIL]")), sep="\\n")
 """
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # the reader is gone before the report is written: exit status 1, since
+    # the report was not delivered, and nothing on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "a6k3.cli", "all", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 1
+    assert stderr == b""
 
 
 def run_isolated(code):

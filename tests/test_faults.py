@@ -206,8 +206,7 @@ EVERY_GROUP = (
 # mutant's patch changes; a warm cache would hide the mutant, and a stale one
 # would outlive it
 REBUILT = {
-    # the golden rows are read through the row-multiset key of each column
-    # swap, built once
+    # the golden rows are read through their row-multiset key, built once
     golden_entry: (chartab._golden_key,),
     mu4_generator: (extbuild.build_candidate,),
     coset_position: (extbuild.build_candidate,),

@@ -16,10 +16,14 @@ from a6k3.permgrp import (
     PermGroup,
     VerificationError,
     _abelian_invariants,
+    _classes,
     _cosets,
     _index,
+    _invert,
     _normal_action,
+    _pack,
     _right_products,
+    _simple_by_class_equation,
     _subgroup,
     center,
     centralizer_of_subgroup,
@@ -348,6 +352,54 @@ def test_is_a6_certified(monkeypatch):
     # wrong fails it though every size still matches
     monkeypatch.setattr(permgrp, "A6_CLASS_SHAPE", (*A6_CLASS_SHAPE[:-1], (6, 72)))
     assert not is_a6_certified(alternating6())
+
+
+def test_class_equation_certifies_simplicity():
+    assert _simple_by_class_equation([size for _, size in A6_CLASS_SHAPE])
+    # S5 x C3 also has order 360, and its normal subgroups C3, A5 and A5 x C3
+    # are unions of classes through 1 whose orders divide 360
+    s5_c3 = closure([Perm.from_cycles(c, 8) for c in ([(0, 1)], [(0, 1, 2, 3, 4)], [(5, 6, 7)])])
+    sizes = list(map(len, _classes(s5_c3)[0]))
+    assert len(s5_c3) == 360 and len(sizes) == 21
+    assert not _simple_by_class_equation(sizes)
+    assert not is_a6_certified(s5_c3)
+
+
+def test_certified_groups_are_perfect():
+    # the old certificate, derived_subgroup(H) == H, as an oracle on every
+    # group the report certifies
+    certified = [alternating6(), build_psl29(), *(build_candidate(kind).a6 for kind in KINDS)]
+    for H in certified:
+        assert is_a6_certified(H)
+        assert derived_subgroup(H) == H
+
+
+@pytest.mark.parametrize("degree", [14, 300])
+def test_invert_both_image_formats(degree):
+    rng = random.Random(degree)
+    one = Perm.identity(degree)
+    for _ in range(5):
+        images = list(range(degree))
+        rng.shuffle(images)
+        x = Perm(images)
+        inv = _invert(x.images)
+        assert type(inv) is type(_pack(images))
+        assert x * Perm._raw(inv) == one == Perm._raw(inv) * x
+        assert x.inverse().images == inv
+
+
+@pytest.mark.parametrize("degree", [14, 300])
+def test_negative_powers_are_powers_of_the_inverse(degree):
+    rng = random.Random(degree + 1)
+    images = list(range(degree))
+    rng.shuffle(images)
+    p = Perm(images)
+    power = Perm.identity(degree)
+    for k in range(13):
+        # p^k as k products, the oracle for the square-and-multiply loop
+        assert p**k == power
+        assert p ** -k == p.inverse() ** k
+        power = power * p
 
 
 def index_table_groups():

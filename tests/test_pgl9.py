@@ -44,6 +44,16 @@ def test_field_axioms_all_pairs():
         assert (x * y) * z == x * (y * z)
 
 
+def test_negative_powers_are_powers_of_the_inverse():
+    for x in f9_elements()[1:]:
+        power = F9(1)
+        for k in range(11):
+            # x^k as k products, the oracle for the square-and-multiply loop
+            assert x**k == power
+            assert x ** -k == x.inverse() ** k
+            power = power * x
+
+
 def test_multiplicative_group_cyclic_of_order_8():
     g = F9(1, 1)
     powers = {g}
@@ -149,6 +159,20 @@ def test_m10_order4_class_check():
     assert facts.order4_count == count and count > 0
     with pytest.raises(ValueError):
         m10_order4_class_check(split.m10, split.s6)
+
+
+def test_coset_involutions_of_s6_and_pgl():
+    # the cosets of PSL(2,9) in S6 and PGL(2,9) hold involutions, where the
+    # one in M10 holds none; each count is checked against a scan of orders
+    from a6k3.pgl9 import m10_order4_class_check
+
+    split = classify_overgroups()
+    psl = build_psl29()
+    for over, involutions in ((split.s6, 30), (split.pgl, 36)):
+        facts = m10_order4_class_check(over, psl)
+        outside = [x.order() for x in over.elements if x not in psl]
+        assert facts.involutions_outside == outside.count(2) == involutions
+        assert facts.order4_count == outside.count(4)
 
 
 def test_derived_tower_of_pgammal():
