@@ -73,12 +73,6 @@ class ClassAlgebra:
     def __init__(self, group_order: int, classes: tuple[ConjClassData, ...], constants: tuple):
         self.group_order, self.classes, self.constants = group_order, classes, constants
 
-    def check_consistency(self):
-        """sum_k a[i][j][k] |C_k| = |C_i| |C_j| for all i, j."""
-        sizes = [c.size for c in self.classes]
-        for i, M in enumerate(self.constants):
-            _require_consistent(M, i, sizes)
-
 
 def _require_consistent(M, i: int, sizes):
     # sum_k M[j][k] |C_k| = |C_i| |C_j| for the class matrix M = M_i

@@ -316,6 +316,31 @@ def test_closed_stdout_ends_without_a_traceback():
     assert stderr == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_unwritable_stdout_is_one_stderr_line():
+    # a write that fails for another reason than a closed pipe: exit status 1
+    # and one line on stderr, no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "a6k3.cli", "all", "--format", "json"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["a6k3: cannot write the report: No space left on device"]
+
+
+def test_report_is_the_same_under_any_hash_seed():
+    # the groups are sets of bytes, whose iteration order follows the hash seed
+    for seed in ("0", "1", "42"):
+        env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent), PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-m", "a6k3.cli", "all", "--format", "json"],
+            capture_output=True, env=env, check=True,
+        ).stdout
+        assert hashlib.md5(out).hexdigest() == REPORT_DIGEST, seed
+
+
 def run_isolated(code):
     # -S: no site module, so no .pth file of the host imports anything first
     env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent))

@@ -365,10 +365,22 @@ def test_exclusion_reads_its_nikulin_table():
 
 
 def test_unexcluded_kind_voids_the_verdict(monkeypatch):
-    # a square permutation without fixed points breaks the pigeonhole argument
-    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (0, 1, 720))
+    # a square permutation without fixed points breaks the pigeonhole
+    # argument; one fixed point still closes it
     table = chartab.character_table(build_psl29())
-    report = run_exclusion(build_all_candidates().values(), table, NikulinTable())
-    assert report.verdict is None
-    open_kinds = {o.kind for o in report.outcomes if o.status == k3verify.NO_CONTRADICTION}
-    assert open_kinds == {"A6_4", "S6_2"}
+    for scan, verdict, open_kinds in (((0, 1, 720), None, {"A6_4", "S6_2"}), ((1, 256, 720), "M10_2", set())):
+        monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda scan=scan: scan)
+        report = run_exclusion(build_all_candidates().values(), table, NikulinTable())
+        assert report.verdict == verdict
+        assert {o.kind for o in report.outcomes if o.status == k3verify.NO_CONTRADICTION} == open_kinds
+
+
+def test_unexcluded_kind_fails_the_pipeline_check(monkeypatch, capsys):
+    # the verdict is compared with its claim in one check, which fails; the
+    # exit status reads nothing but the checks
+    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (0, 1, 720))
+    assert cli.main(["exclude", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    assert status["exclude.pipeline"] == "fail" and report["verdict"] is None
+    assert not any(i.endswith(".error") for i in status)

@@ -253,6 +253,9 @@ def test_argument_3class_trace():
         assert out.axioms_used == ("A2",)
     out = argument_3class_trace(SignCase(-1, -1, 1), table, mv)
     assert out.status == NOT_APPLICABLE
+    # chi3 alone: the trace 1 + chi3(3B) = 0 is no contradiction
+    out = argument_3class_trace(SignCase(-1, 1, -1), table, MultiplicityVector(0, 1, 0, 0, 0, 0))
+    assert (out.status, out.witnesses["trace"]) == (NO_CONTRADICTION, 0)
 
 
 def test_3class_trace_terms_must_add_up(monkeypatch):
@@ -594,14 +597,14 @@ def test_diagonal_against_dense_elimination():
 
 
 def test_lattice_checks_report():
-    report = lattice_checks()
-    assert report.ok
-    by_name = {e.name: e for e in report.entries}
+    entries = lattice_checks()
+    by_name = {e.name: e for e in entries}
+    assert {name: e[1:] for name, e in by_name.items()} == cli.CLAIMS["lattice.forms"][1]
     assert by_name["U^3 + E8^2"].signature == (3, 19)
     assert abs(by_name["U^3 + E8^2"].determinant) == 1
     assert by_name["T(F)"].determinant == 36
     assert by_name["T(F)"].signature == (2, 0)
-    assert all(e.even for e in report.entries)
+    assert all(e.even for e in entries)
 
 
 def test_exclusion_runs_each_shared_argument_once(monkeypatch):

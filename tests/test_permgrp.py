@@ -302,6 +302,12 @@ def test_abelianization_klein_four():
     assert fingerprint(V4).abelianization == (2, 2)
     C6 = closure([Perm.from_cycles([(0, 1, 2), (3, 4)], 5)])
     assert fingerprint(C6).abelianization == (6,)
+    # two groups of order 16 and exponent 4, told apart by how many elements
+    # have order dividing 2
+    C4xC4 = closure([Perm.from_cycles([(0, 1, 2, 3)], 8), Perm.from_cycles([(4, 5, 6, 7)], 8)])
+    assert fingerprint(C4xC4).abelianization == (4, 4)
+    C4xC2xC2 = closure([Perm.from_cycles(c, 8) for c in ([(0, 1, 2, 3)], [(4, 5)], [(6, 7)])])
+    assert fingerprint(C4xC2xC2).abelianization == (4, 2, 2)
 
 
 def test_class_equation_randomized():

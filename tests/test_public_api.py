@@ -100,3 +100,54 @@ def test_the_report_format_lives_in_cli():
                 misplaced.append(f"{path.stem} imports from json")
     assert misplaced == []
     assert RENDERERS <= in_cli
+
+
+# each of the paper's answers with the top-level names that may hold it: the
+# claims table, and for the verdict the candidate labels of extbuild
+CLAIMED = {("cli", "CLAIMS")}
+ANSWERS = {
+    "M10_2": CLAIMED | {("extbuild", "KINDS"), ("extbuild", "_KIND_BY_FUSION")},
+    (1, 5, 5, 8, 8, 9, 10): CLAIMED,
+    (1, 1, 0, 0, 1, 0): CLAIMED,
+    frozenset({(-1, 1, -1), (1, -1, -1), (-1, -1, -1), (-1, -1, 1)}): CLAIMED,
+    (2, -1, True, (1, 1)): CLAIMED,
+    (8, 1, True, (0, 8)): CLAIMED,
+    (22, -1, True, (3, 19)): CLAIMED,
+    (2, 36, True, (2, 0)): CLAIMED,
+}
+NOT_LITERAL = object()
+
+
+def literal(node):
+    """The value a node writes out, with a set read as a frozenset and a
+    call such as `SignCase(-1, 1, -1)` as the tuple of its arguments."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = literal(node.operand)
+        return -value if isinstance(value, int) else NOT_LITERAL
+    if isinstance(node, ast.Call) and not node.keywords:
+        parts = node.args
+    elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        parts = node.elts
+    else:
+        return NOT_LITERAL
+    values = tuple(map(literal, parts))
+    if NOT_LITERAL in values:
+        return NOT_LITERAL
+    return frozenset(values) if isinstance(node, ast.Set) else values
+
+
+def test_the_paper_answers_are_stated_once():
+    # the engine checks its computations against themselves; only the claims
+    # table compares them with the paper
+    found = {answer: set() for answer in ANSWERS}
+    for path in sorted(SRC.glob("*.py")):
+        for top in parse(path).body:
+            targets = getattr(top, "targets", [top])
+            name = getattr(targets[0], "id", getattr(top, "name", None))
+            for node in ast.walk(top):
+                value = literal(node)
+                if value is not NOT_LITERAL and value in ANSWERS:
+                    found[value].add((path.stem, name))
+    assert found == ANSWERS
