@@ -167,11 +167,12 @@ def decomposition_system(table: CharacterTable, nikulin: NikulinTable) -> tuple[
     """One equation per conjugacy class, with exact cyclotomic coefficients."""
     if not match_reference_table(table):
         raise ValueError("character table does not match the golden A6 table")
+    rows = _degree_rows(table)
     labels = class_labels(table.classes)
     eqs = []
     for pos, (lbl, c) in enumerate(zip(labels, table.classes)):
         fixed = nikulin.fixed_euler(c.element_order)
-        coeffs = tuple(table.rows[i][pos] for i in range(1, 7))
+        coeffs = tuple(rows[i][pos] for i in range(1, 7))
         eqs.append(
             ClassEquation(
                 label=lbl,

@@ -1,6 +1,9 @@
 """The command-line front end: report shapes, determinism, exit codes."""
 
+import ast
+import gc
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -13,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import a6k3
-from a6k3 import chartab
+from a6k3 import chartab, cli
 from a6k3.chartab import character_table
 from a6k3.cli import COMMANDS, REPORT_VERSION, build_report, main, render_table_text
 from a6k3.exact import CycloNum, euler_phi
@@ -345,6 +348,51 @@ def run_isolated(code):
     # -S: no site module, so no .pth file of the host imports anything first
     env = dict(os.environ, PYTHONPATH=str(Path(a6k3.__file__).parent.parent))
     return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+
+
+# the process entry: the run's objects end frozen, out of the exit's collection
+FROZEN_EXIT = """
+import contextlib, gc, io
+from a6k3 import cli
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["lattice", "--format", "json"])
+print(code, before, gc.get_freeze_count())
+"""
+
+
+def test_run_freezes_the_objects_of_the_run():
+    proc = run_isolated(FROZEN_EXIT)
+    assert proc.stderr == ""
+    code, before, after = map(int, proc.stdout.split())
+    assert code == 0 and before == 0 and after > 0
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # an in-process caller keeps its collector: a long-lived process that
+    # froze each report would grow its memory without bound
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "lattice", "--format", "json")[0] == 0
+    assert gc.get_freeze_count() == before and gc.isenabled()
+
+
+def test_no_finalizer_for_a_frozen_exit_to_skip():
+    # frozen objects are never collected, so a __del__ on a cycle among them would never run
+    finalizers = [
+        (path.name, node.lineno)
+        for path in sorted(Path(a6k3.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "__del__"
+    ]
+    assert finalizers == []
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["a6k3"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 def test_import_path_skips_unused_stdlib_machinery():

@@ -147,6 +147,17 @@ def test_decomposition_system_requires_matching_table():
         decomposition_system(character_table(C4), NikulinTable())
 
 
+def test_decomposition_system_reads_the_rows_in_degree_order():
+    # the golden rows with chi2 (degree 5) and chi6 (degree 9) swapped: the
+    # same multiset, but the a2 and a6 columns would belong to other characters
+    table = copy.copy(a6_table())
+    rows = list(table.rows)
+    rows[1], rows[5] = rows[5], rows[1]
+    table.rows = rows
+    with pytest.raises(VerificationError, match="golden rows"):
+        decomposition_system(table, NikulinTable())
+
+
 def test_solve_decomposition_unique():
     equations = decomposition_system(a6_table(), NikulinTable())
     sols = solve_decomposition(equations)
