@@ -321,6 +321,7 @@ def argument_nonintegral(case: SignCase, swap23: bool) -> ArgumentOutcome:
         return ArgumentOutcome(name, None, case, NOT_APPLICABLE, {"reason": "sign case outside the argument's range"})
     dim = 9 if swap23 else 19
     z4 = CycloNum.zeta(4)
+    require(z4 * z4 == -1, "the integrality argument's zeta4 is not a square root of -1")
     nonintegral = []
     for n in range(dim + 1):
         value = 3 + (dim - 2 * n) * z4
@@ -358,6 +359,16 @@ def _min_fixed_of_square() -> tuple[int, int, int]:
     return best, eligible, scanned
 
 
+def _fourth_roots_of_identity(n: int) -> int:
+    # the p in S_n with p^4 = id: the cycle types with m4 4-cycles, m2
+    # 2-cycles and fixed points, each of n!/z with z = prod_i i^m_i m_i!
+    return sum(
+        factorial(n) // (4**m4 * factorial(m4) * 2**m2 * factorial(m2) * factorial(n - 4 * m4 - 2 * m2))
+        for m4 in range(n // 4 + 1)
+        for m2 in range((n - 4 * m4) // 2 + 1)
+    )
+
+
 def _least_commuting(candidate: ExtensionCandidate, order: int) -> Perm:
     """The least element of the given order in candidate.a6 that commutes with gtilde."""
     a6 = candidate.a6
@@ -376,9 +387,12 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
     name = "pigeonhole"
     if kind not in ("A6_4", "S6_2") or candidate.kind != kind:
         raise ValueError("argument applies to the A6_4 and S6_2 candidates only")
-    tau = _least_commuting(candidate, 3)
+    tau, gtilde = _least_commuting(candidate, 3), candidate.gtilde
+    require(tau.order() == 3, "the pigeonhole's tau is not of order 3")
+    require(tau * gtilde == gtilde * tau, "the pigeonhole's tau does not commute with gtilde")
     min_fixed, eligible, scanned = _min_fixed_of_square()
     require(scanned == factorial(6), "the pigeonhole scan missed a permutation of 6 points")
+    require(eligible == _fourth_roots_of_identity(6), "the pigeonhole scan miscounted the p with p^4 = id")
     status = CONTRADICTION if min_fixed > 0 else NO_CONTRADICTION
     return ArgumentOutcome(
         name,
@@ -404,7 +418,9 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     name = "order5_blocks"
     if candidate.kind != "PGL29_2":
         raise ValueError("argument applies to the PGL29_2 candidate only")
-    sigma = _least_commuting(candidate, 5)
+    sigma, gtilde = _least_commuting(candidate, 5), candidate.gtilde
+    require(sigma.order() == 5, "the order-5 blocks' sigma is not of order 5")
+    require(sigma * gtilde == gtilde * sigma, "the order-5 blocks' sigma does not commute with gtilde")
 
     # axiom A1 forces an empty iota fixed locus in this sign case, hence an
     # empty gtilde fixed locus: 0 = 2 + 1 + (9 - 2s) pins the block split

@@ -25,9 +25,9 @@ which `_index(A)` numbers.  The classes of G are the orbits of
 `_normal_action(G, G)`; class fusion and the normality of an overgroup's
 subgroup read it only by the generators outside the subgroup, since one
 inside maps every class to itself.  `_dimino` is the one closure, plain or normal;
-`_orbits` the one orbit partition, and `_fusion` the one class-fusion
-routine; only `conjugation_image` walks the Cayley graph of G, from the
-identity.
+`_orbits` the one orbit partition, one labelling pass that returns ascending
+lists, and `_fusion` the one class-fusion routine; only `conjugation_image`
+walks the Cayley graph of G, from the identity.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
@@ -307,17 +307,22 @@ def _dimino(seeds, degree: int, conjugations=()) -> tuple[set, list]:
     return els, used
 
 
-def _orbits(n: int, tables) -> list[set]:
-    """The orbits of range(n) under the int tables, ordered by least member."""
-    seen, orbits = set(), []
+def _orbits(n: int, tables) -> list[list[int]]:
+    """The orbits of range(n) under the int tables as ascending lists,
+    ordered by least member: one labelling pass, in which each unseen point
+    starts a list that grows while it is walked, so nothing recurses."""
+    seen, orbits = [False] * n, []
     for x in range(n):
-        if x not in seen:
-            orbit = frontier = {x}
-            while frontier:
-                frontier = {T[y] for T in tables for y in frontier} - orbit
-                orbit |= frontier
+        if not seen[x]:
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:
+                for T in tables:
+                    if not seen[z := T[y]]:
+                        seen[z] = True
+                        orbit.append(z)
+            orbit.sort()
             orbits.append(orbit)
-            seen |= orbit
     return orbits
 
 
@@ -428,7 +433,7 @@ def _classes(G: PermGroup) -> tuple[tuple[list[int], ...], list[int], tuple[int,
     (element order, size, least element), the class of each index, and the
     element order of each class."""
     imgs = G.images
-    orbits = [sorted(orbit) for orbit in _orbits(len(imgs), _normal_action(G, G))]
+    orbits = _orbits(len(imgs), _normal_action(G, G))
     orders, _, _, classes = zip(*sorted((Perm._raw(imgs[o[0]]).order(), len(o), o[0], o) for o in orbits))
     require(sum(map(len, classes)) == len(G), "class equation violated")
     class_of = [0] * len(G)

@@ -368,7 +368,7 @@ def test_unexcluded_kind_voids_the_verdict(monkeypatch):
     # a square permutation without fixed points breaks the pigeonhole
     # argument; one fixed point still closes it
     table = chartab.character_table(build_psl29())
-    for scan, verdict, open_kinds in (((0, 1, 720), None, {"A6_4", "S6_2"}), ((1, 256, 720), "M10_2", set())):
+    for scan, verdict, open_kinds in (((0, 256, 720), None, {"A6_4", "S6_2"}), ((1, 256, 720), "M10_2", set())):
         monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda scan=scan: scan)
         report = run_exclusion(build_all_candidates().values(), table, NikulinTable())
         assert report.verdict == verdict
@@ -378,7 +378,7 @@ def test_unexcluded_kind_voids_the_verdict(monkeypatch):
 def test_unexcluded_kind_fails_the_pipeline_check(monkeypatch, capsys):
     # the verdict is compared with its claim in one check, which fails; the
     # exit status reads nothing but the checks
-    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (0, 1, 720))
+    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (0, 256, 720))
     assert cli.main(["exclude", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     status = {c["id"]: c["status"] for c in report["checks"]}

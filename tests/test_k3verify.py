@@ -335,6 +335,51 @@ def test_pigeonhole_requires_a_full_scan(monkeypatch):
         argument_pigeonhole("A6_4", build_all_candidates()["A6_4"])
 
 
+def test_pigeonhole_requires_the_closed_form_count(monkeypatch):
+    # 256 = the sum of 6!/z over the cycle types of S6 with parts in {1, 2, 4}
+    monkeypatch.setattr(k3verify, "_min_fixed_of_square", lambda: (2, 255, 720))
+    with pytest.raises(VerificationError, match="miscounted"):
+        argument_pigeonhole("A6_4", build_all_candidates()["A6_4"])
+
+
+def wrong_witness(order, commuting):
+    # the least element of candidate.a6 of the given order that commutes, or
+    # does not commute, with gtilde
+    def pick(candidate, _):
+        g = candidate.gtilde
+        return next(x for x in candidate.a6.elements if x.order() == order and (x * g == g * x) == commuting)
+
+    return pick
+
+
+@pytest.mark.parametrize(
+    "order, commuting, match",
+    [(1, True, "tau is not of order 3"), (3, False, "tau does not commute")],
+)
+def test_pigeonhole_requires_its_tau(monkeypatch, order, commuting, match):
+    # in A6_4 gtilde centralizes the A6, so every tau commutes with it
+    monkeypatch.setattr(k3verify, "_least_commuting", wrong_witness(order, commuting))
+    with pytest.raises(VerificationError, match=match):
+        argument_pigeonhole("S6_2", build_all_candidates()["S6_2"])
+
+
+@pytest.mark.parametrize(
+    "order, commuting, match",
+    [(1, True, "sigma is not of order 5"), (5, False, "sigma does not commute")],
+)
+def test_order5_blocks_require_their_sigma(monkeypatch, order, commuting, match):
+    monkeypatch.setattr(k3verify, "_least_commuting", wrong_witness(order, commuting))
+    with pytest.raises(VerificationError, match=match):
+        argument_order5_blocks(build_candidate("PGL29_2"), a6_table())
+
+
+def test_nonintegral_requires_a_square_root_of_minus_one(monkeypatch):
+    zeta = CycloNum.zeta
+    monkeypatch.setattr(CycloNum, "zeta", lambda order, power=1: zeta(5 if order == 4 else order, power))
+    with pytest.raises(VerificationError, match="zeta4"):
+        argument_nonintegral(SignCase(-1, -1, -1), swap23=True)
+
+
 def test_pigeonhole_against_independent_scan():
     # oracle: explicit scan over all 720 permutations of 6 points
     best = None

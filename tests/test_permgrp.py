@@ -21,6 +21,7 @@ from a6k3.permgrp import (
     _index,
     _invert,
     _normal_action,
+    _orbits,
     _pack,
     _right_products,
     _simple_by_class_equation,
@@ -629,6 +630,42 @@ def test_cosets_build_no_index_tables(monkeypatch):
     monkeypatch.setattr(permgrp, "_index", recording)
     assert len(_cosets(G, A)) == 4
     assert indexed == []
+
+
+def naive_orbits(n, tables):
+    # independent oracle: close each point under the tables until nothing
+    # new appears, then keep one copy of each closure
+    orbits = set()
+    for x in range(n):
+        orbit = {x}
+        while (grown := orbit | {T[y] for T in tables for y in orbit}) != orbit:
+            orbit = grown
+        orbits.add(frozenset(orbit))
+    return sorted(sorted(o) for o in orbits)
+
+
+def test_orbits_of_hand_made_tables():
+    assert _orbits(4, []) == [[0], [1], [2], [3]]
+    assert _orbits(4, [[0, 1, 2, 3]]) == [[0], [1], [2], [3]]
+    # (0 3)(1 4 2) and the fixed point 5
+    assert _orbits(6, [[3, 4, 1, 0, 2, 5]]) == [[0, 3], [1, 2, 4], [5]]
+    # (0 1)(2 3) and (1 2) merge into one orbit; 4 stays alone
+    assert _orbits(5, [[1, 0, 3, 2, 4], [0, 2, 1, 3, 4]]) == [[0, 1, 2, 3], [4]]
+
+
+def test_orbits_against_closure_oracle():
+    rng = random.Random(3401)
+    for _ in range(50):
+        n = rng.randint(1, 40)
+        tables = [rng.sample(range(n), n) for _ in range(rng.randint(0, 3))]
+        # the oracle's orbits are ascending lists ordered by least member,
+        # so equality pins the order as well as the partition
+        assert _orbits(n, tables) == naive_orbits(n, tables)
+
+
+def test_orbits_walk_a_long_cycle_without_recursion():
+    n = 5000
+    assert _orbits(n, [[(i + 1) % n for i in range(n)]]) == [list(range(n))]
 
 
 def test_image_format_stays_in_permgrp():
