@@ -98,7 +98,8 @@ CLAIMS = {
     "chartab.prime_stability": (
         "recomputation with the next admissible prime reproduces the identical exact table", (True, True)
     ),
-    "lefschetz.rank": ("the A6-invariant part of the full K3 cohomology has rank 5", 5),
+    # the rank, and whether it less the degree-0 and degree-4 summands is RANK_INVARIANT_H2
+    "lefschetz.rank": ("the A6-invariant part of the full K3 cohomology has rank 5", (5, True)),
     # the solutions, then those of the perturbed control system
     "decompose.solve": (
         "the trace conditions admit exactly one multiplicity vector: (1,1,0,0,1,0)", (((1, 1, 0, 0, 1, 0),), ())
@@ -242,7 +243,7 @@ def stage_decompose() -> list[dict]:
     checks = [
         _check(
             "lefschetz.rank",
-            rank,
+            (rank, rank - 2 == RANK_INVARIANT_H2),
             {
                 "rank": str(rank),
                 "accounting": f"{rank} = {RANK_INVARIANT_H2} (invariant H^2) + 2 (degree-0 and degree-4 parts)",

@@ -17,7 +17,10 @@ sign cases, outcomes and the ExclusionReport that collects them are
 immutable namedtuple records; the decomposition system is the tuple of its
 ClassEquations.  `run_exclusion` walks the four kinds once and records for
 each whether gtilde^2 centralizes the A6, as found: a kind without that
-premise gets a `central_square_premise` outcome per sign case.  No `require`
+premise gets a `central_square_premise` outcome per sign case.  Each
+argument names the sign case its premise closes, and `run_exclusion` keeps
+no case dispatch: it requires the outcomes, sorted by sign case, in the
+order of KINDS times the allowed cases.  No `require`
 here compares a result with the paper's answer; `cli.CLAIMS` holds those.
 Every integer read out of a cyclotomic value goes through `exact._integer`,
 which fails a check on anything else.  The report's JSON and text are
@@ -279,18 +282,17 @@ def argument_3class_trace(
 ) -> ArgumentOutcome:
     """Trace of iota*sigma on the Picard lattice, with multiplicities mv, for an order-3 sigma.
 
-    For the mixed sign cases there is an order-3 class on which
+    For the mixed sign cases, eps2 != eps3, there is an order-3 class on which
     1 + eps2*chi2 + eps3*chi3 + eps6*chi6 is negative, violating axiom A2
     (euler(fixed locus of iota*sigma) equals that trace).
     """
-    name = "3class_trace"
-    if case not in (SignCase(-1, 1, -1), SignCase(1, -1, -1)):
-        return ArgumentOutcome(name, None, case, NOT_APPLICABLE, {"reason": "sign case outside the argument's range"})
+    require(case.eps2 != case.eps3, "the trace argument's sign case is not mixed")
     signs = {2: case.eps2, 3: case.eps3, 6: case.eps6}
     rows = _degree_rows(table)
     labels = class_labels(table.classes)
     best = None
     for pos in (i for i, c in enumerate(table.classes) if c.element_order == 3):
+        require(table.classes[pos].representative.order() == 3, "a class the trace argument reads is not of order 3")
         trace = _integer(trace_on_picard(mv, signs, table, pos), "a Picard trace")
         parts = [1] + [_integer(signs[i] * mv[i - 2] * rows[i - 1][pos], "a Picard trace term") for i in (2, 3, 6)]
         require(sum(parts) == trace, "the printed trace terms do not add up to the trace")
@@ -299,7 +301,7 @@ def argument_3class_trace(
     value, label, parts = best
     status = CONTRADICTION if value < 0 else NO_CONTRADICTION
     return ArgumentOutcome(
-        name,
+        "3class_trace",
         None,
         case,
         status,
@@ -308,35 +310,30 @@ def argument_3class_trace(
     )
 
 
-def argument_nonintegral(case: SignCase, swap23: bool) -> ArgumentOutcome:
-    """Integrality of euler(fixed locus of gtilde) in the all-minus case.
+def argument_nonintegral(swap23: bool) -> ArgumentOutcome:
+    """Integrality of euler(fixed locus of gtilde) in the all-minus case,
+    where iota is -1 on all three summands.
 
     The eigenvalues of gtilde on the relevant summands are +-zeta4, so the
     Euler number evaluates to 3 + (9-2n)*zeta4 (when gtilde swaps the two
     5-dimensional summands) or 3 + (19-2n)*zeta4 (when it fixes them); an
     Euler number must be a rational integer, so every n must fail.
     """
-    name = "nonintegral_euler"
-    if case != SignCase(-1, -1, -1):
-        return ArgumentOutcome(name, None, case, NOT_APPLICABLE, {"reason": "sign case outside the argument's range"})
     dim = 9 if swap23 else 19
     z4 = CycloNum.zeta(4)
     require(z4 * z4 == -1, "the integrality argument's zeta4 is not a square root of -1")
-    nonintegral = []
-    for n in range(dim + 1):
-        value = 3 + (dim - 2 * n) * z4
-        nonintegral.append(value.is_rational() is None)
-    status = CONTRADICTION if all(nonintegral) else NO_CONTRADICTION
+    values = [3 + (dim - 2 * n) * z4 for n in range(dim + 1)]
+    nonintegral = all(value.is_rational() is None for value in values)
     return ArgumentOutcome(
-        name,
+        "nonintegral_euler",
         None,
-        case,
-        status,
+        SignCase(-1, -1, -1),
+        CONTRADICTION if nonintegral else NO_CONTRADICTION,
         {
             "scenario": "swap" if swap23 else "fix",
-            "values_checked": dim + 1,
-            "all_nonintegral": all(nonintegral),
-            "sample": (3 + dim * z4).render_text(),
+            "values_checked": len(values),
+            "all_nonintegral": nonintegral,
+            "sample": values[0].render_text(),
         },
     )
 
@@ -379,8 +376,15 @@ def _least_commuting(candidate: ExtensionCandidate, order: int) -> Perm:
     return x
 
 
+def _empty_locus_case() -> SignCase:
+    """The one allowed sign case with euler_iota 0, where by axiom A1 the
+    fixed locus of iota is empty."""
+    (case,) = [case for case in nonpositive_sign_cases() if euler_iota(case) == 0]
+    return case
+
+
 def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOutcome:
-    """In the (-1,-1,+1) case the fixed locus of iota must be empty (A1),
+    """In the empty-locus case the fixed locus of iota is empty (A1),
     yet gtilde permutes the six fixed points of an order-3 element it
     commutes with, and the square of any such permutation fixes at least
     two of them."""
@@ -397,7 +401,7 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
     return ArgumentOutcome(
         name,
         kind,
-        SignCase(-1, -1, 1),
+        _empty_locus_case(),
         status,
         {
             "tau": tau.cycle_string(),
@@ -411,7 +415,7 @@ def argument_pigeonhole(kind: str, candidate: ExtensionCandidate) -> ArgumentOut
 
 
 def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable) -> ArgumentOutcome:
-    """In the (-1,-1,+1) case for the PGL-type candidate, an order-5 element
+    """In the empty-locus case for the PGL-type candidate, an order-5 element
     commuting with gtilde acts by a rational matrix split into blocks of
     sizes 3 and 6; Galois-stable eigenvalue multisets only achieve traces
     {4, 9}, never the required -1."""
@@ -423,10 +427,10 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     require(sigma * gtilde == gtilde * sigma, "the order-5 blocks' sigma does not commute with gtilde")
 
     # axiom A1 forces an empty iota fixed locus in this sign case, hence an
-    # empty gtilde fixed locus: 0 = 2 + 1 + (9 - 2s) pins the block split
-    case = SignCase(-1, -1, 1)
-    require(euler_iota(case) == 0, "the iota fixed locus is not forced empty")
-    s = (2 + 1 + 9) // 2
+    # empty gtilde fixed locus: euler_iota(case) = 2 + 1 + (9 - 2s) pins the block split
+    case = _empty_locus_case()
+    s, odd = divmod(2 + 1 + 9 - euler_iota(case), 2)
+    require(not odd, "the order-5 block split is not an integer")
     blocks = (9 - s, s)
 
     one = CycloNum.one(5)
@@ -472,7 +476,7 @@ def argument_free_c4(euler_number: int = 2) -> ArgumentOutcome:
     return ArgumentOutcome(
         "free_order4_divisibility",
         None,
-        SignCase(-1, -1, 1),
+        _empty_locus_case(),
         status,
         {"euler_number": euler_number, "mod_4": euler_number % 4},
     )
@@ -489,21 +493,16 @@ class ExclusionReport(namedtuple("ExclusionReport", "outcomes notes")):
         survivors = {o.kind for o in self.outcomes if o.status != CONTRADICTION}
         return survivors.pop() if len(survivors) == 1 else None
 
-    def validate_complete(self, kinds) -> bool:
-        cases = nonpositive_sign_cases()
-        have = {(o.kind, o.sign_case) for o in self.outcomes}
-        return all((k, c) in have for k in kinds for c in cases)
-
 
 def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> ExclusionReport:
-    """Run the full sign-case decision tree over all four candidates.
+    """Run the sign-case exclusion over all four candidates.
 
     For each of A6_4, S6_2 and PGL29_2 the square of gtilde acts trivially
     on the distinguished A6, which makes it an antisymplectic involution
     commuting with the whole symplectic part; every allowed sign case then
     ends in a contradiction.  For M10_2 that structural premise fails, so
     no argument applies and the kind survives.  Outcomes are recorded as
-    found; the verdict is derived from them.
+    found, in sign-case order; the verdict is derived from them.
     """
     by_kind = {c.kind: c for c in candidates}
     if set(by_kind) != set(KINDS):
@@ -517,28 +516,22 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
     # the trace argument reads only the sign case, the integrality argument
     # only the order-3 fusion: each runs once for all kinds that share them.
     # The trace argument takes the mixed cases, eps2 != eps3
-    traces = {c: argument_3class_trace(c, table, mv) for c in cases if c.eps2 != c.eps3}
-    swaps = {c.fusion.swaps_3 for c in by_kind.values()}
-    euler = {s: argument_nonintegral(SignCase(-1, -1, -1), swap23=s) for s in swaps}
+    traces = [argument_3class_trace(c, table, mv) for c in cases if c.eps2 != c.eps3]
+    euler = {s: argument_nonintegral(swap23=s) for s in {c.fusion.swaps_3 for c in by_kind.values()}}
     outcomes = []
     for kind in KINDS:
         cand = by_kind[kind]
-        central = cand.gtilde * cand.gtilde in centralizer_of_subgroup(cand.group, cand.a6)
-        for case in cases:
-            if not central:
-                reason = {"reason": "gtilde^2 acts on A6 by a nontrivial inner automorphism"}
-                out = ArgumentOutcome("central_square_premise", kind, case, NOT_APPLICABLE, reason)
-            elif case in traces:
-                out = traces[case]._replace(kind=kind)
-            elif case == SignCase(-1, -1, -1):
-                out = euler[cand.fusion.swaps_3]._replace(kind=kind)
-            elif kind == "PGL29_2":  # SignCase(-1, -1, 1)
-                out = argument_order5_blocks(cand, table)
-            else:
-                out = argument_pigeonhole(kind, cand)
-            outcomes.append(out)
+        if cand.gtilde * cand.gtilde not in centralizer_of_subgroup(cand.group, cand.a6):
+            reason = {"reason": "gtilde^2 acts on A6 by a nontrivial inner automorphism"}
+            outcomes += [ArgumentOutcome("central_square_premise", kind, c, NOT_APPLICABLE, reason) for c in cases]
+            continue
+        empty = argument_order5_blocks(cand, table) if kind == "PGL29_2" else argument_pigeonhole(kind, cand)
+        found = [*traces, euler[cand.fusion.swaps_3], empty]
+        outcomes += sorted((o._replace(kind=kind) for o in found), key=lambda o: o.sign_case)
+    order = [(o.kind, o.sign_case) for o in outcomes]
+    require(order == list(product(KINDS, cases)), "an exclusion outcome is missing")
 
-    report = ExclusionReport(
+    return ExclusionReport(
         outcomes=tuple(outcomes),
         notes=(
             "invariant cohomology accounting: rank 5 over the full cohomology "
@@ -548,8 +541,6 @@ def run_exclusion(candidates, table: CharacterTable, nikulin: NikulinTable) -> E
             + " are unused by A6 and kept for fidelity",
         ),
     )
-    require(report.validate_complete(KINDS), "an exclusion outcome is missing")
-    return report
 
 
 # -- lattice checks -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Lefschetz bookkeeping, the decomposition system, and the exclusion tree."""
 
+import ast
 import copy
 import gc
 import json
@@ -8,6 +9,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from a6k3 import cli, k3verify
 from a6k3.exact import CycloNum, _charpoly
 from a6k3.permgrp import Perm, VerificationError, closure, conjugate_group
 from a6k3.pgl9 import build_psl29
-from a6k3.chartab import character_table
+from a6k3.chartab import CharacterTable, character_table
 from a6k3.extbuild import (
     assemble_candidate,
     build_all_candidates,
@@ -262,8 +264,9 @@ def test_argument_3class_trace():
         assert out.witnesses["trace"] == -2
         assert sum(out.witnesses["terms"]) == -2
         assert out.axioms_used == ("A2",)
-    out = argument_3class_trace(SignCase(-1, -1, 1), table, mv)
-    assert out.status == NOT_APPLICABLE
+    # its premise is a mixed case, eps2 != eps3
+    with pytest.raises(VerificationError, match="not mixed"):
+        argument_3class_trace(SignCase(-1, -1, 1), table, mv)
     # chi3 alone: the trace 1 + chi3(3B) = 0 is no contradiction
     out = argument_3class_trace(SignCase(-1, 1, -1), table, MultiplicityVector(0, 1, 0, 0, 0, 0))
     assert (out.status, out.witnesses["trace"]) == (NO_CONTRADICTION, 0)
@@ -279,6 +282,17 @@ def test_3class_trace_terms_must_add_up(monkeypatch):
     monkeypatch.setattr(k3verify, "trace_on_picard", lambda *args: trace(*args) + 1)
     with pytest.raises(VerificationError, match="do not add up"):
         argument_3class_trace(SignCase(-1, 1, -1), table, mv)
+
+
+def test_3class_trace_reads_order3_representatives():
+    # the classes are selected by their element_order field; each one read
+    # must have a representative of order 3
+    table = a6_table()
+    five = next(c.representative for c in table.classes if c.element_order == 5)
+    classes = tuple(c._replace(representative=five) if c.element_order == 3 else c for c in table.classes)
+    relabeled = CharacterTable(table.group_order, classes, table.rows, table.exponent, table.prime)
+    with pytest.raises(VerificationError, match="not of order 3"):
+        argument_3class_trace(SignCase(-1, 1, -1), relabeled, MultiplicityVector(1, 1, 0, 0, 1, 0))
 
 
 def test_generic_picard_trace():
@@ -306,12 +320,12 @@ def test_picard_multiplicities_keeps_no_table_alive():
 
 
 def test_argument_nonintegral():
-    case = SignCase(-1, -1, -1)
-    swap = argument_nonintegral(case, swap23=True)
+    swap = argument_nonintegral(swap23=True)
     assert swap.status == CONTRADICTION and swap.witnesses["values_checked"] == 10
-    fix = argument_nonintegral(case, swap23=False)
+    fix = argument_nonintegral(swap23=False)
     assert fix.status == CONTRADICTION and fix.witnesses["values_checked"] == 20
-    assert argument_nonintegral(SignCase(-1, 1, -1), True).status == NOT_APPLICABLE
+    # the premise: iota is -1 on all three summands
+    assert swap.sign_case == fix.sign_case == SignCase(-1, -1, -1)
     # the discriminating sanity value: 3 + 0*zeta4 is integral
     assert (CycloNum.from_rational(3, 4) + 0 * CycloNum.zeta(4)).is_rational() == 3
 
@@ -377,7 +391,7 @@ def test_nonintegral_requires_a_square_root_of_minus_one(monkeypatch):
     zeta = CycloNum.zeta
     monkeypatch.setattr(CycloNum, "zeta", lambda order, power=1: zeta(5 if order == 4 else order, power))
     with pytest.raises(VerificationError, match="zeta4"):
-        argument_nonintegral(SignCase(-1, -1, -1), swap23=True)
+        argument_nonintegral(swap23=True)
 
 
 def test_pigeonhole_against_independent_scan():
@@ -430,7 +444,10 @@ def test_run_exclusion():
     report = run_exclusion(cands.values(), a6_table(), NikulinTable())
     assert report.verdict == "M10_2"
     assert len(report.outcomes) == 16
-    assert report.validate_complete(("A6_4", "S6_2", "PGL29_2", "M10_2"))
+    # kind by kind, each allowed sign case once, in order
+    kinds = ("A6_4", "S6_2", "PGL29_2", "M10_2")
+    order = [(o.kind, o.sign_case) for o in report.outcomes]
+    assert order == list(product(kinds, nonpositive_sign_cases()))
     for kind in ("A6_4", "S6_2", "PGL29_2"):
         mine = [o for o in report.outcomes if o.kind == kind]
         assert len(mine) == 4
@@ -451,6 +468,45 @@ def test_run_exclusion():
     )
     assert pig.witnesses["min_fixed_points_of_square"] == 2
     assert set(AXIOMS) == {"A1", "A2"}
+
+
+def test_empty_locus_case_is_the_allowed_case_of_euler_number_zero():
+    assert [c for c in nonpositive_sign_cases() if euler_iota(c) == 0] == [k3verify._empty_locus_case()]
+    assert k3verify._empty_locus_case() == SignCase(-1, -1, 1)
+
+
+def test_exclusion_refuses_an_argument_naming_the_wrong_case(monkeypatch):
+    # the integrality argument naming the empty-locus case leaves the
+    # all-minus case without an outcome, and the order check sees it
+    nonintegral = k3verify.argument_nonintegral
+    monkeypatch.setattr(
+        k3verify,
+        "argument_nonintegral",
+        lambda swap23: nonintegral(swap23)._replace(sign_case=k3verify._empty_locus_case()),
+    )
+    with pytest.raises(VerificationError, match="an exclusion outcome is missing"):
+        run_exclusion(build_all_candidates().values(), a6_table(), NikulinTable())
+
+
+def test_sign_case_is_written_once():
+    # every other argument derives its sign case: a case it is given, or the
+    # empty-locus case; only the integrality argument writes its premise
+    def constant(node):
+        if isinstance(node, ast.UnaryOp):
+            return constant(node.operand)
+        return isinstance(node, ast.Constant)
+
+    tree = ast.parse(Path(k3verify.__file__).read_text())
+    written = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "SignCase"
+        and node.args
+        and all(map(constant, node.args))
+    ]
+    assert written == ["argument_nonintegral"]
 
 
 def test_exclusion_under_relabeling():
