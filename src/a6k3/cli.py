@@ -4,12 +4,15 @@ and emits a deterministic text or JSON report.
 Exit status: 0 when every check in scope passes, 1 when a check fails or
 the report cannot be written to stdout, 2 on usage errors.  A closed stdout
 ends silently; any other failed write prints one line on stderr.  The report
-carries a verdict only when every check in it passed.  A stage that raises
-shows up as one failing `<stage>.error` check, and the later stages still
-run; its traceback goes to stderr with -v, and only then is the `traceback`
-module imported.  The text report renders the A6 table after the stages
-have run; a table that fails to render is a failing `render.error` check in
-the same way, and voids the verdict.
+carries a verdict only when every check in it passed and, for `all`, its
+checks are the claims of `CLAIMS`, each once; otherwise, or when the verdict
+cannot be read, a failing `verdict.error` check stands in its place.  A stage
+that raises, or has no function, shows up as one failing `<stage>.error`
+check, and the later stages still run; its traceback goes to stderr with
+-v, and only then is the `traceback` module imported.  The text report
+renders the A6 table after the stages have run; a table that fails to
+render is a failing `render.error` check in the same way, and voids the
+verdict.
 Nothing mathematical is configurable; the fixtures are frozen and only the
 presentation varies.  `run`, the process entry, returns the status of `main`
 after `gc.freeze()`, so that the exit does not collect every object the run
@@ -58,7 +61,7 @@ from .k3verify import (
     run_exclusion,
     solve_decomposition,
 )
-from .permgrp import class_fusion, fingerprint
+from .permgrp import class_fusion, fingerprint, require
 from .pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups, m10_order4_class_check
 
 REPORT_VERSION = "1"
@@ -319,15 +322,19 @@ def _error_check(name: str, exc: Exception) -> dict:
 def build_report(command: str) -> dict:
     checks = []
     for name in STAGES if command == "all" else (command,):
-        # looked up at call time, so a wrapped stage function is the one run
-        stage = globals()["stage_" + name]
         try:
-            checks.extend(stage())
+            # looked up at call time, so a wrapped stage function is the one run
+            checks.extend(globals()["stage_" + name]())
         except Exception as exc:
             checks.append(_error_check(name, exc))
     verdict = None
     if all(check["status"] == "pass" for check in checks):
-        verdict = next((c["witnesses"]["verdict"] for c in checks if c["id"] == "exclude.pipeline"), None)
+        try:
+            claims = sorted(c["id"] for c in checks) == sorted(CLAIMS)
+            require(command != "all" or claims, "the checks are not the claims, each once")
+            verdict = next((c["witnesses"]["verdict"] for c in checks if c["id"] == "exclude.pipeline"), None)
+        except Exception as exc:
+            checks.append(_error_check("verdict", exc))
     return {"version": REPORT_VERSION, "checks": checks, "verdict": verdict}
 
 

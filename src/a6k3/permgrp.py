@@ -12,22 +12,26 @@ above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_invert`,
 their hash and sort like tuples of ints; a product is one `translate` call.
 `_conjugation` takes images padded by `_pads`, two C calls per element, so a
 pass that conjugates the same images by several elements pads them once;
-the pads are transient and never memoized on a group.  A group is the
-ascending tuple of its images, `G.images`, which every constructor is
-given: `closure` runs `_dimino`, Dimino's algorithm (G. Butler,
-*Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991), and
-nothing is enumerated lazily;
-`G.elements` wraps the images in `Perm`s when first read.  Membership is a
-bisection, and facts about a subgroup A of G are C passes over images: the
-derived subgroup, centralizers, the right cosets (`_cosets`) and
-`_normal_action`, the one conjugation action of G on A's element indices,
-which `_index(A)` numbers.  The classes of G are the orbits of
-`_normal_action(G, G)`; class fusion and the normality of an overgroup's
-subgroup read it only by the generators outside the subgroup, since one
-inside maps every class to itself.  `_dimino` is the one closure, plain or normal;
-`_orbits` the one orbit partition, one labelling pass that returns ascending
-lists, and `_fusion` the one class-fusion routine; only `conjugation_image`
-walks the Cayley graph of G, from the identity.
+the pads are transient and never memoized on a group.  A group holds all
+of its images, and nothing is enumerated lazily: `closure` runs `_dimino`,
+Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
+Groups*, LNCS 559, 1991), which checks that each new coset is disjoint from
+the closed set, and hands over its set of images unsorted.  The ascending
+tuple `G.images`, the canonical order, is sorted from that set when first
+read, which drops the set, so a group that nobody reads in order is never
+sorted; `G.elements` wraps the images in `Perm`s when first read.
+Membership is the set while it is kept, then a bisection of `G.images`; the
+order, membership and generators need no sort.  Facts about a subgroup A
+of G are C passes over images: the derived subgroup, centralizers, the
+right cosets (`_cosets`) and `_normal_action`, the one conjugation action
+of G on A's element indices, which `_index(A)` numbers.  The classes of G
+are the orbits of `_normal_action(G, G)`; class fusion and the normality
+of an overgroup's subgroup read it only by the generators outside the
+subgroup, since one inside maps every class to itself.  `_dimino` is the
+one closure, plain or normal; `_orbits` the one orbit partition, one
+labelling pass that returns ascending lists, and `_fusion` the one
+class-fusion routine; only `conjugation_image` walks the Cayley graph of G,
+from the identity.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
@@ -298,8 +302,11 @@ def _dimino(seeds, degree: int, conjugations=()) -> tuple[set, list]:
                 r = _pad(r)
                 for mul in muls:
                     if (y := mul(r)) not in els:
+                        size = len(els) + len(base)
                         els.update(map(_rmul(y), base))
-                        if len(els) > MAX_GROUP_ORDER:
+                        # the right cosets of <used> are disjoint and of one size (Lagrange)
+                        require(len(els) == size, "a new coset meets the closed set")
+                        if size > MAX_GROUP_ORDER:
                             raise ValueError(f"closure exceeds the order guard {MAX_GROUP_ORDER}")
                         reps.append(y)
         pads = list(_pads(used[new:], degree))
@@ -351,8 +358,11 @@ class PermGroup:
             raise ValueError("generators act on different degrees")
         self._degree = degree
         self._gens = gens
-        # the stored images of the elements, ascending; the identity is first
-        self.images = images
+        # the stored images of the elements: their ascending tuple, or a set
+        # of them, kept until `images` is first read
+        self._members = images if type(images) is set else None
+        if self._members is None:
+            self.images = images
         self._elements = _elements
         self.point_labels = point_labels
         self._memo = {}
@@ -364,6 +374,13 @@ class PermGroup:
     @property
     def generators(self) -> tuple[Perm, ...]:
         return self._gens
+
+    @cached_property
+    def images(self) -> tuple:
+        """The stored images of the elements, ascending; the identity is first.
+        Sorted from the members set on the first read, which drops the set."""
+        images, self._members = tuple(sorted(self._members)), None
+        return images
 
     @property
     def elements(self) -> tuple[Perm, ...]:
@@ -377,7 +394,7 @@ class PermGroup:
         return Perm.identity(self._degree)
 
     def __len__(self):
-        return len(self.images)
+        return len(self._members or self.images)
 
     def __iter__(self):
         return iter(self.elements)
@@ -386,7 +403,10 @@ class PermGroup:
         return self.has_images(perm.images)
 
     def has_images(self, x) -> bool:
-        """Membership of the permutation with stored images x, by bisection."""
+        """Membership of the permutation with stored images x: in the members
+        set while the images are unsorted, then by bisection."""
+        if self._members is not None:
+            return x in self._members
         imgs = self.images  # x >= imgs[0], the identity, so the index is never -1
         return len(x) == self._degree and imgs[bisect_right(imgs, x) - 1] == x
 
@@ -418,7 +438,7 @@ def closure(generators) -> PermGroup:
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different degrees")
     els, _ = _dimino([g.images for g in gens], degree)
-    return PermGroup(gens, degree, tuple(sorted(els)))
+    return PermGroup(gens, degree, els)
 
 
 @group_cache
@@ -524,10 +544,12 @@ def _normal_action(G: PermGroup, A: PermGroup, outer: bool = False) -> list[list
 @group_cache
 def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
     """{g in G : ga = ag for all a in A}: G's images filtered by each
-    generator a of A in turn, keeping the x with a^-1 x a = x."""
+    generator a of A in turn, keeping the x with a^-1 x a = x.  The filter
+    reads them in any order, since `_subgroup` sorts what it keeps, so G
+    is not sorted for it."""
     if not A.is_subgroup_of(G):
         raise ValueError("A is not a subgroup of G")
-    members = G.images
+    members = G._members or G.images
     for a in A.generators:
         members = _commuting(members, G.degree, a)
     return _subgroup(G, members)

@@ -129,6 +129,19 @@ def normal_closure(monkeypatch):
     monkeypatch.setattr(permgrp, "_dimino", closure_only)
 
 
+def inverse_table(monkeypatch):
+    # x^-1 maps x[i] to i + 1 instead of i on byte images, so it is no
+    # permutation; Dimino's cosets of such products meet the closed set
+    invert = permgrp._invert
+
+    def shifted(x):
+        if type(x) is bytes:
+            return bytes.maketrans(x, permgrp._TAILS[1][: len(x)])[: len(x)]
+        return invert(x)
+
+    monkeypatch.setattr(permgrp, "_invert", shifted)
+
+
 def phi_term(monkeypatch):
     # the cyclotomic reduction loses the highest nonzero lower term of Phi_n
     terms = exact._phi_terms
@@ -197,6 +210,7 @@ MUTANTS = {
     gauss_pivot: {"chartab.error", "decompose.error", "exclude.error"},
     rational_column_weight: {"chartab.error", "decompose.error", "exclude.error"},
     rank_fixture: {"lefschetz.rank"},
+    inverse_table: {"groups.error", "chartab.error", "decompose.error", "exclude.error"},
 }
 
 # the builders of every group the report reads
@@ -230,6 +244,9 @@ REBUILT = {
     table_generator: EVERY_GROUP,
     # the tables, which read the power maps, are memoized on those groups too
     power_map_entry: EVERY_GROUP,
+    # inverses enter every conjugation action and derived subgroup, memoized
+    # on those groups too
+    inverse_table: EVERY_GROUP,
     # the derived subgroups are memoized on PGL(2,9), A6 and the candidates,
     # and the embedded A6 of a candidate on PSL(2,9) or A6
     normal_closure: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.alternating6, extbuild.build_candidate),
@@ -340,6 +357,52 @@ def test_stage_error_keeps_later_stages(monkeypatch, capsys):
     assert json.loads(captured.out)["checks"][0]["id"] == "decompose.error"
     # the traceback goes to stderr, with the progress notes
     assert "Traceback" in captured.err
+
+
+@pytest.mark.parametrize(
+    "stages, failed",
+    [
+        # the groups stage skipped: every check that ran passes, but five claims went unchecked
+        (cli.COMMANDS[2:], ["verdict.error"]),
+        # the lattice stage run twice: one claim checked twice
+        (cli.STAGES + ("lattice",), ["verdict.error"]),
+        # a stage with no function: its lookup fails like the stage itself
+        (cli.COMMANDS, ["all.error"]),
+    ],
+)
+def test_report_checks_each_claim_once(stages, failed, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "STAGES", stages)
+    assert cli.main(["all", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert [c["id"] for c in report["checks"] if c["status"] == "fail"] == failed
+    assert report["verdict"] is None and err == ""
+
+
+def test_unreadable_verdict_is_a_fail_line(monkeypatch, capsys):
+    # the pipeline check passes but carries no verdict witness
+    stage = cli.stage_exclude
+
+    def without_verdict():
+        checks = stage()
+        for check in checks:
+            check["witnesses"].pop("verdict", None)
+        return checks
+
+    monkeypatch.setattr(cli, "stage_exclude", without_verdict)
+    assert cli.main(["all", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [
+        {
+            "id": "verdict.error",
+            "paper_ref": "the verdict stage runs to completion",
+            "status": "fail",
+            "witnesses": {"error": "KeyError: 'verdict'"},
+            "axioms_used": [],
+        }
+    ]
+    assert report["verdict"] is None and err == ""
 
 
 def test_failed_check_voids_the_verdict(monkeypatch, capsys):

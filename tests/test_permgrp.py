@@ -42,7 +42,7 @@ from a6k3.permgrp import (
     is_a6_certified,
 )
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
-from a6k3.extbuild import KINDS, alternating6, build_candidate
+from a6k3.extbuild import KINDS, alternating6, build_candidate, identify
 
 
 def naive_closure(gens):
@@ -109,6 +109,58 @@ def test_closure_s3():
     assert set(G.elements) == naive_closure(list(G.generators))
     # canonical element order is lexicographic on image tuples
     assert list(G.elements) == sorted(G.elements)
+
+
+def relabeled_closure(G, seed):
+    """A fresh closure of G's generators conjugated by a seeded relabeling."""
+    imgs = list(range(G.degree))
+    random.Random(seed).shuffle(imgs)
+    t = Perm(imgs)
+    return closure(t * g * t.inverse() for g in G.generators)
+
+
+def membership_answers(H, probes, others):
+    return (
+        len(H),
+        [H.has_images(x) for x in probes],
+        [Perm._raw(x) in H for x in probes],
+        [A.is_subgroup_of(H) for A in others],
+        [H.is_subgroup_of(A) for A in others],
+    )
+
+
+def test_members_answer_until_the_images_are_read():
+    # a closure keeps its members unsorted until its images are read, and
+    # answers the same before and after
+    G = build_candidate("M10_2").group
+    H, twin = relabeled_closure(G, 36), relabeled_closure(G, 36)
+    rng = random.Random(37)
+    strangers = [bytes(rng.sample(range(G.degree), G.degree)) for _ in range(50)]
+    probes = [*twin.images, *strangers, bytes(range(G.degree - 1))]
+    others = [twin, derived_subgroup(twin), G]
+    before = membership_answers(H, probes, others)
+    assert "images" not in vars(H)
+    members = set(twin.images)
+    assert before[0] == 1440 and before[1] == before[2] == [x in members for x in probes]
+    assert before[3:] == ([True, True, False], [True, False, False])
+    assert (H == twin, hash(H) == hash(twin), H == G) == (True, True, False)
+    assert "images" in vars(H)
+    assert membership_answers(H, probes, others) == before
+
+
+def test_images_are_the_sorted_members():
+    H = relabeled_closure(build_candidate("M10_2").group, 38)
+    members = H._members
+    assert H.images == tuple(sorted(members)) and H.images[0] == H.identity.images
+    assert all(x < y for x, y in zip(H.images, H.images[1:]))
+    assert H._members is None  # sorting drops the set
+
+
+def test_identify_leaves_the_canonical_order_unread():
+    # identify reads a closure's order, members and generators only
+    H = relabeled_closure(build_candidate("M10_2").group, 39)
+    assert identify(H) == "M10_2"
+    assert "images" not in vars(H)
 
 
 def test_closure_psl_and_pgammal():
@@ -688,3 +740,6 @@ def test_walks_over_corrupted_images_are_bounded():
     one = bytes([0, 1, 2])
     with pytest.raises(VerificationError, match="exceeds the index"):
         _abelian_invariants(PermGroup((), 3, (one, bad)), PermGroup((), 3, (one,)))
+    # Dimino's closure stops at the first coset that meets the closed set
+    with pytest.raises(VerificationError, match="a new coset meets the closed set"):
+        closure([Perm._raw(bad), Perm.from_cycles([(1, 2)], 3)])

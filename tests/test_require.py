@@ -112,6 +112,7 @@ def test_no_unchecked_integer_read():
 
 # the functions holding a require that no stage of the report calls
 UNREACHED = {"conjugation_image"}
+ALL_CLAIMS = cli.CLAIMS
 
 
 def require_sites():
@@ -126,10 +127,40 @@ def require_sites():
     return sites
 
 
+def partial_report(monkeypatch, capsys, stages, claims):
+    """`all` over the given stages, with `CLAIMS` cut to the given check ids,
+    so that the report's own claims require holds when no check fails:
+    (exit code, failed check ids, stderr, verdict)."""
+    monkeypatch.setattr(cli, "STAGES", stages)
+    monkeypatch.setattr(cli, "CLAIMS", {i: ALL_CLAIMS[i] for i in claims})
+    code = cli.main(["all", "--format", "json"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    failed = [c["id"] for c in report["checks"] if c["status"] == "fail"]
+    return code, failed, err, report["verdict"]
+
+
+def fails_cleanly(code, failed, err, verdict):
+    return code == 1 and bool(failed) and not err and verdict is None
+
+
+def test_a_swallowed_require_leaves_a_partial_report_unclean(capsys, monkeypatch):
+    # a forced require that the code around it swallows leaves every check
+    # passing, as an unforced run does; over a strict subset of the stages
+    # that run reads a verdict with the claims cut to those stages, but would
+    # fail only `verdict.error` if every claim were required
+    stages = ("lattice", "exclude")
+    claims = [c["id"] for s in stages for c in getattr(cli, "stage_" + s)()]
+    assert partial_report(monkeypatch, capsys, stages, claims) == (0, [], "", "M10_2")
+    assert not fails_cleanly(*partial_report(monkeypatch, capsys, stages, claims))
+    assert fails_cleanly(*partial_report(monkeypatch, capsys, stages, ALL_CLAIMS))
+
+
 def test_every_reached_require_fails_the_report_cleanly(capsys, monkeypatch):
     # one unforced run records the stages that reach each site; then each
     # site is forced to fail in turn, from cold builders, and the stages that
-    # reach it run together with `exclude`, the stage the verdict is read from
+    # reach it run together with `exclude`, the stage the verdict is read from,
+    # and the claims are those of the stages run
     modules = [importlib.import_module(f"a6k3.{p.stem}") for p in sorted(SRC.glob("*.py"))]
     builders = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")}
     sites = require_sites()
@@ -151,9 +182,16 @@ def test_every_reached_require_fails_the_report_cleanly(capsys, monkeypatch):
         if "require" in vars(module):
             monkeypatch.setattr(module, "require", require)
     stages = cli.STAGES
+    ids = {}
     clear()
     for stage in stages:
-        assert all(c["status"] == "pass" for c in getattr(cli, "stage_" + stage)())
+        checks = getattr(cli, "stage_" + stage)()
+        assert all(c["status"] == "pass" for c in checks)
+        ids[stage] = [c["id"] for c in checks]
+    # the report's own require reads the checks of every stage; a forced run
+    # always includes `exclude`, so that stage stands for them
+    stage = "exclude"
+    assert cli.build_report("all")["verdict"] == "M10_2"
     stage = None
     capsys.readouterr()  # the stages print progress notes after a -v run
     assert reached.keys() <= sites.keys()
@@ -161,15 +199,12 @@ def test_every_reached_require_fails_the_report_cleanly(capsys, monkeypatch):
 
     unclean = []
     for site, by in sorted(reached.items()):
-        monkeypatch.setattr(cli, "STAGES", tuple(s for s in stages if s in by or s == "exclude"))
+        ran = tuple(s for s in stages if s in by or s == "exclude")
         clear()
         forced = site
-        code = cli.main(["all", "--format", "json"])
+        result = partial_report(monkeypatch, capsys, ran, [i for s in ran for i in ids[s]])
         forced = None
         clear()
-        out, err = capsys.readouterr()
-        report = json.loads(out)
-        failed = [c["id"] for c in report["checks"] if c["status"] == "fail"]
-        if code != 1 or not failed or err or report["verdict"] is not None:
-            unclean.append((site, code, failed, err, report["verdict"]))
+        if not fails_cleanly(*result):
+            unclean.append((site, *result))
     assert unclean == []
