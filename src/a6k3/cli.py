@@ -48,6 +48,7 @@ from .extbuild import (
 from .k3verify import (
     AXIOMS,
     CONTRADICTION,
+    K3_EULER_NUMBER,
     ClassEquation,
     NikulinTable,
     RANK_INVARIANT_H2,
@@ -79,9 +80,11 @@ def _note(msg: str):
 # check id -> (the text the report prints, the value the check must compute)
 CLAIMS = {
     "groups.tower": ("PSL(2,9) < PGL(2,9) < PGammaL(2,9) have orders 360, 720, 1440", (360, 720, 1440)),
-    # how many distinct overgroups, then the order of each
+    # how many distinct overgroups, the order of each, the classes each
+    # fuses, and whether the one labeled PGL(2,9) is the Moebius group
     "groups.overgroups": (
-        "exactly three index-2 overgroups of PSL(2,9), separated by class fusion", (3, (720, 720, 720))
+        "exactly three index-2 overgroups of PSL(2,9), separated by class fusion",
+        (3, (720, 720, 720), {"s6": "swaps 5A/5B", "pgl": "swaps 3A/3B", "m10": "swaps both"}, True),
     ),
     "groups.m10_coset": (
         "the nontrivial M10 coset has no involutions; its order-4 elements form one class", (0, True)
@@ -112,8 +115,9 @@ CLAIMS = {
         {(-1, 1, -1), (1, -1, -1), (-1, -1, -1), (-1, -1, 1)},
     ),
     "exclude.pipeline": ("A6_4, S6_2 and PGL29_2 are excluded in every sign case; M10_2 survives", "M10_2"),
+    # the argument's status, and the algebraic Euler number it read
     "exclude.free_order4": (
-        "no free order-4 action: the algebraic Euler number 2 is not divisible by 4", CONTRADICTION
+        "no free order-4 action: the algebraic Euler number 2 is not divisible by 4", (CONTRADICTION, 2)
     ),
     # each form's rank, determinant, parity and (positive, negative) signature
     "lattice.forms": (
@@ -154,15 +158,13 @@ def stage_groups() -> list[dict]:
     checks = [_check("groups.tower", tuple(orders.values()), orders)]
     split = classify_overgroups()
     over = {"s6": split.s6, "pgl": split.pgl, "m10": split.m10}
+    fusion = {k: _fusion_text(class_fusion(H, psl)) for k, H in over.items()}
+    moebius = split.pgl == pgl
     checks.append(
         _check(
             "groups.overgroups",
-            (len({H.images for H in over.values()}), tuple(len(H) for H in over.values())),
-            {
-                "orders": {k: len(H) for k, H in over.items()},
-                "fusion": {k: _fusion_text(class_fusion(H, psl)) for k, H in over.items()},
-                "pgl_matches_moebius_group": split.pgl == pgl,
-            },
+            (len({H.images for H in over.values()}), tuple(len(H) for H in over.values()), fusion, moebius),
+            {"orders": {k: len(H) for k, H in over.items()}, "fusion": fusion, "pgl_matches_moebius_group": moebius},
         )
     )
     facts = m10_order4_class_check(split.m10, psl)
@@ -300,8 +302,11 @@ def stage_exclude() -> list[dict]:
             axioms=("A1", "A2"),
         )
     )
-    free = argument_free_c4(2)
-    checks.append(_check("exclude.free_order4", free.status, free.witnesses))
+    # Noether's formula: chi(O_S) = (K^2 + e) / 12 with K^2 = 0
+    require(K3_EULER_NUMBER % 12 == 0, f"K3 Euler number {K3_EULER_NUMBER} is not divisible by 12")
+    euler = K3_EULER_NUMBER // 12
+    free = argument_free_c4(euler)
+    checks.append(_check("exclude.free_order4", (free.status, euler), free.witnesses))
     return checks
 
 

@@ -35,8 +35,10 @@ from the identity.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
-group with the same elements.  `functools.cache` is only for builders of
-fixed objects.
+group with the same elements.  `functools.cache` is only for module-level
+builders of fixed objects, so that one scan of the package's modules finds
+every memo and `cache_clear` resets it; rebuilt groups start with empty
+memos of their own.
 
 One way to fail a check: a fact the package verifies and finds false raises
 `VerificationError` through `require`, which `python -O` does not strip.

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from testkit import REPORT_DIGEST, TEXT_REPORT_DIGEST
 
 import a6k3
 from a6k3 import chartab, cli
@@ -22,9 +23,6 @@ from a6k3.cli import COMMANDS, REPORT_VERSION, build_report, main, render_table_
 from a6k3.exact import CycloNum, euler_phi
 from a6k3.k3verify import NikulinTable, decomposition_system
 from a6k3.pgl9 import build_psl29
-
-REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
-TEXT_REPORT_DIGEST = "ff41c0502feadfc73f6c33ed90b074b1"
 
 
 def run_cli(capsys, *argv):

@@ -1,21 +1,21 @@
 """Fault injection: a corrupted input or fixture must surface as FAIL lines
 and exit status 1, never as a traceback or as the verdict M10_2."""
 
+import ast
 import hashlib
 import json
 from contextlib import contextmanager
 from functools import partial
 
 import pytest
+from testkit import REPORT_DIGEST, SRC, clear_caches
 
-from a6k3 import chartab, cli, exact, extbuild, k3verify, permgrp, pgl9
+from a6k3 import chartab, cli, exact, extbuild, k3verify, permgrp
 from a6k3.exact import CycloNum
 from a6k3.extbuild import build_all_candidates
 from a6k3.k3verify import NikulinTable, run_exclusion
 from a6k3.permgrp import FusionType, Perm, VerificationError
 from a6k3.pgl9 import build_psl29
-
-REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
 
 # Nikulin's table with 5 instead of 6 fixed points for order 3
 COUNTS_ORDER3_IS_5 = tuple((o, 5 if o == 3 else n) for o, n in NikulinTable().counts)
@@ -213,85 +213,44 @@ MUTANTS = {
     inverse_table: {"groups.error", "chartab.error", "decompose.error", "exclude.error"},
 }
 
-# the builders of every group the report reads
-EVERY_GROUP = (
-    pgl9.build_pgl29,
-    pgl9.build_pgammal29,
-    pgl9.build_psl29,
-    pgl9.classify_overgroups,
-    extbuild.alternating6,
-    extbuild.build_candidate,
-)
-
-# the functools.cache builders whose results, or the data memoized on them, a
-# mutant's patch changes; a warm cache would hide the mutant, and a stale one
-# would outlive it
-REBUILT = {
-    # the golden rows are read through their row-multiset key, built once
-    golden_entry: (chartab._golden_key,),
-    mu4_generator: (extbuild.build_candidate,),
-    coset_position: (extbuild.build_candidate,),
-    # each candidate keeps the order of its conjugation image, read off a centralizer
-    centralizer_generator: (extbuild.build_candidate,),
-    # the A6 tables are memoized on PSL(2,9), which is memoized on PGL(2,9);
-    # the candidates take their A6 from PSL(2,9), so they are rebuilt with it
-    eigenvalue_root: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
-    charpoly_term: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
-    gauss_pivot: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
-    rational_column_weight: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.build_candidate),
-    # the classes and class fusions, read off the conjugation action, are
-    # memoized on every group the builders hold
-    table_generator: EVERY_GROUP,
-    # the tables, which read the power maps, are memoized on those groups too
-    power_map_entry: EVERY_GROUP,
-    # inverses enter every conjugation action and derived subgroup, memoized
-    # on those groups too
-    inverse_table: EVERY_GROUP,
-    # the derived subgroups are memoized on PGL(2,9), A6 and the candidates,
-    # and the embedded A6 of a candidate on PSL(2,9) or A6
-    normal_closure: (pgl9.build_pgl29, pgl9.build_psl29, extbuild.alternating6, extbuild.build_candidate),
-    # the tables are memoized on the tower groups, as for eigenvalue_root; on a
-    # warm cache only the golden comparison sees the mutant, not the
-    # orthogonality check.  The golden rows and their keys are reduced too;
-    # built under the mutant they would outlive it.  The reduction reads
-    # Phi_n's terms through the reduced powers of zeta_n, built once per order
-    phi_term: (
-        pgl9.build_pgl29,
-        pgl9.build_psl29,
-        extbuild.build_candidate,
-        chartab.reference_a6_rows,
-        chartab._golden_key,
-        exact._power_rows,
-    ),
-}
-
-
 @contextmanager
 def applied(mutate):
-    """Apply one mutant, rebuilding what it reaches, and drop that on undo."""
-    builders = REBUILT.get(mutate, ())
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        for fn in builders:
-            fn.cache_clear()
-        mutate(monkeypatch)
-        try:
+    """Apply one mutant from cold memos, and drop what it built on undo, so
+    that no memo hides the mutant or outlives it."""
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            mutate(monkeypatch)
             yield
-        finally:
-            # a failing test must not leave what the mutant built cached
-            for fn in builders:
-                fn.cache_clear()
+    finally:
+        # after the undo, so that the scan finds the memos the mutant replaced
+        clear_caches()
 
 
-def warmed(capsys):
-    # a full report first, so that every cache is warm whatever ran before:
-    # a mutant must reach the report through what `applied` rebuilds
-    assert cli.main(["all", "--format", "json"]) == 0
-    capsys.readouterr()
+def memoized_functions():
+    """(module, name) of each function in the package decorated with
+    `cache` or `lru_cache`, at any depth."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for d in getattr(node, "decorator_list", ()):
+                d = d.func if isinstance(d, ast.Call) else d  # lru_cache(maxsize=...)
+                if getattr(d, "id", getattr(d, "attr", None)) in ("cache", "lru_cache"):
+                    found.add((path.stem, node.name))
+    return found
+
+
+def test_cache_reset_reaches_every_memo():
+    # a memo that the module scan cannot reach, nested or on a method, would
+    # survive a mutant's undo
+    memos, found = clear_caches(), memoized_functions()
+    assert len(memos) == len(found)
+    assert {(fn.__module__.rpartition(".")[2], fn.__name__) for fn in memos} == found
+    assert all(fn.cache_info().currsize == 0 for fn in memos)
 
 
 @pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)
 def test_mutant_fails_the_report(mutate, capsys):
-    warmed(capsys)
     with applied(mutate):
         assert cli.main(["all", "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
@@ -309,12 +268,30 @@ def test_mutant_fails_the_report(mutate, capsys):
 
 @pytest.mark.parametrize("mutate", list(MUTANTS), ids=lambda m: m.__name__)
 def test_undone_mutant_leaves_the_report_intact(mutate, capsys):
-    warmed(capsys)
     with applied(mutate):
         assert cli.main(["all", "--format", "json"]) == 1
     capsys.readouterr()
     assert cli.main(["all", "--format", "json"]) == 0
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == REPORT_DIGEST
+
+
+@pytest.mark.parametrize(
+    "name, value, failed",
+    [
+        # each overgroup printed with the fusion of 3A/3B and 5A/5B exchanged
+        ("_fusion_text", lambda fusion, text=cli._fusion_text: text(fusion[::-1]), "groups.overgroups"),
+        # e = 36 gives chi(O_S) = 3, which 4 does not divide either, but is not 2
+        ("K3_EULER_NUMBER", 36, "exclude.free_order4"),
+        # Noether's formula needs 12 | e
+        ("K3_EULER_NUMBER", 30, "exclude.error"),
+    ],
+)
+def test_printed_witness_is_the_compared_value(name, value, failed, monkeypatch, capsys):
+    monkeypatch.setattr(cli, name, value)
+    assert cli.main(["all", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["id"] for c in report["checks"] if c["status"] == "fail"] == [failed]
+    assert report["verdict"] is None
 
 
 def test_text_table_that_fails_to_render_is_a_fail_line(monkeypatch, capsys):

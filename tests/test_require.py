@@ -3,18 +3,15 @@ and every `require` the report reaches fails it cleanly."""
 
 import ast
 import hashlib
-import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import a6k3
-from a6k3 import cli, permgrp
+from testkit import REPORT_DIGEST, SRC, clear_caches, package_modules
 
-SRC = Path(a6k3.__file__).parent
-REPORT_DIGEST = "ac027fccd946ffad638ccb95bdd9786a"
+from a6k3 import cli, permgrp
 
 
 def run_optimized(*args):
@@ -161,8 +158,6 @@ def test_every_reached_require_fails_the_report_cleanly(capsys, monkeypatch):
     # site is forced to fail in turn, from cold builders, and the stages that
     # reach it run together with `exclude`, the stage the verdict is read from,
     # and the claims are those of the stages run
-    modules = [importlib.import_module(f"a6k3.{p.stem}") for p in sorted(SRC.glob("*.py"))]
-    builders = {f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")}
     sites = require_sites()
     original = permgrp.require
     reached, forced, stage = {}, None, None
@@ -174,16 +169,12 @@ def test_every_reached_require_fails_the_report_cleanly(capsys, monkeypatch):
             reached.setdefault(site, set()).add(stage)
         original(condition and site != forced, message)
 
-    def clear():
-        for fn in builders:
-            fn.cache_clear()
-
-    for module in modules:
+    for module in package_modules():
         if "require" in vars(module):
             monkeypatch.setattr(module, "require", require)
     stages = cli.STAGES
     ids = {}
-    clear()
+    clear_caches()
     for stage in stages:
         checks = getattr(cli, "stage_" + stage)()
         assert all(c["status"] == "pass" for c in checks)
@@ -200,11 +191,11 @@ def test_every_reached_require_fails_the_report_cleanly(capsys, monkeypatch):
     unclean = []
     for site, by in sorted(reached.items()):
         ran = tuple(s for s in stages if s in by or s == "exclude")
-        clear()
+        clear_caches()
         forced = site
         result = partial_report(monkeypatch, capsys, ran, [i for s in ran for i in ids[s]])
         forced = None
-        clear()
+        clear_caches()
         if not fails_cleanly(*result):
             unclean.append((site, *result))
     assert unclean == []
