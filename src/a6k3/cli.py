@@ -2,17 +2,18 @@
 and emits a deterministic text or JSON report.
 
 Exit status: 0 when every check in scope passes, 1 when a check fails or
-the report cannot be written to stdout, 2 on usage errors.  A closed stdout
-ends silently; any other failed write prints one line on stderr.  The report
-carries a verdict only when every check in it passed and, for `all`, its
-checks are the claims of `CLAIMS`, each once; otherwise, or when the verdict
-cannot be read, a failing `verdict.error` check stands in its place.  A stage
-that raises, or has no function, shows up as one failing `<stage>.error`
-check, and the later stages still run; its traceback goes to stderr with
--v, and only then is the `traceback` module imported.  The text report
-renders the A6 table after the stages have run; a table that fails to
-render is a failing `render.error` check in the same way, and voids the
-verdict.
+the report cannot be rendered or written to stdout, 2 on usage errors.  A
+report that cannot be rendered prints one line on stderr and nothing on
+stdout.  A closed stdout ends silently; any other failed write prints one
+line on stderr.  The report carries a verdict only when every check in it
+passed and, for `all`, its checks are the claims of `CLAIMS`, each once;
+otherwise, or when the verdict cannot be read, a failing `verdict.error`
+check stands in its place.  A stage that raises, or has no function, shows
+up as one failing `<stage>.error` check, and the later stages still run;
+its traceback goes to stderr with -v, and only then is the `traceback`
+module imported.  The text report renders the A6 table after the stages
+have run; a table that fails to render is a failing `render.error` check in
+the same way, and voids the verdict.
 Nothing mathematical is configurable; the fixtures are frozen and only the
 presentation varies.  `run`, the process entry, returns the status of `main`
 after `gc.freeze()`, so that the exit does not collect every object the run
@@ -27,7 +28,8 @@ M10_2 passes `exclude.pipeline` because the exclusion derived it.
 This module alone knows the report's format.  The records of the other
 modules carry data and nothing else: a namedtuple record enters the JSON
 through `_asdict()`, its tuples written as lists, and the text forms of a
-character table, a cyclotomic value and a trace condition are written here.
+character table and a trace condition are written here, each value in them
+by its own `CycloNum.render_text`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import os
 import sys
 
 from .chartab import CharacterTable, character_table, class_labels, match_reference_table
-from .exact import CycloNum
 from .extbuild import (
     build_all_candidates,
     pairwise_nonisomorphic,
@@ -343,16 +344,9 @@ def build_report(command: str) -> dict:
     return {"version": REPORT_VERSION, "checks": checks, "verdict": verdict}
 
 
-def display_value(v: CycloNum) -> str:
-    """Compact text form: rationals verbatim, otherwise the value in its own
-    field, which for a character value is the field of its class."""
-    r = v.is_rational()
-    return v.render_text() if r is None else str(r)
-
-
 def render_table_text(table: CharacterTable) -> str:
     labels = class_labels(table.classes)
-    body = [[display_value(v) for v in row] for row in table.rows]
+    body = [[v.render_text() for v in row] for row in table.rows]
     names = [f"chi{i+1}" for i in range(len(table.rows))]
     widths = [max(len(labels[j]), *(len(body[i][j]) for i in range(len(body)))) for j in range(len(labels))]
     name_w = max(len(n) for n in names)
@@ -367,7 +361,7 @@ def _equation_text(eq: ClassEquation) -> str:
     names = [f"a{i}" for i in range(2, 8)]
     parts = []
     for c, n in zip(eq.coeffs, names):
-        text = display_value(c)
+        text = c.render_text()
         if " " in text or text.startswith("-"):
             text = f"({text})"
         parts.append(f"{text}*{n}")
@@ -428,7 +422,11 @@ def main(argv=None) -> int:
     _verbose = args.verbose
     try:
         report = build_report(args.command)
-        payload = render_json(report) if args.format == "json" else render_text(args.command, report)
+        try:
+            payload = render_json(report) if args.format == "json" else render_text(args.command, report)
+        except Exception as exc:
+            print(f"a6k3: cannot render the report: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
     finally:
         _verbose = False
     if args.out:

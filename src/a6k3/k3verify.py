@@ -470,8 +470,8 @@ def argument_order5_blocks(candidate: ExtensionCandidate, table: CharacterTable)
     )
 
 
-def argument_free_c4(euler_number: int = 2) -> ArgumentOutcome:
-    """A free order-4 action would force 4 | euler_number; it is 2."""
+def argument_free_c4(euler_number: int) -> ArgumentOutcome:
+    """A free order-4 action would force 4 | euler_number."""
     status = CONTRADICTION if euler_number % 4 != 0 else NO_CONTRADICTION
     return ArgumentOutcome(
         "free_order4_divisibility",

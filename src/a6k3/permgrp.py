@@ -53,9 +53,9 @@ serializes itself: `cli` alone writes the report.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, namedtuple
-from functools import cached_property, partial, reduce, wraps
+from functools import cached_property, reduce, wraps
 from itertools import compress, repeat
 from math import gcd, lcm, prod
 from operator import add, attrgetter, eq, itemgetter
@@ -354,7 +354,7 @@ _images_of = attrgetter("images")
 class PermGroup:
     """A finitely generated permutation group with its full element set."""
 
-    def __init__(self, generators, degree: int, images, _elements=None, point_labels=None):
+    def __init__(self, generators, degree: int, images, point_labels=None):
         gens = tuple(sorted(set(generators), key=_images_of))
         if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different degrees")
@@ -365,7 +365,6 @@ class PermGroup:
         self._members = images if type(images) is set else None
         if self._members is None:
             self.images = images
-        self._elements = _elements
         self.point_labels = point_labels
         self._memo = {}
 
@@ -384,12 +383,10 @@ class PermGroup:
         images, self._members = tuple(sorted(self._members)), None
         return images
 
-    @property
+    @cached_property
     def elements(self) -> tuple[Perm, ...]:
         """The elements in canonical order, wrapped when first read."""
-        if self._elements is None:
-            self._elements = tuple(map(Perm._raw, self.images))
-        return self._elements
+        return tuple(map(Perm._raw, self.images))
 
     @property
     def identity(self) -> Perm:
@@ -503,13 +500,10 @@ def _subgroup(G: PermGroup, images=None, seeds=None, conjugations=()) -> PermGro
     given stored images.  Dimino's algorithm over the seeds, or over the
     ascending images, keeps those that are not redundant as generators;
     given images must be exactly their closure.  With conjugations (see
-    `_dimino`) it is the normal closure of the seeds.  If G has wrapped
-    its elements, the subgroup shares those Perms."""
+    `_dimino`) it is the normal closure of the seeds."""
     closed, used = _dimino(sorted(images) if seeds is None else seeds, G.degree, conjugations)
     require(images is None or closed == set(images), "the members are not the closure of the generators")
-    imgs = tuple(sorted(closed))
-    els = G._elements and tuple(map(G._elements.__getitem__, map(partial(bisect_left, G.images), imgs)))
-    H = PermGroup(map(Perm._raw, used), G.degree, imgs, els)
+    H = PermGroup(map(Perm._raw, used), G.degree, tuple(sorted(closed)))
     require(len(G) % len(H) == 0, "Lagrange check failed")
     return H
 
@@ -609,10 +603,8 @@ def conjugation_image(G: PermGroup, A: PermGroup):
                 found[y] = act(f_pad)
                 queue.append(y)
     require(len(found) == len(G), "the generators of G do not generate its elements")
-    interned = {f: Perm._raw(f) for f in found.values()}
-    mapping = {g: interned[found[g.images]] for g in G.elements}
-    keys = tuple(sorted(interned))
-    image = PermGroup(gen_imgs, len(A), keys, tuple(map(interned.__getitem__, keys)), point_labels=A)
+    mapping = {g: Perm._raw(found[g.images]) for g in G.elements}
+    image = PermGroup(gen_imgs, len(A), set(found.values()), point_labels=A)
     return image, mapping
 
 

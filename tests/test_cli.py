@@ -399,6 +399,43 @@ def test_import_path_skips_unused_stdlib_machinery():
     assert proc.stdout.split() == []
 
 
+# the package's modules that a fresh interpreter holds after one import
+PACKAGE_MODULES = """
+import sys
+import %s
+print(*sorted(m for m in sys.modules if m.startswith("a6k3.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "modules, loaded",
+    [
+        ("a6k3", []),
+        ("a6k3.permgrp", ["a6k3.permgrp"]),
+        ("a6k3.extbuild", ["a6k3.extbuild", "a6k3.permgrp", "a6k3.pgl9"]),
+        ("a6k3.pgl9, a6k3.chartab", ["a6k3.chartab", "a6k3.exact", "a6k3.permgrp", "a6k3.pgl9"]),
+    ],
+)
+def test_a_module_loads_only_the_modules_it_imports(modules, loaded):
+    # the package namespace imports nothing, so a caller of one module
+    # compiles only that module and its own imports
+    proc = run_isolated(PACKAGE_MODULES % modules)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == loaded
+
+
+@pytest.mark.parametrize("renderer, fmt", [("render_json", "json"), ("render_text", "text")])
+def test_report_that_cannot_be_rendered_is_one_stderr_line(monkeypatch, capsys, renderer, fmt):
+    def broken(*args):
+        raise ValueError("no renderer")
+
+    monkeypatch.setattr(cli, renderer, broken)
+    assert main(["lattice", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["a6k3: cannot render the report: ValueError: no renderer"]
+
+
 def test_stage_error_without_verbose_imports_no_traceback():
     proc = run_isolated(STAGE_ERROR_WITHOUT_V)
     assert proc.stderr == ""

@@ -237,7 +237,7 @@ def test_relabeled_identify_tabulates_only_the_a6(monkeypatch):
     for cand in cands:
         G = relabeled_copy(cand, rng)
         assert identify(G) == cand.kind
-        assert G._elements is None
+        assert "elements" not in vars(G)
     assert orders and max(orders) <= 360
 
 

@@ -297,21 +297,23 @@ def test_printed_witness_is_the_compared_value(name, value, failed, monkeypatch,
 def test_text_table_that_fails_to_render_is_a_fail_line(monkeypatch, capsys):
     # the JSON report renders no table; the text report fails its rendering
     # as a check of its own, with exit 1 and no traceback.  The equations of
-    # the decompose stage are rendered with the same function, so that stage
-    # fails too
-    display = cli.display_value
+    # the decompose stage and the sample of the integrality argument are
+    # rendered with the same method, so those stages fail too
+    render = exact.CycloNum.render_text
 
     def rationals_only(v):
         if v.is_rational() is None:
-            raise ValueError(f"cannot render {v!r}")
-        return display(v)
+            raise ValueError("cannot render an irrational value")
+        return render(v)
 
-    monkeypatch.setattr(cli, "display_value", rationals_only)
+    monkeypatch.setattr(exact.CycloNum, "render_text", rationals_only)
     assert cli.main(["all", "--format", "json"]) == 1
     assert "render.error" not in capsys.readouterr().out
     assert cli.main(["all"]) == 1
     captured = capsys.readouterr()
-    assert "[FAIL] render.error: " in captured.out and "[FAIL] decompose.error: " in captured.out
+    assert [line for line in captured.out.splitlines() if line.startswith("[FAIL]")] == [
+        f"[FAIL] {stage}.error: the {stage} stage runs to completion" for stage in ("decompose", "exclude", "render")
+    ]
     assert "A6 character table:" not in captured.out and "VERDICT" not in captured.out
     assert captured.err == ""
 

@@ -64,9 +64,16 @@ def acceptance_imports():
     return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def test_the_package_namespace_binds_only_its_version():
+    # no re-exports: importing one module of the package loads only the
+    # modules that it imports itself
+    tree = parse(SRC / "__init__.py")
+    assert ast.get_docstring(tree)
+    assert [ast.unparse(node).partition(" = ")[0] for node in tree.body[1:]] == ["__version__"]
+
+
 def test_every_export_has_a_reader_outside_the_unit_tests():
-    # __init__.py only re-exports names that the modules' own lists cover
-    modules = {path.stem: parse(path) for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    modules = {path.stem: parse(path) for path in sorted(SRC.glob("*.py"))}
     used = package_loads(modules)
     outside = harness_names() | acceptance_imports()
     unread = [
@@ -78,7 +85,7 @@ def test_every_export_has_a_reader_outside_the_unit_tests():
     assert unread == []
 
 
-RENDERERS = {"render_table_text", "display_value", "_equation_text"}
+RENDERERS = {"render_table_text", "_equation_text"}
 
 
 def test_the_report_format_lives_in_cli():

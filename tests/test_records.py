@@ -28,7 +28,7 @@ def value_records():
     psl = build_psl29()
     split = classify_overgroups()
     equations = decomposition_system(character_table(psl), NikulinTable())
-    outcome = argument_free_c4()
+    outcome = argument_free_c4(2)
     return [
         conjugacy_classes(psl)[1],
         class_fusion(split.m10, psl),

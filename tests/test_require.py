@@ -42,7 +42,8 @@ def test_no_other_way_to_fail_a_check():
 
 CORRUPT_PGL29_TABLE = """
 import sys
-from a6k3 import VerificationError, chartab
+from a6k3 import chartab
+from a6k3.permgrp import VerificationError
 from a6k3.pgl9 import build_pgl29
 
 verify = chartab._verify_orthogonality
