@@ -28,8 +28,8 @@ M10_2 passes `exclude.pipeline` because the exclusion derived it.
 This module alone knows the report's format.  The records of the other
 modules carry data and nothing else: a namedtuple record enters the JSON
 through `_asdict()`, its tuples written as lists, and the text forms of a
-character table and a trace condition are written here, each value in them
-by its own `CycloNum.render_text`.
+character table, a trace condition and the integrality argument's sample
+are written here, each value in them by its own `CycloNum.render_text`.
 """
 
 from __future__ import annotations
@@ -182,6 +182,8 @@ def stage_groups() -> list[dict]:
     )
     _note("building the four A6.mu4 candidates")
     cands = build_all_candidates()
+    for kind, c in cands.items():
+        _note(f"  {kind}: {len(c.group)} elements, centralizer of A6: {len(c.group) // c.conj_image_order} elements")
     prints = {kind: fingerprint(c.group) for kind, c in cands.items()}
     checks.append(
         _check(
@@ -216,6 +218,7 @@ def stage_chartab() -> list[dict]:
     _note("computing the A6 character table (Dixon-Schneider)")
     psl = build_psl29()
     table = character_table(psl)
+    _note(f"  A6: {len(psl)} elements, {len(table.classes)} classes, prime {table.prime}")
     checks = [
         _check(
             "chartab.a6",
@@ -229,6 +232,7 @@ def stage_chartab() -> list[dict]:
     ]
     _note("recomputing with the next admissible prime")
     again = character_table(psl, prime_index=1)
+    _note(f"  A6: {len(psl)} elements, {len(again.classes)} classes, prime {again.prime}")
     same = all(
         v == w for r1, r2 in zip(table.rows, again.rows) for v, w in zip(r1, r2)
     )
@@ -274,6 +278,12 @@ def stage_decompose() -> list[dict]:
     return checks
 
 
+def _outcome_witness(outcome) -> dict:
+    """An exclusion outcome as the report writes it: a `sample` value as text."""
+    witnesses = {k: v.render_text() if k == "sample" else v for k, v in outcome.witnesses.items()}
+    return {**outcome._asdict(), "witnesses": witnesses}
+
+
 def stage_exclude() -> list[dict]:
     nik = NikulinTable()
     psl = build_psl29()
@@ -296,7 +306,7 @@ def stage_exclude() -> list[dict]:
             report.verdict,
             {
                 "verdict": report.verdict,
-                "outcomes": [o._asdict() for o in report.outcomes],
+                "outcomes": [_outcome_witness(o) for o in report.outcomes],
                 "notes": list(report.notes),
                 "axioms": AXIOMS,
             },

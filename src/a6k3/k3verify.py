@@ -333,7 +333,7 @@ def argument_nonintegral(swap23: bool) -> ArgumentOutcome:
             "scenario": "swap" if swap23 else "fix",
             "values_checked": len(values),
             "all_nonintegral": nonintegral,
-            "sample": values[0].render_text(),
+            "sample": values[0],
         },
     )
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property, reduce, wraps
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm, prod
 from operator import add, attrgetter, eq, itemgetter
 
@@ -217,6 +217,7 @@ class Perm:
 # x.translate(s padded) (`_lmul`), one C call each, so s^-1 x s is two from
 # a padded x (`_conjugation`); x^-1 is one `maketrans` (`_invert`).  Above,
 # they are tuples composed by itemgetter; conjugation_image acts on 360 points.
+# `_commuting` pads no member: it maps columns of the members' joined images.
 # _TAILS[n]: the points n..255, which an n-point image fixes as a table
 _TAILS = [bytes(range(256))[n:] for n in range(257)]
 
@@ -266,8 +267,17 @@ def _conjugation(s: Perm):
 
 
 def _commuting(members, degree: int, a: Perm) -> list:
-    """The members x with a^-1 x a = x, in their order: one pass."""
-    return list(compress(members, map(eq, _conjugation(a)(_pads(members, degree)), members)))
+    """The members x with x a = a x, in their order: x(a(p)) = a(x(p)) at each
+    point p, column p of the survivors' joined images mapped by a against
+    column a(p), the points a moves first, where about one x in `degree` passes."""
+    table, members = _pad(a.images), list(members)
+    join = b"".join if type(table) is bytes else lambda xs: tuple(chain.from_iterable(xs))
+    for p in sorted(range(degree), key=lambda p: table[p] == p):
+        flat = join(members)
+        column = flat[p::degree]
+        mapped = column.translate(table) if type(column) is bytes else map(table.__getitem__, column)
+        members = list(compress(members, map(eq, mapped, flat[table[p]::degree])))
+    return members
 
 
 def _right_products(xs, degree: int, rights) -> list:
@@ -540,9 +550,9 @@ def _normal_action(G: PermGroup, A: PermGroup, outer: bool = False) -> list[list
 @group_cache
 def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
     """{g in G : ga = ag for all a in A}: G's images filtered by each
-    generator a of A in turn, keeping the x with a^-1 x a = x.  The filter
-    reads them in any order, since `_subgroup` sorts what it keeps, so G
-    is not sorted for it."""
+    generator a of A in turn, by columns (`_commuting`).  The filter reads
+    them in any order, since `_subgroup` sorts what it keeps, so G is not
+    sorted for it."""
     if not A.is_subgroup_of(G):
         raise ValueError("A is not a subgroup of G")
     members = G._members or G.images
@@ -552,8 +562,8 @@ def centralizer_of_subgroup(G: PermGroup, A: PermGroup) -> PermGroup:
 
 
 def commuting_images(G: PermGroup, g: Perm) -> list:
-    """The stored images of the x in G with xg = gx, ascending: one
-    conjugation pass by g, the filter of `centralizer_of_subgroup`."""
+    """The stored images of the x in G with xg = gx, ascending: the column
+    filter of `centralizer_of_subgroup` by g."""
     if g.degree != G.degree:
         raise ValueError("degree mismatch")
     return _commuting(G.images, G.degree, g)

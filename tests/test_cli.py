@@ -80,8 +80,8 @@ TERM = re.compile(r"(?:(?P<mag>\d+(?:/\d+)?)\*)?z(?P<order>\d+)(?:\^(?P<power>\d
 
 
 def parse_value(text):
-    """The value that a `CycloNum.render_text` or `display_value` string
-    names, read independently of the renderer: a Fraction when no power of
+    """The value that a `CycloNum.render_text` string names, read
+    independently of the renderer: a Fraction when no power of
     zeta is written, else a CycloNum of the one order its powers name."""
     pieces = re.split(r" ([+-]) ", text)
     signs = ["-" if pieces[0].startswith("-") else "+", *pieces[1::2]]
@@ -237,6 +237,21 @@ def test_verbose_holds_for_one_call(capsys):
     capsys.readouterr()
     build_report("groups")
     assert capsys.readouterr().err == ""
+
+
+def test_verbose_says_how_big_things_are(capsys):
+    # -v names each candidate's order and the order of its centralizer of
+    # A6, and each table's group order, class count and prime; stdout keeps
+    # the report byte for byte
+    assert main(["all", "--format", "json", "-v"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.md5(captured.out.encode()).hexdigest() == REPORT_DIGEST
+    notes = captured.err.splitlines()
+    for kind, centralizer in {"A6_4": 4, "S6_2": 2, "PGL29_2": 2, "M10_2": 2}.items():
+        assert f"  {kind}: 1440 elements, centralizer of A6: {centralizer} elements" in notes
+    checks = {check["id"]: check["witnesses"] for check in json.loads(captured.out)["checks"]}
+    for prime in (checks["chartab.a6"]["prime"], checks["chartab.prime_stability"]["second_prime"]):
+        assert f"  A6: 360 elements, 7 classes, prime {prime}" in notes
 
 
 COUNT_PERM_WORK = """

@@ -324,6 +324,9 @@ def test_argument_nonintegral():
     assert swap.status == CONTRADICTION and swap.witnesses["values_checked"] == 10
     fix = argument_nonintegral(swap23=False)
     assert fix.status == CONTRADICTION and fix.witnesses["values_checked"] == 20
+    # the witness is the first value checked, as a value: cli writes its text
+    assert swap.witnesses["sample"] == 3 + 9 * CycloNum.zeta(4)
+    assert fix.witnesses["sample"] == 3 + 19 * CycloNum.zeta(4)
     # the premise: iota is -1 on all three summands
     assert swap.sign_case == fix.sign_case == SignCase(-1, -1, -1)
     # the discriminating sanity value: 3 + 0*zeta4 is integral

@@ -17,6 +17,7 @@ from a6k3.permgrp import (
     VerificationError,
     _abelian_invariants,
     _classes,
+    _commuting,
     _cosets,
     _index,
     _invert,
@@ -569,13 +570,61 @@ def test_conjugation_over_padded_images(degree):
         conj = permgrp._conjugation(s)
         for _ in range(2):  # the pads are read, never consumed
             assert list(map(Perm._raw, conj(pads))) == [s.inverse() * x * s for x in xs]
-    # the commuting filter shares the pass: inside a group and from outside it
+    # the commuting filter, inside a group and from outside it
     pts = sorted({0, degree // 2, degree - 2, degree - 1})
     G = closure([Perm.from_cycles([pts], degree), Perm.from_cycles([pts[-2:]], degree)])
     for g in (*G.generators, G.elements[5], xs[2], Perm.from_cycles([pts[:2]], degree)):
         assert commuting_images(G, g) == [x.images for x in G.elements if x * g == g * x]
     with pytest.raises(ValueError, match="degree mismatch"):
         commuting_images(G, Perm.identity(degree + 1))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 14, 256, 257, 300])
+def test_commuting_by_columns_against_perm_arithmetic(degree):
+    # seeded member lists that are no group, with repeats, against x a == a x
+    rng = random.Random(3950 + degree)
+
+    def shuffled(points):
+        # a random permutation of the given points that fixes the others
+        imgs, targets = list(range(degree)), list(points)
+        rng.shuffle(targets)
+        for p, q in zip(points, targets):
+            imgs[p] = q
+        return Perm(imgs)
+
+    low, high = range(degree // 2), range(degree // 2, degree)
+    one = Perm.identity(degree)
+    # the identity, a random a, and two that fix point 0
+    for a in (one, shuffled(range(degree)), shuffled(high), shuffled(range(1, degree))):
+        xs = [shuffled(range(degree)) for _ in range(12)] + [shuffled(low) for _ in range(4)]
+        xs += [a**k for k in range(3)] + [a * x for x in xs[-6:]]
+        rng.shuffle(xs)
+        xs += xs[:3]
+        for members in ([], [one.images], [x.images for x in xs]):
+            expected = [x for x in members if Perm._raw(x) * a == a * Perm._raw(x)]
+            assert _commuting(members, degree, a) == expected
+            # the members in a set's order, as the centralizer filter reads them
+            assert _commuting(set(members), degree, a) == [x for x in set(members) if x in expected]
+        if degree >= 14 and a != one:
+            assert 0 < len(expected) < len(members)  # the filter keeps some and drops some
+
+
+def test_commuting_needs_no_conjugation(monkeypatch):
+    # the centralizer filter is the column test alone: with no conjugation
+    # map it still finds C_G(A6) and what commutes with gtilde
+    cand = build_candidate("M10_2")
+    G, A, g = cand.group, cand.a6, cand.gtilde
+    kept = sorted(x.images for x in G.elements if all(x * a == a * x for a in A.generators))
+    commuting = [x.images for x in G.elements if x * g == g * x]
+
+    def refused(s):
+        raise AssertionError("the commuting filter conjugated")
+
+    monkeypatch.setattr(permgrp, "_conjugation", refused)
+    fresh = PermGroup(G.generators, G.degree, set(G.images))
+    assert G.degree == 14 and len(kept) == 2
+    assert centralizer_of_subgroup(fresh, A).images == tuple(kept)
+    assert commuting_images(G, g) == commuting
 
 
 def test_class_fusion_reads_the_outer_generators():
