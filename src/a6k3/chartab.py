@@ -2,13 +2,18 @@
 
 The pipeline: a simultaneous eigenspace split of the class-sum matrices
 over F_p, p = 1 mod the group exponent and p > 2*ceil(sqrt(|G|));
-eigenvalues the roots of the characteristic polynomial, ascending; degree
-recovery from the second orthogonality relation; and a lift of each value
-on a class of order o to Q(zeta_o), where it stays, through root-of-unity
-multiplicities.  A class matrix is counted, by `_class_matrix`, only when
-the split reads it (Schneider 1990), non-rational classes first, as only
-they can separate Galois-conjugate characters, then by size; a space on
-which it acts as a scalar is kept with no characteristic polynomial.
+eigenvalues the roots of the characteristic polynomial, ascending, with
+their multiplicities; the eigenvector of a simple root from one Krylov
+sequence, kept when it is checked to be one, and a nullspace for the
+other roots; degree recovery from the second orthogonality relation; and
+a lift of each value on a class of order o to Q(zeta_o), where it stays,
+through root-of-unity multiplicities, each distinct tuple of values on a
+class's powers lifted once per table, with the roots of unity and square
+roots mod p memoized per prime.  A class matrix is counted, by
+`_class_matrix`, only when the split reads it (Schneider 1990),
+non-rational classes first, as only they can separate Galois-conjugate
+characters, then by size; a space on which it acts as a scalar is kept
+with no characteristic polynomial.
 Eliminations are `exact._gauss_jordan` and characteristic polynomials
 `exact._charpoly`, here over F_p.  The row orthogonality relations of the
 square table, which imply the column relations, are re-verified exactly
@@ -19,7 +24,7 @@ Classes are named by `class_labels`; `cli` writes the text form of a table.
 Inner loops are C passes over whole lists: the products of a class matrix
 (`permgrp._right_products`) and the `Counter` of their classes; each F_p
 inner product, `sum(map(mul, ...))`; the lift, one class at a time with one
-matrix of roots of unity per element order and table; and the
+matrix of roots of unity per element order and prime; and the
 orthogonality check, which reads each irrational value's terms once.
 """
 
@@ -28,9 +33,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import accumulate, compress, islice
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, not_
 
 from .exact import CycloNum, _charpoly, _gauss_jordan, _integer, dot, prime_factors
 from .permgrp import (
@@ -150,14 +155,24 @@ def _nullspace(matrix, p):
 
 
 def _eigenvalues(S, p):
-    """The eigenvalues of S over F_p, ascending: the roots of its characteristic
-    polynomial `exact._charpoly(S, p)`."""
+    """The eigenvalues of S over F_p, ascending, each with its multiplicity as
+    a root of the characteristic polynomial `exact._charpoly(S, p)`."""
     coeffs = _charpoly(S, p)
     # Horner's rule at every point of F_p at once, one pass per coefficient
     values = [1] * p
     for c in coeffs[1:]:
         values = [(v * x + c) % p for v, x in zip(values, range(p))]
-    return [x for x, v in zip(range(p), values) if v == 0]
+    roots = []
+    for lam in compress(range(p), map(not_, values)):
+        # synthetic division by x - lam while it leaves no remainder
+        k = 0
+        while True:
+            *quotient, rest = accumulate(coeffs, lambda b, c: (c + lam * b) % p)
+            if rest:
+                break
+            k, coeffs = k + 1, quotient
+        roots.append((lam, k))
+    return roots
 
 
 def _primitive_root(p: int) -> int:
@@ -181,16 +196,32 @@ def _split(M, B, pivots, p: int) -> list:
     if all(S[x][y] == (lam if x == y else 0) for x in range(m) for y in range(m)):
         # M acts on span(B) as lam: B is already its one eigenspace
         return [(B, pivots)]
+    roots = _eigenvalues(S, p)
+    # g = prod (x - mu) over the distinct roots, and the Krylov vectors S^j v,
+    # j < len(roots), of v = (1, ..., 1), highest power first
+    g, krylov = [1], [[1] * m]
+    for mu, _ in roots:
+        g = [(a - mu * b) % p for a, b in zip(g + [0], [0, *g])]
+    for _ in roots[1:]:
+        krylov.insert(0, [sum(map(mul, row, krylov[0])) % p for row in S])
+    krylov = list(zip(*krylov))
     columns = list(zip(*B))
-    parts, found = [], 0
-    for lam in _eigenvalues(S, p):
-        A = [[(S[x][y] - (lam if x == y else 0)) % p for y in range(m)] for x in range(m)]
-        # the kernel vectors in B's coordinates, written out over the classes
-        vecs = [[sum(map(mul, coords, col)) % p for col in columns] for coords in _nullspace(A, p)]
+    parts = []
+    for lam, k in roots:
+        basis = None
+        if k == 1:
+            # (S - lam) u = g(S) v for u = (g/(x - lam))(S) v, so u spans the
+            # lam-eigenspace, a line, if g(S) v = 0 and u != 0, as when S is
+            # diagonalizable and v meets that line; u is kept only if checked
+            q = list(accumulate(g, lambda b, c: (c + lam * b) % p))[:-1]
+            u = [sum(map(mul, q, row)) % p for row in krylov]
+            if any(u) and [sum(map(mul, row, u)) % p for row in S] == [lam * x % p for x in u]:
+                basis = [u]
+        if basis is None:
+            basis = _nullspace([[(S[x][y] - (lam if x == y else 0)) % p for y in range(m)] for x in range(m)], p)
+        # the eigenvectors in B's coordinates, written out over the classes
+        vecs = [[sum(map(mul, coords, col)) % p for col in columns] for coords in basis]
         parts.append(_gauss_jordan(vecs, p))
-        found += len(parts[-1][0])
-        if found == m:
-            break
     return parts
 
 
@@ -229,6 +260,21 @@ def _common_eigenvectors(G: PermGroup, p: int):
         inv = pow(lead, p - 2, p)
         rows.append([(v * inv) % p for v in w])
     return rows
+
+
+@cache
+def _square_roots(p: int) -> dict:
+    """The square root in [1, p/2] of each nonzero square mod p."""
+    return {x * x % p: x for x in range(1, p // 2 + 1)}
+
+
+@cache
+def _dft(p: int, o: int) -> tuple:
+    """Row t of the o x o matrix zeta^(-t l) / o mod p, for zeta = g^((p-1)/o)
+    with g the least primitive root mod p: zeta_o mod p, for o dividing p - 1."""
+    zeta, inv_o = pow(_primitive_root(p), (p - 1) // o, p), pow(o, p - 2, p)
+    scaled = [pow(zeta, j, p) * inv_o % p for j in range(o)]
+    return tuple(tuple(scaled[-t * l % o] for l in range(o)) for t in range(o))
 
 
 class CharacterTable:
@@ -270,8 +316,7 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
 
     # degrees from 1/chi(1)^2 = (1/|G|) sum_i w_i w_i' / |C_i|
     inv_sizes = [pow(size, p - 2, p) for size in sizes]
-    # the square root in [1, p/2] of each nonzero square mod p
-    roots = {x * x % p: x for x in range(1, p // 2 + 1)}
+    roots = _square_roots(p)
     degrees = []
     charp_rows = []
     for w in omega_rows:
@@ -284,25 +329,24 @@ def character_table(G: PermGroup, prime_index: int = 0) -> CharacterTable:
     require(sum(d * d for d in degrees) == order, "degree column is inconsistent")
 
     # lift chi(g) = sum_t m_t zeta_o^t, in Q(zeta_o) for g of order o, where
-    # m_t = (1/o) sum_{l<o} chi_p(g^l) theta^(-t l e/o); theta^(e/o) is zeta_o mod p
-    theta = pow(_primitive_root(p), (p - 1) // e, p)
-    theta_pow = [pow(theta, t, p) for t in range(e)]
-    # for each element order o, row t of the o x o matrix theta^(-t l e/o)
-    dft = {}
-    for o in {c.element_order for c in classes}:
-        step = e // o
-        dft[o] = [[theta_pow[-t * l * step % e] for l in range(o)] for t in range(o)]
+    # m_t = (1/o) sum_{l<o} chi_p(g^l) zeta_o^(-t l) mod p; each distinct
+    # tuple of values on a class's powers is lifted once, and its first
+    # entry, chi_p(1) = d, fixes the degree that the counts must sum to
+    lifted = {}
     columns = []
-    for c in classes:  # one column at a time, o^-1, its powers and DFT rows read once
+    for c in classes:
         o = c.element_order
-        inv_o, powers, dft_o = pow(o, p - 2, p), c.power_map[:o], dft[o]
+        powers, dft = c.power_map[:o], _dft(p, o)
         column = []
         for d, chi_p in zip(degrees, charp_rows):
-            values = list(map(chi_p.__getitem__, powers))
-            # each count lies in [0, p), so the sum also bounds every count by d
-            counts = [sum(map(mul, values, dft_row)) * inv_o % p for dft_row in dft_o]
-            require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
-            column.append(CycloNum.from_power_counts(o, counts))
+            values = tuple(map(chi_p.__getitem__, powers))
+            value = lifted.get(values)
+            if value is None:
+                # each count lies in [0, p), so the sum also bounds every count by d
+                counts = [sum(map(mul, values, row)) % p for row in dft]
+                require(sum(counts) == d, "root-of-unity multiplicities do not sum to the degree")
+                value = lifted[values] = CycloNum.from_power_counts(o, counts)
+            column.append(value)
         columns.append(column)
     rows = list(zip(*columns))
 

@@ -268,11 +268,13 @@ def _conjugation(s: Perm):
 
 def _commuting(members, degree: int, a: Perm) -> list:
     """The members x with x a = a x, in their order: x(a(p)) = a(x(p)) at each
-    point p, column p of the survivors' joined images mapped by a against
-    column a(p), the points a moves first, where about one x in `degree` passes."""
+    point p that a moves, column p of the survivors' joined images mapped by
+    a against column a(p).  The moved points decide: there a(x(p)) = x(a(p))
+    differs from x(p), so x maps Mov(a) into, hence onto, itself, and Fix(a)
+    onto itself, where both sides are x(p).  For a = 1 every member passes."""
     table, members = _pad(a.images), list(members)
     join = b"".join if type(table) is bytes else lambda xs: tuple(chain.from_iterable(xs))
-    for p in sorted(range(degree), key=lambda p: table[p] == p):
+    for p in [p for p in range(degree) if table[p] != p]:
         flat = join(members)
         column = flat[p::degree]
         mapped = column.translate(table) if type(column) is bytes else map(table.__getitem__, column)

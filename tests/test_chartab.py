@@ -7,6 +7,7 @@ from itertools import islice, product
 from math import gcd
 
 import pytest
+from testkit import clear_caches
 
 from a6k3.exact import CycloNum, _gauss_jordan, euler_phi, galois_apply, prime_factors
 from a6k3.permgrp import A6_CLASS_SHAPE, Perm, VerificationError, _classes, _index, closure, conjugacy_classes, conjugate_group
@@ -390,6 +391,25 @@ def test_split_counts_only_the_class_matrices_it_reads(name, monkeypatch):
     assert (read, len(scans)) == SPLITS[name]
 
 
+# per tower table: the eliminations the split makes for an eigenspace, and
+# the values the lift computes.  A simple root takes its eigenvector from the
+# Krylov vectors of (1, ..., 1) and needs none unless that vector fails its
+# check; a multiple root needs one.  Each distinct tuple of values on a
+# class's powers is lifted once, of 121, 121, 64, 169 and 49 cells
+NULLSPACES = {"S6": 2, "PGL(2,9)": 5, "M10": 1, "PGammaL(2,9)": 5, "PSL(2,9)": 1}
+LIFTS = {"S6": 47, "PGL(2,9)": 45, "M10": 33, "PGammaL(2,9)": 61, "PSL(2,9)": 27}
+
+
+@pytest.mark.parametrize("name", list(TOWER))
+def test_eliminations_and_lifts_per_table(name, monkeypatch):
+    calls, lifts = [], []
+    nullspace, lift = chartab._nullspace, CycloNum.from_power_counts
+    monkeypatch.setattr(chartab, "_nullspace", lambda A, p: calls.append(A) or nullspace(A, p))
+    monkeypatch.setattr(CycloNum, "from_power_counts", lambda o, counts: lifts.append(o) or lift(o, counts))
+    character_table.__wrapped__(TOWER[name][0]())
+    assert (len(calls), len(lifts)) == (NULLSPACES[name], LIFTS[name])
+
+
 def test_relabeled_tables_are_the_tables():
     # a relabeling t can reorder classes of one element order and size, and
     # so break the ties of the split's read order (rational class, size,
@@ -421,7 +441,7 @@ def full_split(M, B, pivots, p):
     m = len(B)
     S = [[sum(M[pivots[b]][k] * B[a][k] for k in range(len(M))) % p for a in range(m)] for b in range(m)]
     parts = []
-    for lam in _eigenvalues(S, p):
+    for lam, _ in _eigenvalues(S, p):
         kernel = _nullspace([[(S[x][y] - (lam if x == y else 0)) % p for y in range(m)] for x in range(m)], p)
         parts.append(_gauss_jordan([[sum(c * row[k] for c, row in zip(coords, B)) % p for k in range(len(M))]
                                     for coords in kernel], p))
@@ -457,6 +477,43 @@ def test_scalar_restriction_keeps_its_space(p):
             assert parts == full_split(M, whole, list(range(r)), p) and len(parts) == len(set(d))
     # the scalar matrices include some that are not lam I
     assert scalar > 0
+
+
+def missing_eigenvector_matrix(rng, r, p):
+    # M = P D P^-1, diagonalizable, with the columns e_0, (1, ..., 1) and
+    # random ones in P, and d_0 = 0 a simple root: (1, ..., 1) is the
+    # eigenvector of d_1 and has no component in the eigenspace of d_0
+    while True:
+        P = [[int(j == 0)] + [1] + [rng.randrange(p) for _ in range(r - 2)] for j in range(r)]
+        inverse, pivots = _gauss_jordan([row + [int(j == k) for k in range(r)] for j, row in enumerate(P)], p)
+        if pivots == list(range(r)):
+            break
+    d = [0] + [rng.randrange(1, p) for _ in range(r - 1)]
+    PD = [[v * x % p for v, x in zip(row, d)] for row in P]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*[row[r:] for row in inverse])] for row in PD]
+
+
+@pytest.mark.parametrize("p", [7, 241])
+def test_unchecked_krylov_vector_falls_back_to_the_nullspace(p, monkeypatch):
+    # a simple root whose Krylov vector is no eigenvector, as when M is not
+    # diagonalizable, or is 0, as when (1, ..., 1) has no component in its
+    # eigenspace, is split by an elimination, as the full split splits it
+    rng = random.Random(4001 + p)
+    calls = []
+    nullspace = chartab._nullspace
+    monkeypatch.setattr(chartab, "_nullspace", lambda A, p: calls.append(A) or nullspace(A, p))
+    for make in (similar_jordan_matrix, missing_eigenvector_matrix):
+        simple_fallbacks = 0
+        for r in range(2, 9):
+            for _ in range(4):
+                M = make(rng, r, p)
+                whole = [[int(j == k) for k in range(r)] for j in range(r)]
+                calls.clear()
+                assert _split(M, whole, list(range(r)), p) == full_split(M, whole, list(range(r)), p)
+                multiple = sum(k > 1 for _, k in _eigenvalues(M, p))
+                if calls:  # a matrix that is no scalar
+                    simple_fallbacks += len(calls) - multiple
+        assert simple_fallbacks > 0, make.__name__
 
 
 def test_column_swaps_leave_the_golden_key():
@@ -529,10 +586,16 @@ def test_other_primitive_roots_give_the_same_table(name, monkeypatch):
     # sorted table is the same: the mutant "conjugated theta" is equivalent
     G = TOWER[name][0]()
     rows = character_table.__wrapped__(G).rows
-    root = chartab._primitive_root
-    for k in (7, 11, 239):
-        monkeypatch.setattr(chartab, "_primitive_root", lambda p, k=k: pow(root(p), k, p))
-        assert character_table.__wrapped__(G).rows == rows
+    root, roots = chartab._primitive_root, []
+    try:
+        for k in (7, 11, 239):
+            monkeypatch.setattr(chartab, "_primitive_root", lambda p, k=k: roots.append(k) or pow(root(p), k, p))
+            clear_caches()  # the lift's roots of unity are memoized per prime
+            assert character_table.__wrapped__(G).rows == rows
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert sorted(set(roots)) == [7, 11, 239]
 
 
 def scanned_eigenspaces(S, p):
@@ -544,6 +607,16 @@ def scanned_eigenspaces(S, p):
         if kernel:
             dims[lam] = len(kernel)
     return dims
+
+
+def generalized_dimension(S, lam, p):
+    # the nullity of (S - lam I)^m, by repeated products and one nullspace
+    m = len(S)
+    A = [[(S[x][y] - (lam if x == y else 0)) % p for y in range(m)] for x in range(m)]
+    power = A
+    for _ in range(m - 1):
+        power = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*A)] for row in power]
+    return len(_nullspace(power, p))
 
 
 def similar_jordan_matrix(rng, m, p):
@@ -574,8 +647,12 @@ def test_eigenvalues_are_the_scanned_eigenvalues(p, sizes, seed):
     for m in sizes:
         dense = [[[rng.randrange(p) for _ in range(m)] for _ in range(m)] for _ in range(3)]
         for S in dense + [similar_jordan_matrix(rng, m, p) for _ in range(3)]:
-            dims = scanned_eigenspaces(S, p)
-            assert _eigenvalues(S, p) == sorted(dims)
+            dims, roots = scanned_eigenspaces(S, p), _eigenvalues(S, p)
+            assert [lam for lam, _ in roots] == sorted(dims)
+            # a multiplicity is the dimension of the generalized eigenspace,
+            # at least that of the eigenspace; together at most m
+            assert all(k == generalized_dimension(S, lam, p) >= dims[lam] for lam, k in roots)
+            assert sum(k for _, k in roots) <= m
             defective += sum(dims.values()) < m
     # the sample includes matrices that are not diagonalizable
     assert defective > 0

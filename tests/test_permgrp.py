@@ -609,6 +609,20 @@ def test_commuting_by_columns_against_perm_arithmetic(degree):
             assert 0 < len(expected) < len(members)  # the filter keeps some and drops some
 
 
+def test_commuting_on_candidates_against_perm_arithmetic():
+    # each candidate's members against its A6 generators and the identity,
+    # and a group of degree 300, whose images are tuples
+    big = closure([Perm.from_cycles([(0, 1, 2)], 300), Perm.from_cycles([(0, 1)], 300),
+                   Perm.from_cycles([(3, 4, 5, 6), (299, 298)], 300)])
+    assert type(big.images[0]) is tuple
+    cases = [(c.group, c.a6.generators) for c in map(build_candidate, KINDS)]
+    cases.append((big, big.generators))
+    for G, gens in cases:
+        for a in (*gens, Perm.identity(G.degree)):
+            expected = [x.images for x in G.elements if x * a == a * x]
+            assert _commuting(G.images, G.degree, a) == expected
+
+
 def test_commuting_needs_no_conjugation(monkeypatch):
     # the centralizer filter is the column test alone: with no conjugation
     # map it still finds C_G(A6) and what commutes with gtilde

@@ -5,6 +5,8 @@ one module knows the report's format: `cli` alone writes JSON or text."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import a6k3
 
 SRC = Path(a6k3.__file__).parent
@@ -164,3 +166,13 @@ def test_the_paper_answers_are_stated_once():
                 if value is not NOT_LITERAL and value in ANSWERS:
                     found[value].add((path.stem, name))
     assert found == ANSWERS
+
+
+def test_the_sources_parse_with_the_oldest_supported_grammar():
+    # pyproject.toml promises Python 3.10; the 3.10 grammar rejects the
+    # syntax added since, such as except*
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
