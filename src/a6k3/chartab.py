@@ -3,7 +3,8 @@
 The pipeline: a simultaneous eigenspace split of the class-sum matrices
 over F_p, p = 1 mod the group exponent and p > 2*ceil(sqrt(|G|));
 eigenvalues the roots of the characteristic polynomial, ascending, with
-their multiplicities; the eigenvector of a simple root from one Krylov
+their multiplicities, found by one evaluation at every point of F_p in
+64-bit lanes of one int; the eigenvector of a simple root from one Krylov
 sequence, kept when it is checked to be one, and a nullspace for the
 other roots; degree recovery from the second orthogonality relation; and
 a lift of each value on a class of order o to Q(zeta_o), where it stays,
@@ -15,7 +16,7 @@ non-rational classes first, as only they can separate Galois-conjugate
 characters, then by size; a space on which it acts as a scalar is kept
 with no characteristic polynomial.
 Eliminations are `exact._gauss_jordan` and characteristic polynomials
-`exact._charpoly`, here over F_p.  The row orthogonality relations of the
+`exact._charpoly`, both over F_p.  The row orthogonality relations of the
 square table, which imply the column relations, are re-verified exactly
 before a table is returned: per row pair, the classes where every row is
 rational are one sum of ints or Fractions, the others one `exact.dot`.
@@ -30,6 +31,7 @@ orthogonality check, which reads each irrational value's terms once.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -154,16 +156,23 @@ def _nullspace(matrix, p):
     return basis
 
 
+@cache
+def _lanes(p: int, j: int) -> int:
+    """x^j mod p for every x < p, in the 64-bit lane x of one int."""
+    return int.from_bytes(b"".join(pow(x, j, p).to_bytes(8, sys.byteorder) for x in range(p)), sys.byteorder)
+
+
 def _eigenvalues(S, p):
     """The eigenvalues of S over F_p, ascending, each with its multiplicity as
-    a root of the characteristic polynomial `exact._charpoly(S, p)`."""
+    a root of the characteristic polynomial `exact._charpoly(S, p)`.  They are
+    the zero lanes of sum_j c_j _lanes(p, j), the polynomial at every point of
+    F_p: a lane adds len(S) + 1 terms of at most (p - 1)^2, so none carries
+    while len(S) <= MAX_CLASS_COUNT and p <= PRIME_SEARCH_GUARD."""
     coeffs = _charpoly(S, p)
-    # Horner's rule at every point of F_p at once, one pass per coefficient
-    values = [1] * p
-    for c in coeffs[1:]:
-        values = [(v * x + c) % p for v, x in zip(values, range(p))]
+    packed = sum(c * _lanes(p, j) for j, c in enumerate(reversed(coeffs)))
+    values = memoryview(packed.to_bytes(8 * p, sys.byteorder)).cast("Q")
     roots = []
-    for lam in compress(range(p), map(not_, values)):
+    for lam in compress(range(p), map(not_, map(p.__rmod__, values))):
         # synthetic division by x - lam while it leaves no remainder
         k = 0
         while True:

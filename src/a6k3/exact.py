@@ -26,8 +26,9 @@ compared as a rational, never embedded.
 
 `_gauss_jordan` is the package's one elimination, over F_p: the character
 tables split their class algebras with it.  `_charpoly` is the one
-characteristic polynomial: over F_p of the class matrices, for their
-eigenvalues, and over Z of the lattice forms, for determinant and signature.
+characteristic polynomial, over F_p by a Hessenberg form in O(n^3): of the
+class matrices, for their eigenvalues, and of the lattice forms modulo a
+prime large enough to lift it to Z, for determinant and signature.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .permgrp import require
 
@@ -366,25 +367,44 @@ def _gauss_jordan(rows, p: int):
 
 
 def _charpoly(S, p: int) -> list[int]:
-    """det(x I - S), leading coefficient first, over F_p, or over Z when p == 0.
+    """det(x I - S), leading coefficient first, over F_p: ints in [0, p).
 
-    Berkowitz's algorithm never divides, so it holds for every p, also when
-    p <= len(S).  Over F_p the coefficients are ints in [0, p), and each
-    A^j C is reduced as it is made, in the same pass.
+    By similarity, S becomes upper Hessenberg H a column at a time: a nonzero
+    entry on or below the subdiagonal is swapped onto it and clears the rest.
+    Only these pivots are inverted, so this holds for every prime p, also
+    p <= len(S).  The polynomials p_m of the leading m x m blocks of H follow
+    p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i
+    (H. Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
-    coeffs = [1]  # of the leading k x k block, leading coefficient first
-    for k in range(len(S)):
-        # Toeplitz column of the new block: 1, -s_kk, -R C, -R A C, ..., -R A^(k-1) C
-        block, R = [row[:k] for row in S[:k]], S[k][:k]
-        col, toeplitz = [row[k] for row in S[:k]], [1, -S[k][k]]
-        for _ in range(k):
-            toeplitz.append(-sum(map(mul, R, col)))
-            col = [sum(map(mul, row, col)) % p for row in block] if p else [sum(map(mul, row, col)) for row in block]
-        # the product with the Toeplitz matrix: coefficient i is sum_j t_(i-j) c_j
-        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(k + 2)]
-        if p:
-            coeffs = [c % p for c in coeffs]
-    return coeffs
+    n = len(S)
+    H = [[v % p for v in row] for row in S]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue  # column m - 1 is already zero below the subdiagonal
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        # row i -= u_i row m clears column m - 1; column m += sum u_i column i undoes it
+        inv, top = pow(H[m][m - 1], -1, p), H[m]
+        us = [H[i][m - 1] * inv % p for i in range(m + 1, n)]
+        if any(us):
+            for i, u in enumerate(us, m + 1):
+                if u:
+                    H[i] = [(a - u * b) % p for a, b in zip(H[i], top)]
+            for row in H:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1 :]))) % p
+    polys = [[1]]  # p_m, constant term first
+    for m in range(n):
+        acc, t = [H[m][m] * b for b in polys[m]], 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % p
+            if not t:
+                break  # and so is every longer product
+            acc[: i + 1] = map(add, acc, map((H[i][m] * t).__mul__, polys[i]))
+        polys.append([(a - b) % p for a, b in zip([0, *polys[m]], [*acc, 0])])
+    return polys[n][::-1]
 
 
 def galois_apply(a: CycloNum, k: int) -> CycloNum:

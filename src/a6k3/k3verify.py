@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import permutations, product
 from math import factorial, lcm
 from operator import itemgetter, mul, ne
@@ -604,14 +604,24 @@ def _poly_mul(a, b) -> list[int]:
     return out
 
 
+_LIFT_PRIME = 2**61 - 1
+
+
 def _gram_charpoly(gram) -> list[int]:
     """det(x I - gram), leading coefficient first, of a square symmetric
     integer matrix: a real symmetric matrix has only real eigenvalues.  It
-    is the product of the polynomials of the diagonal blocks."""
-    n = len(gram)
+    is the product of the polynomials of the diagonal blocks, each over F_q,
+    q = _LIFT_PRIME, lifted to the symmetric residues: by Gershgorin, each
+    eigenvalue of a block has |lambda| <= rho, its largest absolute row sum,
+    so |c_k| <= C(n, k) rho^k <= (1 + rho)^n, required below q / 2."""
+    n, q, poly = len(gram), _LIFT_PRIME, [1]
     require(all(len(row) == n for row in gram), "matrix not square")
     require(all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i)), "matrix not symmetric")
-    return reduce(_poly_mul, (_charpoly(block, 0) for block in _diagonal_blocks(gram)), [1])
+    for block in _diagonal_blocks(gram):
+        rho = max(sum(map(abs, row)) for row in block)
+        require(2 * (1 + rho) ** len(block) < q, "characteristic polynomial exceeds the lift prime")
+        poly = _poly_mul(poly, [c - q if 2 * c > q else c for c in _charpoly(block, q)])
+    return poly
 
 
 def _determinant(poly) -> int:

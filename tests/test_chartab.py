@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 from testkit import clear_caches
 
-from a6k3.exact import CycloNum, _gauss_jordan, euler_phi, galois_apply, prime_factors
+from a6k3.exact import CycloNum, _charpoly, _gauss_jordan, euler_phi, galois_apply, prime_factors
 from a6k3.permgrp import A6_CLASS_SHAPE, Perm, VerificationError, _classes, _index, closure, conjugacy_classes, conjugate_group
 from a6k3.pgl9 import build_pgammal29, build_pgl29, build_psl29, classify_overgroups
 from a6k3.chartab import (
@@ -656,6 +656,44 @@ def test_eigenvalues_are_the_scanned_eigenvalues(p, sizes, seed):
             defective += sum(dims.values()) < m
     # the sample includes matrices that are not diagonalizable
     assert defective > 0
+
+
+def test_no_lane_carries_at_a_prime_the_search_returns(monkeypatch):
+    # a lane of the root scan adds at most MAX_CLASS_COUNT + 1 terms, each
+    # at most (p - 1)^2, and the prime search returns no p above its guard
+    assert (chartab.MAX_CLASS_COUNT + 1) * (chartab.PRIME_SEARCH_GUARD - 1) ** 2 < 2**64
+    monkeypatch.setattr(chartab, "PRIME_SEARCH_GUARD", 100)
+    found = []
+    with pytest.raises(VerificationError, match="prime search guard"):
+        found.extend(admissible_primes(closure([Perm.from_cycles([(0, 1)], 2)])))
+    assert found[-1] == 97
+
+
+# at 7 and 13 the sizes reach p, so a polynomial may have degree p or more
+@pytest.mark.parametrize("p, sizes, seed", [(7, range(1, 17), 6101), (13, range(1, 17), 6102),
+                                            (241, range(1, 17), 6103), (10007, range(1, 9), 6104)])
+def test_packed_roots_are_the_roots_at_each_point(p, sizes, seed):
+    # the zero lanes of the packed evaluation are the points x of F_p where
+    # the characteristic polynomial, evaluated by Horner's rule at x alone,
+    # is 0; its roots in F_p, with multiplicity, number at most its degree
+    rng = random.Random(seed)
+    split = 0
+    for m in sizes:
+        for S in ([[rng.randrange(p) for _ in range(m)] for _ in range(m)], similar_jordan_matrix(rng, m, p)):
+            coeffs = _charpoly(S, p)
+            plain = []
+            for x in range(p):
+                value = 0
+                for c in coeffs:
+                    value = (value * x + c) % p
+                if not value:
+                    plain.append(x)
+            roots = _eigenvalues(S, p)
+            assert [lam for lam, _ in roots] == plain
+            assert all(k >= 1 for _, k in roots) and sum(k for _, k in roots) <= m
+            split += sum(k for _, k in roots) == m
+    # the Jordan samples split over F_p, with all their roots in the scan
+    assert split >= len(sizes)
 
 
 def test_character_table_d8_x_c3_at_p_13():

@@ -4,6 +4,7 @@ import cmath
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -312,14 +313,75 @@ def test_constructor_coercion_randomized():
                 assert type(c) is Fraction and c == Fraction(g)
 
 
+def berkowitz(S) -> list[int]:
+    """det(x I - S) over Z, leading coefficient first, by Berkowitz's
+    algorithm: it only adds and multiplies, so it is the reference that
+    holds for every p once reduced."""
+    coeffs = [1]  # of the leading k x k block, leading coefficient first
+    for k in range(len(S)):
+        # Toeplitz column of the new block: 1, -s_kk, -R C, -R A C, ..., -R A^(k-1) C
+        block, R = [row[:k] for row in S[:k]], S[k][:k]
+        col, toeplitz = [row[k] for row in S[:k]], [1, -S[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, R, col)))
+            col = [sum(map(mul, row, col)) for row in block]
+        # the product with the Toeplitz matrix: coefficient i is sum_j t_(i-j) c_j
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(k + 2)]
+    return coeffs
+
+
+def assert_charpoly_reduces(S, p):
+    # the Hessenberg form over F_p is the reference over Z reduced mod p,
+    # for S as given and reduced, and S is left as it was
+    given = [list(row) for row in S]
+    over_z = berkowitz(S)
+    assert len(over_z) == len(S) + 1 and over_z[0] == 1
+    assert [c % p for c in over_z] == _charpoly(S, p) == _charpoly([[v % p for v in row] for row in S], p)
+    assert S == given
+
+
 @pytest.mark.parametrize("p", [7, 11, 13, 241])
 def test_charpoly_over_z_reduces_to_the_charpoly_over_f_p(p):
-    # Berkowitz's algorithm only adds and multiplies, so reducing det(x I - S)
-    # over Z mod p gives the polynomial of S mod p, also for len(S) >= p
+    # also for len(S) >= p, where a pivot may be a multiple of p over Z
     rng = random.Random(8101 + p)
     for n in range(1, 17):
         for _ in range(3):
-            S = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-            over_z = _charpoly(S, 0)
-            assert len(over_z) == n + 1 and over_z[0] == 1
-            assert [c % p for c in over_z] == _charpoly([[v % p for v in row] for row in S], p)
+            assert_charpoly_reduces([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)], p)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 241])
+def test_charpoly_where_the_hessenberg_steps_swap_or_skip(p):
+    # dense random matrices almost always find their pivot on the subdiagonal;
+    # these reach the other branches: a column already zero below the
+    # subdiagonal (no step), a pivot further down (a swap of rows and
+    # columns), and zero subdiagonal entries in the recurrence
+    rng = random.Random(8201 + p)
+
+    def entry():
+        return rng.randint(-20, 20)
+
+    for n in range(1, 17):
+        upper = [[entry() if j >= i else 0 for j in range(n)] for i in range(n)]
+        lower = [[entry() if j <= i else 0 for j in range(n)] for i in range(n)]
+        # Hessenberg already, with every other subdiagonal entry a multiple of p
+        hessenberg = [[entry() if j >= i - 1 else 0 for j in range(n)] for i in range(n)]
+        for i in range(1, n, 2):
+            hessenberg[i][i - 1] = p * rng.randint(-2, 2)
+        # a multiple of p on the first subdiagonal entry and a unit under it:
+        # the first step swaps
+        swap = [[entry() for _ in range(n)] for _ in range(n)]
+        if n > 2:
+            swap[1][0], swap[2][0] = p * rng.randint(-2, 2), rng.randint(1, p - 1)
+        # Hessenberg but for a full last row: each step clears that row alone
+        sparse = [[entry() if j >= i - 1 and i < n - 1 else 0 for j in range(n)] for i in range(n)]
+        sparse[n - 1] = [entry() for _ in range(n)]
+        for S in (upper, lower, hessenberg, swap, sparse):
+            assert_charpoly_reduces(S, p)
+        # a triangular matrix has its diagonal as roots
+        for S in (upper, lower):
+            want = [1]
+            for i in range(n):
+                want = [(a - S[i][i] * b) % p for a, b in zip([*want, 0], [0, *want])]
+            assert _charpoly(S, p) == want
+
+

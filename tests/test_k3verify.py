@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_exact import berkowitz
 
 from a6k3 import cli, k3verify
-from a6k3.exact import CycloNum, _charpoly
+from a6k3.exact import CycloNum
 from a6k3.permgrp import Perm, VerificationError, closure, conjugate_group
 from a6k3.pgl9 import build_psl29
 from a6k3.chartab import CharacterTable, character_table
@@ -660,11 +661,43 @@ def test_block_charpoly_is_the_whole_charpoly():
     for gram in fixed + coupled + degenerate_samples() + tuple(map(block_diagonal, parts)):
         # the blocks rebuild the form, so no coupling entry is dropped
         assert block_diagonal(_diagonal_blocks(gram)) == tuple(map(tuple, gram))
-        assert _gram_charpoly(gram) == _charpoly(gram, 0)
+        assert _gram_charpoly(gram) == berkowitz(gram)
     # a sum of blocks splits at least where its summands end
     assert all(len(_diagonal_blocks(block_diagonal(p))) >= len(p) for p in parts)
     # with every entry coupled, a form is one block
     assert sum(len(_diagonal_blocks(g)) == 1 for g in coupled) > 50
+
+
+def test_lift_prime_is_prime():
+    # the lattice forms' polynomials are found over F_q, which needs q prime
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(k3verify._LIFT_PRIME)
+
+
+def test_charpoly_lift_is_refused_at_the_bound():
+    # the coefficients over Z are the symmetric residues mod q while
+    # 2 (1 + rho)^n < q, rho the largest absolute row sum of a block; a
+    # form at the bound is refused, not lifted to wrong coefficients
+    q = k3verify._LIFT_PRIME
+    for n in (1, 2, 8):
+        # the n x n form with every entry a, one block with eigenvalues n a
+        # and 0, for the largest a that keeps 2 (1 + n a)^n below q
+        r = round((q / 2) ** (1 / n)) + 1
+        while 2 * r**n >= q:
+            r -= 1
+        a = (r - 1) // n
+        for sign in (1, -1):
+            gram = ((sign * a,) * n,) * n
+            assert _gram_charpoly(gram) == [1, -sign * n * a] + [0] * (n - 1)
+            with pytest.raises(VerificationError, match="lift prime"):
+                _gram_charpoly(((sign * (a + 1),) * n,) * n)
+    # a 1 x 1 form is its own determinant up to (q - 3) / 2 in absolute
+    # value; at (q - 1) / 2 both invariants refuse it
+    for v in ((q - 3) // 2, -(q - 3) // 2):
+        assert gram_determinant(((v,),)) == v
+    for invariant in (gram_determinant, gram_signature):
+        with pytest.raises(VerificationError, match="lift prime"):
+            invariant((((q - 1) // 2,),))
 
 
 def dense_pivots(gram):
