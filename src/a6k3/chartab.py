@@ -261,14 +261,10 @@ def _common_eigenvectors(G: PermGroup, p: int):
             new_spaces += parts
         spaces = new_spaces
     require(all(len(B) == 1 for B, _ in spaces), f"common eigenspaces not one-dimensional mod {p}")
-    rows = []
-    for B, _ in spaces:
-        w = B[0]
-        lead = w[0]  # identity-class coordinate; the true value there is 1
-        require(lead % p != 0, "eigenvector vanishes on the identity class")
-        inv = pow(lead, p - 2, p)
-        rows.append([(v * inv) % p for v in w])
-    return rows
+    # each basis is in reduced row-echelon form, so its one vector's
+    # identity-class coordinate, the true value 1, is 1 unless it is 0
+    require(all(B[0][0] == 1 for B, _ in spaces), "eigenvector vanishes on the identity class")
+    return [B[0] for B, _ in spaces]
 
 
 @cache

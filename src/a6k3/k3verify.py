@@ -582,46 +582,21 @@ def gram_transcendental() -> tuple:
     return ((6, 0), (0, 6))
 
 
-def _diagonal_blocks(gram) -> list:
-    """The diagonal blocks of a symmetric matrix, read off its entries: a
-    block ends at the first row where every entry coupling the block's rows
-    to the later columns is 0."""
-    blocks, start, end = [], 0, 0
-    for i, row in enumerate(gram):
-        # one past the last nonzero column of the block's rows so far
-        end = max(end, next((j for j in range(len(row) - 1, i, -1) if row[j]), i) + 1)
-        if end == i + 1:
-            blocks.append([r[start:end] for r in gram[start:end]])
-            start = end
-    return blocks
-
-
-def _poly_mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 _LIFT_PRIME = 2**61 - 1
 
 
 def _gram_charpoly(gram) -> list[int]:
     """det(x I - gram), leading coefficient first, of a square symmetric
     integer matrix: a real symmetric matrix has only real eigenvalues.  It
-    is the product of the polynomials of the diagonal blocks, each over F_q,
-    q = _LIFT_PRIME, lifted to the symmetric residues: by Gershgorin, each
-    eigenvalue of a block has |lambda| <= rho, its largest absolute row sum,
-    so |c_k| <= C(n, k) rho^k <= (1 + rho)^n, required below q / 2."""
-    n, q, poly = len(gram), _LIFT_PRIME, [1]
+    is found over F_q, q = _LIFT_PRIME, and lifted to the symmetric residues:
+    by Gershgorin, each eigenvalue has |lambda| <= rho, the largest absolute
+    row sum, so |c_k| <= C(n, k) rho^k <= (1 + rho)^n, required below q / 2."""
+    n, q = len(gram), _LIFT_PRIME
     require(all(len(row) == n for row in gram), "matrix not square")
     require(all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i)), "matrix not symmetric")
-    for block in _diagonal_blocks(gram):
-        rho = max(sum(map(abs, row)) for row in block)
-        require(2 * (1 + rho) ** len(block) < q, "characteristic polynomial exceeds the lift prime")
-        poly = _poly_mul(poly, [c - q if 2 * c > q else c for c in _charpoly(block, q)])
-    return poly
+    rho = max((sum(map(abs, row)) for row in gram), default=0)
+    require(2 * (1 + rho) ** n < q, "characteristic polynomial exceeds the lift prime")
+    return [c - q if 2 * c > q else c for c in _charpoly(gram, q)]
 
 
 def _determinant(poly) -> int:

@@ -6,10 +6,10 @@ on image sequences, and every deterministic-output contract in the package
 refers to that order.  Subgroup-producing operations re-verify Lagrange and
 normality facts instead of trusting the caller.
 
-A permutation's images are stored as bytes up to degree 256 and as a tuple
-above; only `_pack`, `_pad`, `_pads`, `_rmul`, `_lmul`, `_invert`,
-`_conjugation`, `_commuting` and `_right_products` know which.  Bytes cache
-their hash and sort like tuples of ints; a product is one `translate` call.
+A permutation acts on at most 256 points, and its images are stored as
+bytes; only `_pack`, `_pad`, `_pads`, `_rmul`, `_invert`, `_conjugation`,
+`_commuting` and `_right_products` compose them.  Bytes cache their hash and
+sort like tuples of ints; a product is one `translate` call.
 `_conjugation` takes images padded by `_pads`, two C calls per element, so a
 pass that conjugates the same images by several elements pads them once;
 the pads are transient and never memoized on a group.  A group holds all
@@ -31,7 +31,8 @@ subgroup, since one inside maps every class to itself.  `_dimino` is the
 one closure, plain or normal; `_orbits` the one orbit partition, one
 labelling pass that returns ascending lists, and `_fusion` the one
 class-fusion routine; only `conjugation_image` walks the Cayley graph of G,
-from the identity.
+from the identity, and it writes each automorphism of A as a tuple of A's
+element indices, composed by index.
 
 One cache policy: data derived from a group is memoized on that group by
 `group_cache`, so it is freed with the group and never answers for another
@@ -47,8 +48,8 @@ Bad caller input raises `ValueError`.
 One record idiom across the package: a value (`ConjClassData`, `FusionType`,
 `Fingerprint`) is a `collections.namedtuple` subclass with `__slots__ = ()`,
 equal and hashed by its fields and immutable; a computed result that holds
-groups or tables is a plain class, equal only to itself.  No record
-serializes itself: `cli` alone writes the report.
+groups or tables (`ConjugationImage`) is a plain class, equal only to
+itself.  No record serializes itself: `cli` alone writes the report.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property, reduce, wraps
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import gcd, lcm, prod
 from operator import add, attrgetter, eq, itemgetter
 
@@ -71,6 +72,7 @@ __all__ = [
     "ConjClassData",
     "FusionType",
     "Fingerprint",
+    "ConjugationImage",
     "group_cache",
     "closure",
     "conjugacy_classes",
@@ -104,8 +106,8 @@ def require(condition, message: str) -> None:
 
 
 class Perm:
-    """A permutation of {0, ..., degree-1}, stored as its images in the
-    format of `_pack`: bytes up to degree 256, a tuple of ints above."""
+    """A permutation of {0, ..., degree-1}, degree at most 256, stored as
+    the bytes of its images (`_pack`)."""
 
     __slots__ = ("images",)
 
@@ -211,59 +213,50 @@ class Perm:
         return f"Perm[{self.cycle_string()}]"
 
 
-# Only these helpers know the image format.  Up to degree 256 images are
-# bytes: they hash once and compare like tuples of ints, x * s is
-# s.translate(x padded to 256 entries) (`_rmul`) and s * x is
-# x.translate(s padded) (`_lmul`), one C call each, so s^-1 x s is two from
-# a padded x (`_conjugation`); x^-1 is one `maketrans` (`_invert`).  Above,
-# they are tuples composed by itemgetter; conjugation_image acts on 360 points.
-# `_commuting` pads no member: it maps columns of the members' joined images.
+# Only these helpers know the image format.  Images are bytes: they hash
+# once and compare like tuples of ints, and a permutation acts on at most
+# 256 points.  x * s is s.translate(x padded to 256 entries) (`_rmul`), one
+# C call, so s^-1 x s is two from a padded x (`_conjugation`); x^-1 is one
+# `maketrans` (`_invert`).  `_commuting` pads no member: it maps columns of
+# the members' joined images.
 # _TAILS[n]: the points n..255, which an n-point image fixes as a table
 _TAILS = [bytes(range(256))[n:] for n in range(257)]
 
 
-def _pack(images):
+def _pack(images) -> bytes:
     """The stored images of a permutation given by a sized sequence of ints."""
-    return bytes(images) if len(images) <= 256 else tuple(images)
+    if len(images) > 256:
+        raise ValueError(f"degree {len(images)} exceeds 256, the most points a permutation acts on")
+    return bytes(images)
 
 
-def _pad(x):
-    """x as the argument of `_rmul(s)`: bytes grow to a 256-entry translation
-    table by the points it fixes; tuples stay."""
-    return x + _TAILS[len(x)] if type(x) is bytes else x
+def _pad(x: bytes) -> bytes:
+    """x as the argument of `_rmul(s)`: a 256-entry translation table, x
+    grown by the points it fixes."""
+    return x + _TAILS[len(x)]
 
 
 def _pads(xs, degree: int):
     """map(_pad, xs) for stored images of the given degree, one C pass."""
-    return map(add, xs, repeat(_TAILS[degree])) if degree <= 256 else xs
+    return map(add, xs, repeat(_TAILS[degree]))
 
 
-def _rmul(s):
+def _rmul(s: bytes):
     """The map _pad(x) |-> x * s on stored images, one C call per x."""
-    return s.translate if type(s) is bytes else itemgetter(*s)
+    return s.translate
 
 
-def _lmul(a):
-    """The map xs |-> (a * x for x in xs) on stored images, one C call per x."""
-    t = _pad(a)
-    if type(t) is bytes:
-        return lambda xs: map(bytes.translate, xs, repeat(t))
-    return lambda xs: (itemgetter(*x)(t) for x in xs)
-
-
-def _invert(x):
+def _invert(x: bytes) -> bytes:
     """The stored images of x^-1: the table that maps x to the identity."""
-    if type(x) is bytes:
-        return bytes.maketrans(x, _TAILS[0][: len(x)])[: len(x)]
-    return tuple(sorted(range(len(x)), key=x.__getitem__))
+    return bytes.maketrans(x, _TAILS[0][: len(x)])[: len(x)]
 
 
 def _conjugation(s: Perm):
     """The map pads |-> (s^-1 x s for x in the images padded by `_pads`):
     x * s and then s^-1 * (x * s), two C calls per x.  A pass that conjugates
     the same images by several elements pads them once."""
-    left, right = _lmul(_invert(s.images)), _rmul(s.images)
-    return lambda pads: left(map(right, pads))
+    left, right = _pad(_invert(s.images)), _rmul(s.images)
+    return lambda pads: map(bytes.translate, map(right, pads), repeat(left))
 
 
 def _commuting(members, degree: int, a: Perm) -> list:
@@ -273,11 +266,9 @@ def _commuting(members, degree: int, a: Perm) -> list:
     differs from x(p), so x maps Mov(a) into, hence onto, itself, and Fix(a)
     onto itself, where both sides are x(p).  For a = 1 every member passes."""
     table, members = _pad(a.images), list(members)
-    join = b"".join if type(table) is bytes else lambda xs: tuple(chain.from_iterable(xs))
     for p in [p for p in range(degree) if table[p] != p]:
-        flat = join(members)
-        column = flat[p::degree]
-        mapped = column.translate(table) if type(column) is bytes else map(table.__getitem__, column)
+        flat = b"".join(members)
+        mapped = flat[p::degree].translate(table)
         members = list(compress(members, map(eq, mapped, flat[table[p]::degree])))
     return members
 
@@ -366,7 +357,7 @@ _images_of = attrgetter("images")
 class PermGroup:
     """A finitely generated permutation group with its full element set."""
 
-    def __init__(self, generators, degree: int, images, point_labels=None):
+    def __init__(self, generators, degree: int, images):
         gens = tuple(sorted(set(generators), key=_images_of))
         if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different degrees")
@@ -377,7 +368,6 @@ class PermGroup:
         self._members = images if type(images) is set else None
         if self._members is None:
             self.images = images
-        self.point_labels = point_labels
         self._memo = {}
 
     @property
@@ -593,31 +583,47 @@ def _cosets(G: PermGroup, H: PermGroup) -> tuple[tuple, ...]:
     return tuple(parts)
 
 
+class ConjugationImage:
+    """The automorphisms by which a group acts on the elements of a normal
+    subgroup, acted_on, by conjugation: each a tuple t of acted_on's element
+    indices in canonical order, the map a_i |-> a_t[i]; one per generator of
+    the group in generators, and all of them in elements."""
+
+    def __init__(self, acted_on: PermGroup, generators: tuple[tuple[int, ...], ...], elements: frozenset):
+        self.acted_on, self.generators, self.elements = acted_on, generators, elements
+
+    @property
+    def identity(self) -> tuple[int, ...]:
+        return tuple(range(len(self.acted_on)))
+
+    def __len__(self):
+        return len(self.elements)
+
+
 @group_cache
 def conjugation_image(G: PermGroup, A: PermGroup):
-    """The conjugation action of G on A's element list.
+    """The conjugation action of G on A's elements.
 
-    Returns (image, mapping): image is a PermGroup on |A| points whose labels
-    are A's canonically ordered elements, and mapping sends each g in G to
-    the permutation a |-> g a g^-1 of those labels.
+    Returns (image, mapping): image is the `ConjugationImage` of G acting on
+    A, and mapping sends each g in G to its automorphism a |-> g a g^-1, the
+    tuple t with g a_i g^-1 = a_t[i].
     """
     # the action tables conjugate by s^-1, so s acts by their inverses
-    gen_imgs = [Perm._raw(_pack(C)).inverse() for C in _normal_action(G, A)]
-    steps = [(_rmul(s.images), _rmul(f.images)) for s, f in zip(G.generators, gen_imgs)]
-    # g |-> (a |-> g a g^-1) is a homomorphism: x s maps to image(x) * image(s),
+    gen_imgs = tuple(tuple(sorted(range(len(A)), key=C.__getitem__)) for C in _normal_action(G, A))
+    steps = [(_rmul(s.images), f) for s, f in zip(G.generators, gen_imgs)]
+    # g |-> (a |-> g a g^-1) is a homomorphism: x s maps to image(x) image(s),
     # so a breadth-first search from the identity reaches every image
     queue = [G.images[0]]
-    found = {queue[0]: _pack(range(len(A)))}
+    found = {queue[0]: tuple(range(len(A)))}
     for x in queue:
-        x_pad, f_pad = _pad(x), _pad(found[x])
-        for right, act in steps:
+        x_pad, act = _pad(x), found[x].__getitem__
+        for right, f in steps:
             if (y := right(x_pad)) not in found:
-                found[y] = act(f_pad)
+                found[y] = tuple(map(act, f))
                 queue.append(y)
     require(len(found) == len(G), "the generators of G do not generate its elements")
-    mapping = {g: Perm._raw(found[g.images]) for g in G.elements}
-    image = PermGroup(gen_imgs, len(A), set(found.values()), point_labels=A)
-    return image, mapping
+    mapping = {g: found[g.images] for g in G.elements}
+    return ConjugationImage(A, gen_imgs, frozenset(found.values())), mapping
 
 
 class FusionType(namedtuple("FusionType", "swaps_3 swaps_5")):
@@ -656,19 +662,15 @@ def class_fusion(G: PermGroup, A: PermGroup) -> FusionType:
     return _fusion(A, _normal_action(G, A, outer=True))
 
 
-def fusion_type(image: PermGroup) -> FusionType:
-    """Class-fusion pattern of a group of automorphisms acting on A6's elements.
-
-    The image must come from conjugation_image (it carries the acted-on group
-    as point_labels) and must contain that group's inner automorphisms.
-    """
-    A = image.point_labels
-    if not isinstance(A, PermGroup):
-        raise ValueError("image does not carry its acted-on group")
+def fusion_type(image: ConjugationImage) -> FusionType:
+    """Class-fusion pattern of a group of automorphisms acting on A6's
+    elements, as `conjugation_image` builds it; the image must contain the
+    acted-on group's inner automorphisms."""
+    A = image.acted_on
     # precondition: the inner automorphisms (by the inverse generators) lie in the image
-    if any(Perm._raw(_pack(C)) not in image for C in _normal_action(A, A)):
+    if any(tuple(C) not in image.elements for C in _normal_action(A, A)):
         raise ValueError("image does not contain the inner automorphisms")
-    return _fusion(A, [sigma.images for sigma in image.generators])
+    return _fusion(A, image.generators)
 
 
 def index2_overgroups(G: PermGroup, A: PermGroup) -> tuple[PermGroup, ...]:

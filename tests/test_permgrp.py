@@ -11,6 +11,7 @@ import a6k3
 from a6k3 import permgrp
 from a6k3.permgrp import (
     A6_CLASS_SHAPE,
+    ConjugationImage,
     FusionType,
     Perm,
     PermGroup,
@@ -270,7 +271,7 @@ def test_conjugation_image_maps_each_element_to_its_conjugation():
     for k, g in enumerate(G.elements):
         gi = g.inverse()
         for a in A.elements if k % 37 == 0 else A.generators:
-            assert mapping[g](label[a]) == label[g * a * gi]
+            assert mapping[g][label[a]] == label[g * a * gi]
     assert set(mapping.values()) == set(image.elements)
 
 
@@ -280,6 +281,35 @@ def test_conjugation_image_requires_normal():
     assert len(C3) == 3
     with pytest.raises(ValueError):
         conjugation_image(A6, C3)  # A6 is simple, so C3 is not normal
+
+
+def test_conjugation_image_requires_generators_of_all_elements():
+    # a group that holds A6's elements but only one of its generators: the
+    # walk from the identity stops at that generator's powers
+    A6 = alternating6()
+    s = A6.generators[0]
+    short = PermGroup((s,), 6, A6.images)
+    assert A6.is_subgroup_of(short) and len(closure([s])) < len(short)
+    with pytest.raises(VerificationError, match="do not generate its elements"):
+        conjugation_image(short, A6)
+
+
+def test_fusion_type_requires_the_inner_automorphisms():
+    # an image with G's generators but without the inner automorphisms of A
+    split, psl = classify_overgroups(), build_psl29()
+    image, _ = conjugation_image(split.m10, psl)
+    assert fusion_type(ConjugationImage(psl, image.generators, image.elements)) == fusion_type(image)
+    for elements in (frozenset([image.identity]), frozenset(image.generators) | {image.identity}):
+        with pytest.raises(ValueError, match="inner automorphisms"):
+            fusion_type(ConjugationImage(psl, image.generators, elements))
+
+
+def test_degree_above_256_is_refused():
+    # images are bytes, so a permutation acts on at most 256 points
+    assert Perm.identity(256).degree == Perm(range(256)).degree == Perm.identity(6).embedded(256).degree == 256
+    for build in (lambda: Perm(range(257)), lambda: Perm.identity(257), lambda: Perm.identity(6).embedded(257)):
+        with pytest.raises(ValueError, match="exceeds 256"):
+            build()
 
 
 def test_fusion_type_invariant_under_renaming():
@@ -434,7 +464,7 @@ def test_certified_groups_are_perfect():
         assert derived_subgroup(H) == H
 
 
-@pytest.mark.parametrize("degree", [14, 300])
+@pytest.mark.parametrize("degree", [14, 256])
 def test_invert_both_image_formats(degree):
     rng = random.Random(degree)
     one = Perm.identity(degree)
@@ -448,7 +478,7 @@ def test_invert_both_image_formats(degree):
         assert x.inverse().images == inv
 
 
-@pytest.mark.parametrize("degree", [14, 300])
+@pytest.mark.parametrize("degree", [14, 256])
 def test_negative_powers_are_powers_of_the_inverse(degree):
     rng = random.Random(degree + 1)
     images = list(range(degree))
@@ -501,9 +531,9 @@ def test_index_tables_against_perm_arithmetic():
         assert_tables_match_perm_arithmetic(G)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 14, 256, 257, 300])
+@pytest.mark.parametrize("degree", [1, 2, 14, 256])
 def test_image_format_boundary(degree):
-    # images are bytes up to degree 256 and tuples above; both formats must
+    # images are bytes, up to the full 256-entry table; every degree must
     # give the same group arithmetic, with points near the top moved
     if degree == 1:
         gens = [Perm.identity(1)]
@@ -511,7 +541,7 @@ def test_image_format_boundary(degree):
         pts = sorted({0, degree // 2, degree - 2, degree - 1})
         gens = [Perm.from_cycles([pts], degree), Perm.from_cycles([pts[-2:]], degree)]
     for p in gens:
-        assert type(p.images) is (bytes if degree <= 256 else tuple)
+        assert type(p.images) is bytes
         assert Perm(p.images) == Perm(tuple(p.images)) == Perm(list(p.images)) == p
     G = closure(gens)
     assert set(G.elements) == naive_closure(gens)
@@ -529,9 +559,9 @@ def test_image_format_boundary(degree):
     assert H.generators == tuple(sorted(t * g * t.inverse() for g in G.generators))
     for p in G.elements:
         for q in gens:
-            assert p.embedded(300) * q.embedded(300) == (p * q).embedded(300)
+            assert p.embedded(256) * q.embedded(256) == (p * q).embedded(256)
     # the subgroup facts are passes over images; they must agree with Perm
-    # arithmetic in both formats
+    # arithmetic at every degree
     assert set(derived_subgroup(G).elements) == naive_derived(G)
     for A in (G, closure(gens[:1])):
         commuting = {x for x in G.elements if all(x * a == a * x for a in A.elements)}
@@ -554,9 +584,9 @@ def test_image_format_boundary(degree):
             assert class_fusion(H, psl) == naive_fusion(H, psl)
 
 
-@pytest.mark.parametrize("degree", [14, 256, 257, 300])
+@pytest.mark.parametrize("degree", [14, 256])
 def test_conjugation_over_padded_images(degree):
-    # one pad per image serves every conjugating element, in both formats
+    # one pad per image serves every conjugating element
     rng = random.Random(degree)
 
     def shuffled():
@@ -576,10 +606,10 @@ def test_conjugation_over_padded_images(degree):
     for g in (*G.generators, G.elements[5], xs[2], Perm.from_cycles([pts[:2]], degree)):
         assert commuting_images(G, g) == [x.images for x in G.elements if x * g == g * x]
     with pytest.raises(ValueError, match="degree mismatch"):
-        commuting_images(G, Perm.identity(degree + 1))
+        commuting_images(G, Perm.identity(degree - 1))
 
 
-@pytest.mark.parametrize("degree", [1, 2, 14, 256, 257, 300])
+@pytest.mark.parametrize("degree", [1, 2, 14, 256])
 def test_commuting_by_columns_against_perm_arithmetic(degree):
     # seeded member lists that are no group, with repeats, against x a == a x
     rng = random.Random(3950 + degree)
@@ -610,13 +640,8 @@ def test_commuting_by_columns_against_perm_arithmetic(degree):
 
 
 def test_commuting_on_candidates_against_perm_arithmetic():
-    # each candidate's members against its A6 generators and the identity,
-    # and a group of degree 300, whose images are tuples
-    big = closure([Perm.from_cycles([(0, 1, 2)], 300), Perm.from_cycles([(0, 1)], 300),
-                   Perm.from_cycles([(3, 4, 5, 6), (299, 298)], 300)])
-    assert type(big.images[0]) is tuple
+    # each candidate's members against its A6 generators and the identity
     cases = [(c.group, c.a6.generators) for c in map(build_candidate, KINDS)]
-    cases.append((big, big.generators))
     for G, gens in cases:
         for a in (*gens, Perm.identity(G.degree)):
             expected = [x.images for x in G.elements if x * a == a * x]
@@ -784,10 +809,10 @@ def test_orbits_walk_a_long_cycle_without_recursion():
 
 
 def test_image_format_stays_in_permgrp():
-    # only _pack, _pad, _pads, _rmul, _lmul, _conjugation and _commuting know how
-    # images are stored, and no other module composes raw images itself
+    # only _pack, _pad, _pads, _rmul, _invert, _conjugation and _commuting know
+    # how images are stored, and no other module composes raw images itself
     src = Path(a6k3.__file__).parent
-    pattern = re.compile(r"\b(_pack|_pad|_pads|_rmul|_lmul|_conjugation|_commuting|translate|maketrans)\b")
+    pattern = re.compile(r"\b(_pack|_pad|_pads|_rmul|_invert|_conjugation|_commuting|translate|maketrans)\b")
     leaks = [p.name for p in sorted(src.glob("*.py")) if p.name != "permgrp.py" and pattern.search(p.read_text())]
     assert leaks == []
 

@@ -20,7 +20,7 @@ from a6k3.k3verify import (
     lattice_checks,
     run_exclusion,
 )
-from a6k3.permgrp import class_fusion, conjugacy_classes, fingerprint
+from a6k3.permgrp import class_fusion, conjugacy_classes, conjugation_image, fingerprint
 from a6k3.pgl9 import build_psl29, classify_overgroups, m10_order4_class_check
 
 
@@ -49,7 +49,8 @@ def value_records():
 
 def result_objects():
     psl = build_psl29()
-    return [structure_constants(psl), character_table(psl), build_candidate("M10_2")]
+    image, _ = conjugation_image(classify_overgroups().m10, psl)
+    return [structure_constants(psl), character_table(psl), build_candidate("M10_2"), image]
 
 
 def test_value_records_compare_by_value_and_are_immutable():
@@ -79,7 +80,7 @@ def test_value_records_compare_by_value_and_are_immutable():
 
 def test_result_objects_compare_by_identity_and_allow_weakrefs():
     objects = result_objects()
-    assert len({type(r) for r in objects}) == 3
+    assert len({type(r) for r in objects}) == 4
     for obj in objects:
         twin = type(obj)(**vars(obj))
         assert vars(twin).keys() == vars(obj).keys()
